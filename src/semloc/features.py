@@ -19,6 +19,9 @@ from scipy import ndimage
 from .mapmodel import SemanticClass
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+# RANSAC models are scored in blocks of at most this many model-pixel
+# distances, so a large region cannot raise peak memory.
+_SCORE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -102,13 +105,25 @@ def region_grow(binary: np.ndarray, min_region_px: int = 30) -> list:
 
     Returns (n, 2) arrays of (row, col) pixels in raster-scan order;
     regions are ordered by their top-left-most pixel.
+
+    Labeling runs on the bounding box of the foreground only, and each
+    region's pixels are read from its own bounding-box slice.
     """
-    labels, count = ndimage.label(np.asarray(binary) != 0,
-                                  structure=_EIGHT_CONNECTED)
+    foreground = np.asarray(binary) != 0
+    rows = np.flatnonzero(foreground.any(axis=1))
+    if rows.size == 0:
+        return []
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    cols = np.flatnonzero(foreground[top:bottom].any(axis=0))
+    left, right = int(cols[0]), int(cols[-1]) + 1
+    box = foreground[top:bottom, left:right]
+    labels, _ = ndimage.label(box, structure=_EIGHT_CONNECTED)
     regions = []
-    for index in range(1, count + 1):
-        pixels = np.argwhere(labels == index)
+    for index, (row_slice, col_slice) in enumerate(
+            ndimage.find_objects(labels), start=1):
+        pixels = np.argwhere(labels[row_slice, col_slice] == index)
         if pixels.shape[0] >= min_region_px:
+            pixels += (top + row_slice.start, left + col_slice.start)
             regions.append(pixels)
     regions.sort(key=lambda px: (int(px[0, 0]), int(px[0, 1])))
     return regions
@@ -124,6 +139,9 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     on the inliers, and reports the extreme inlier projections as the
     endpoints. None when the best inlier ratio falls below
     ``min_inlier_ratio`` (the region is a blob, not a line).
+
+    Models are scored a block at a time as a (models, pixels) distance
+    array; the first model with the most inliers wins.
     """
     pts = np.asarray(region)[:, ::-1].astype(float)  # (x, y) per pixel
     n = pts.shape[0]
@@ -131,37 +149,34 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
         return None
 
     if n * (n - 1) // 2 <= iterations:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        first, second = np.triu_indices(n, 1)
     else:
         rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(iterations):
-            i, j = rng.choice(n, size=2, replace=False)
-            pairs.append((int(i), int(j)))
+        first, second = np.array(
+            [rng.choice(n, size=2, replace=False) for _ in range(iterations)],
+            dtype=np.intp).reshape(-1, 2).T
 
-    best_count = -1
-    best_mask = None
-    for i, j in pairs:
-        direction = pts[j] - pts[i]
-        norm = float(np.hypot(direction[0], direction[1]))
-        if norm < 1e-9:
-            continue
-        direction = direction / norm
-        offsets = pts - pts[i]
-        dist = np.abs(offsets[:, 0] * direction[1] - offsets[:, 1] * direction[0])
-        mask = dist <= inlier_tol
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-    if best_mask is None:
+    direction = pts[second] - pts[first]
+    norm = np.hypot(direction[:, 0], direction[:, 1])
+    valid = norm >= 1e-9
+    if not valid.any():
         return None
+    first = first[valid]
+    direction = direction[valid] / norm[valid, None]
+    block = max(1, _SCORE_BLOCK_ELEMENTS // n)
+    counts = np.concatenate([
+        np.count_nonzero(
+            _line_distances(pts, pts[first[k:k + block]],
+                            direction[k:k + block]) <= inlier_tol, axis=1)
+        for k in range(0, first.size, block)])
+    best = int(np.argmax(counts))
+    best_mask = _line_distances(
+        pts, pts[first[best:best + 1]], direction[best:best + 1])[0] <= inlier_tol
 
     # Least-squares refit on the winning inliers, then one re-gating pass
     # against the refit line so support and endpoints are consistent.
     centroid, direction = _pca_line(pts[best_mask])
-    offsets = pts - centroid
-    dist = np.abs(offsets[:, 0] * direction[1] - offsets[:, 1] * direction[0])
+    dist = _line_distances(pts, centroid[None], direction[None])[0]
     inliers = pts[dist <= inlier_tol]
     support = inliers.shape[0]
     if support < 2 or support / n < min_inlier_ratio:
@@ -173,6 +188,15 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     if float(np.linalg.norm(m2 - m1)) < 1e-6:
         return None
     return DetectedLine(m1, m2, semantic, support)
+
+
+def _line_distances(pts: np.ndarray, anchors: np.ndarray,
+                    directions: np.ndarray) -> np.ndarray:
+    """(models, pixels) perpendicular distances of ``pts`` to the lines
+    through ``anchors`` along the unit ``directions``."""
+    dx = pts[:, 0] - anchors[:, 0, None]
+    dy = pts[:, 1] - anchors[:, 1, None]
+    return np.abs(dx * directions[:, 1, None] - dy * directions[:, 0, None])
 
 
 def _pca_line(pts: np.ndarray):
@@ -228,6 +252,9 @@ def extract_features(mask: SemanticMask,
 # One 8-bit binary PGM per class per frame, probability scaled by 255,
 # named <frame>_<class>.pgm.
 
+# One header token, after any whitespace and whole-line comments.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)")
+
 
 def write_mask_files(directory, frame_id: int, mask: SemanticMask) -> list:
     directory = Path(directory)
@@ -267,7 +294,7 @@ def _read_pgm(path) -> np.ndarray:
     tokens = []
     pos = 0
     while len(tokens) < 4:
-        match = re.compile(rb"\s*(?:#[^\n]*\n)*\s*(\S+)").match(data, pos)
+        match = _PGM_TOKEN.match(data, pos)
         if match is None:
             raise ValueError(f"{path}: truncated PGM header")
         tokens.append(match.group(1))
@@ -278,4 +305,4 @@ def _read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(data[pos + 1:pos + 1 + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise ValueError(f"{path}: truncated pixel data")
-    return pixels.reshape(height, width).astype(float)
+    return pixels.reshape(height, width)

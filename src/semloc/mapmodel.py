@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 # A landmark is kept by preselection when rough_size / distance exceeds this.
 MIN_SIZE_RATIO = 0.017
@@ -190,7 +189,8 @@ def fit_point_landmark(cluster, semantic: SemanticClass, road_index: int,
     if pts.shape[0] == 0:
         raise ValueError("empty cluster")
     centroid = pts.mean(axis=0)
-    size = float(pdist(pts).max()) if pts.shape[0] > 1 else 0.0
+    squared = sum((c[:, None] - c[None, :]) ** 2 for c in pts.T)
+    size = float(np.sqrt(squared.max()))
     return PointLandmark(centroid, semantic, max(size, _POINT_SIZE_FLOOR_M),
                          road_index, landmark_id)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semloc
 from semloc.cli import main
 from semloc.mapmodel import SemanticClass, load_map
 from semloc.pipeline import parse_result
@@ -19,6 +24,17 @@ def synth_dir(tmp_path):
                    "--no-masks")
     assert code == 0
     return out
+
+
+def test_cli_import_leaves_out_scipy_spatial():
+    # scipy.spatial costs about 0.13 s of every CLI start; nothing needs it.
+    src = str(Path(semloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, semloc.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestCompileMap:

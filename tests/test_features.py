@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from semloc import features
 from semloc.features import (DetectedLine, DetectedPoint, ExtractionConfig,
                              SemanticMask, binarize, extract_features,
                              fit_region_line, read_mask_files, region_centroid,
@@ -9,6 +13,85 @@ from semloc.mapmodel import SemanticClass
 
 POLE = SemanticClass.POLE_LIKE
 SIGN = SemanticClass.TRAFFIC_SIGN
+
+
+def reference_region_grow(binary, min_region_px=30):
+    """Full-raster labeling with one full-raster pass per region."""
+    labels, count = ndimage.label(np.asarray(binary) != 0,
+                                  structure=np.ones((3, 3), dtype=bool))
+    regions = []
+    for index in range(1, count + 1):
+        pixels = np.argwhere(labels == index)
+        if pixels.shape[0] >= min_region_px:
+            regions.append(pixels)
+    regions.sort(key=lambda px: (int(px[0, 0]), int(px[0, 1])))
+    return regions
+
+
+def reference_fit_region_line(region, semantic, inlier_tol=2.0,
+                              iterations=100, seed=0, min_inlier_ratio=0.5):
+    """RANSAC line fit scoring one sampled pair at a time."""
+    pts = np.asarray(region)[:, ::-1].astype(float)
+    n = pts.shape[0]
+    if n < 2:
+        return None
+    if n * (n - 1) // 2 <= iterations:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(iterations):
+            i, j = rng.choice(n, size=2, replace=False)
+            pairs.append((int(i), int(j)))
+    best_count = -1
+    best_mask = None
+    for i, j in pairs:
+        direction = pts[j] - pts[i]
+        norm = float(np.hypot(direction[0], direction[1]))
+        if norm < 1e-9:
+            continue
+        direction = direction / norm
+        offsets = pts - pts[i]
+        dist = np.abs(offsets[:, 0] * direction[1]
+                      - offsets[:, 1] * direction[0])
+        mask = dist <= inlier_tol
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+    if best_mask is None:
+        return None
+    centroid, direction = features._pca_line(pts[best_mask])
+    offsets = pts - centroid
+    dist = np.abs(offsets[:, 0] * direction[1] - offsets[:, 1] * direction[0])
+    inliers = pts[dist <= inlier_tol]
+    support = inliers.shape[0]
+    if support < 2 or support / n < min_inlier_ratio:
+        return None
+    centroid, direction = features._pca_line(inliers)
+    t = (inliers - centroid) @ direction
+    m1 = centroid + t.min() * direction
+    m2 = centroid + t.max() * direction
+    if float(np.linalg.norm(m2 - m1)) < 1e-6:
+        return None
+    return DetectedLine(m1, m2, semantic, support)
+
+
+def assert_same_regions(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def assert_same_line(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.m1.tobytes() == want.m1.tobytes()
+    assert got.m2.tobytes() == want.m2.tobytes()
+    assert got.support == want.support and got.semantic is want.semantic
 
 
 def mask_of(raster, semantic=POLE):
@@ -63,6 +146,124 @@ class TestRegionGrow:
             r, c = rng.integers(0, 100, 2)
             binary[r, c] = 1
         assert region_grow(binary, min_region_px=30) == []
+
+
+class TestRegionGrowOracle:
+    """region_grow labels only the foreground's bounding box; it must give
+    the same regions, in the same order, as full-raster labeling."""
+
+    @pytest.mark.parametrize("density", [0.002, 0.05, 0.3, 0.6])
+    def test_random_rasters(self, density):
+        rng = np.random.default_rng(int(density * 1000))
+        for _ in range(10):
+            h, w = (int(v) for v in rng.integers(5, 120, 2))
+            binary = (rng.random((h, w)) < density).astype(np.uint8)
+            for min_px in (1, 3, 30):
+                assert_same_regions(region_grow(binary, min_px),
+                                    reference_region_grow(binary, min_px))
+
+    @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
+    def test_region_touching_border(self, edge):
+        binary = np.zeros((40, 60), dtype=np.uint8)
+        binary[15:25, 20:45] = 1   # interior region, not on any border
+        strip = {"top": (slice(0, 3), slice(5, 50)),
+                 "bottom": (slice(37, 40), slice(5, 50)),
+                 "left": (slice(2, 38), slice(0, 2)),
+                 "right": (slice(2, 38), slice(58, 60))}[edge]
+        binary[strip] = 1
+        regions = region_grow(binary, 1)
+        assert len(regions) == 2
+        assert_same_regions(regions, reference_region_grow(binary, 1))
+
+    def test_all_zero(self):
+        binary = np.zeros((30, 40), dtype=np.uint8)
+        assert region_grow(binary, 1) == []
+        assert reference_region_grow(binary, 1) == []
+
+    def test_single_full_box_region(self):
+        binary = np.ones((17, 23), dtype=np.uint8)
+        regions = region_grow(binary, 1)
+        assert len(regions) == 1 and regions[0].shape == (17 * 23, 2)
+        assert_same_regions(regions, reference_region_grow(binary, 1))
+
+    def test_nested_bounding_boxes(self):
+        # A ring around an island: the island's box lies inside the ring's,
+        # so each region must be read from its own labels, not its box.
+        binary = np.zeros((30, 30), dtype=np.uint8)
+        binary[5:25, 5:25] = 1
+        binary[7:23, 7:23] = 0
+        binary[12:18, 12:18] = 1
+        assert_same_regions(region_grow(binary, 1),
+                            reference_region_grow(binary, 1))
+
+
+class TestFitRegionLineOracle:
+    """fit_region_line scores its models in blocks; it must return the line
+    the one-pair-at-a-time loop returns, bit for bit."""
+
+    def noisy_strip(self, rng, n_line, n_scatter):
+        xs = rng.uniform(10, 400, n_line)
+        ys = rng.uniform(0.2, 3.0) * xs + rng.uniform(-1.5, 1.5, n_line)
+        scatter = rng.uniform(0, 400, (n_scatter, 2))
+        pixels = np.vstack([np.column_stack([ys, xs]), scatter])
+        return np.unique(np.rint(pixels).astype(np.intp), axis=0)
+
+    def test_sampled_path(self):
+        rng = np.random.default_rng(7)
+        for seed in range(40):
+            region = self.noisy_strip(rng, int(rng.integers(20, 300)),
+                                      int(rng.integers(0, 80)))
+            assert region.shape[0] * (region.shape[0] - 1) // 2 > 100
+            assert_same_line(fit_region_line(region, POLE, seed=seed),
+                             reference_fit_region_line(region, POLE, seed=seed))
+
+    def test_exhaustive_path(self):
+        rng = np.random.default_rng(8)
+        for n in range(2, 15):  # n(n-1)/2 <= 100 for every n here
+            region = self.noisy_strip(rng, n, 0)[:n]
+            assert_same_line(fit_region_line(region, POLE),
+                             reference_fit_region_line(region, POLE))
+
+    def test_tie_goes_to_first_model(self):
+        # Two equal parallel strips: every pair inside either strip scores
+        # the same count, and the first pair lies in the upper strip.
+        region = np.array([(r, c) for r in (10, 60) for c in range(20)])
+        kwargs = dict(iterations=1000, min_inlier_ratio=0.5)
+        line = fit_region_line(region, POLE, **kwargs)
+        assert_same_line(line, reference_fit_region_line(region, POLE, **kwargs))
+        assert line.m1[1] == pytest.approx(10) and line.m2[1] == pytest.approx(10)
+
+    def test_coincident_pixels_give_no_model(self):
+        region = np.array([(4, 9)] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fit on an empty inlier set
+            assert fit_region_line(region, POLE) is None
+        assert reference_fit_region_line(region, POLE) is None
+
+    def test_no_iterations_gives_no_model(self):
+        region = np.array([(r, 3) for r in range(40)])
+        assert fit_region_line(region, POLE, iterations=0) is None
+        assert reference_fit_region_line(region, POLE, iterations=0) is None
+
+    def test_repeated_pixels_are_skipped_models(self):
+        region = np.array([(4, 9)] * 8 + [(r, 2 * r) for r in range(5, 60)])
+        for seed in range(5):
+            assert_same_line(fit_region_line(region, POLE, seed=seed),
+                             reference_fit_region_line(region, POLE, seed=seed))
+
+    def test_region_larger_than_one_block(self):
+        rng = np.random.default_rng(9)
+        region = self.noisy_strip(rng, 3000, 400)
+        assert region.shape[0] * 100 > features._SCORE_BLOCK_ELEMENTS
+        for seed in range(3):
+            assert_same_line(fit_region_line(region, POLE, seed=seed),
+                             reference_fit_region_line(region, POLE, seed=seed))
+
+    def test_region_larger_than_block_budget(self):
+        # Fewer than one model fits the budget: every block holds one model.
+        region = np.argwhere(np.ones((5, features._SCORE_BLOCK_ELEMENTS // 5 + 7)))
+        assert_same_line(fit_region_line(region, POLE),
+                         reference_fit_region_line(region, POLE))
 
 
 class TestFitRegionLine:
@@ -184,6 +385,19 @@ class TestMaskFiles:
         back = read_mask_files(tmp_path, 12)
         assert back.width == 53 and back.height == 37
         assert np.allclose(back.channels[POLE], raster, atol=0.5 / 255)
+
+    def test_blank_line_between_header_comments(self, tmp_path):
+        header = b"P5\n# one\n\n# two\n2 1\n255\n"
+        (tmp_path / "000003_POLE.pgm").write_bytes(header + bytes([0, 255]))
+        back = read_mask_files(tmp_path, 3)
+        assert (back.width, back.height) == (2, 1)
+        assert back.channels[POLE].tolist() == [[0.0, 1.0]]
+
+    def test_comment_right_after_token(self, tmp_path):
+        header = b"P5# magic\n3#w\n1\n# max\n255\n"
+        (tmp_path / "000004_POLE.pgm").write_bytes(header + bytes([51, 0, 255]))
+        back = read_mask_files(tmp_path, 4)
+        assert back.channels[POLE].tolist() == [[0.2, 0.0, 1.0]]
 
     def test_missing_frame(self, tmp_path):
         with pytest.raises(FileNotFoundError):

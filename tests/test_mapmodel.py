@@ -87,6 +87,18 @@ class TestFitPoint:
                 best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
         assert lm.size_m == pytest.approx(best)
 
+    def test_size_bitwise_equal_to_pdist(self):
+        # Map files written by compile-map stay byte-identical to the ones
+        # scipy's pdist gave.
+        from scipy.spatial.distance import pdist
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            pts = (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-2, 3)
+                   + rng.normal(size=3) * 1e3)
+            lm = fit_point_landmark(pts, SemanticClass.TRAFFIC_SIGN, 0)
+            assert lm.size_m == max(float(pdist(pts).max()), 1e-3)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_point_landmark(np.empty((0, 3)), SemanticClass.TRAFFIC_SIGN, 0)
