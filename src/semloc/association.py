@@ -23,8 +23,6 @@ from .residual import (CorrespondenceSet, EmptyCorrespondence,
                        line_distance, nearest_lane_height, point_distance)
 from .solver import SingularNormalEquations, SolveResult, SolverConfig, solve
 
-REMATCH_CHOICES = ("validated_pose", "initial_pose")
-
 
 class NoValidAssociation(RuntimeError):
     """No hypothesis survived validation; coast on the motion model."""
@@ -50,7 +48,6 @@ class AssociationConfig:
     hypothesis_points: int = 1
     max_hypotheses: int = 500
     rng_seed: int = 0
-    rematch_around: str = "validated_pose"
 
     def __post_init__(self):
         if self.gate_line_refine_px > self.gate_line_init_px or \
@@ -61,8 +58,6 @@ class AssociationConfig:
                self.max_pose_shift, self.max_hypothesis_rms,
                self.max_final_rms_per_pair) <= 0:
             raise ValueError("gates must be positive")
-        if self.rematch_around not in REMATCH_CHOICES:
-            raise ValueError(f"rematch_around must be one of {REMATCH_CHOICES}")
 
 
 def pose_distance(a: CameraPose, b: CameraPose) -> float:
@@ -208,10 +203,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         if pose_distance(fit.pose, init) > assoc_config.max_pose_shift:
             continue
 
-        anchor = fit.pose if assoc_config.rematch_around == "validated_pose" \
-            else init
         refined = closest_correspond(
-            preselected, det_lines, det_points, anchor, intrinsics,
+            preselected, det_lines, det_points, fit.pose, intrinsics,
             assoc_config.gate_line_refine_px, assoc_config.gate_point_refine_px)
         if len(refined) == 0:
             continue
@@ -223,9 +216,6 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             continue
         if len(refined) < 0.5 * len(base):
             continue
-        assert final.residual_rms <= \
-            assoc_config.max_final_rms_per_pair * len(refined)
-        assert len(refined) >= 0.5 * len(base)
         return final, refined
 
     raise NoValidAssociation("no hypothesis survived validation")

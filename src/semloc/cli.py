@@ -16,30 +16,27 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .association import AssociationConfig, NoValidAssociation
-from .camera import CameraPose, Intrinsics, parse_intrinsics, serialize_intrinsics
+from .association import AssociationConfig, NoValidAssociation, closest_correspond
+from .camera import parse_intrinsics, serialize_intrinsics
 from .features import ExtractionConfig, extract_features, write_mask_files
-from .mapmodel import (DegenerateCluster, ParseError, SemanticClass,
-                       SemanticMap, fit_line_landmark, fit_point_landmark,
-                       parse_map, save_map)
-from .pipeline import (FrameStatus, evaluate, parse_detections,
-                       parse_ground_truth, parse_result, run_sequence,
-                       serialize_detections, serialize_ground_truth,
-                       serialize_result)
+from .mapmodel import (MIN_SIZE_RATIO, DegenerateCluster, ParseError,
+                       RoughPose, SemanticClass, SemanticMap,
+                       fit_line_landmark, fit_point_landmark, parse_map,
+                       preselect, save_map)
+from .pipeline import (FrameStatus, evaluate, heading_from_pose,
+                       parse_detections, parse_ground_truth, parse_result,
+                       run_sequence, serialize_detections,
+                       serialize_ground_truth, serialize_result)
 from .residual import ReprojectionObjective, ResidualConfig, nearest_lane_height
 from .solver import SolverConfig, cost_landscape
 from .synthworld import (WorldConfig, generate_world, render_frames,
                          render_masks)
-from .association import closest_correspond
-from .mapmodel import RoughPose, preselect
-from .pipeline import heading_from_pose
 
 
 class CliError(Exception):
@@ -53,11 +50,14 @@ def _read(path, what):
     return path.read_text()
 
 
-def _config_from(block: dict, cls, what: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(block) - fields
+def _check_keys(block: dict, allowed, what: str) -> None:
+    unknown = set(block) - set(allowed)
     if unknown:
         raise CliError(f"unknown {what} settings: {sorted(unknown)}")
+
+
+def _config_from(block: dict, cls, what: str):
+    _check_keys(block, (f.name for f in dataclasses.fields(cls)), what)
     return cls(**block)
 
 
@@ -91,7 +91,10 @@ def _configs(args, manifest):
     residual = _config_from(dict(manifest.get("residual", {})), ResidualConfig,
                             "residual")
     preselect_block = manifest.get("preselect", {})
+    _check_keys(preselect_block, ("min_size_ratio",), "preselect")
     min_size_ratio = preselect_block.get("min_size_ratio")
+    if min_size_ratio is None:  # absent or null: the preselection default
+        min_size_ratio = MIN_SIZE_RATIO
     return assoc, solver, residual, min_size_ratio
 
 
@@ -331,8 +334,7 @@ def cmd_landscape(args) -> int:
 
     rough = RoughPose(center.position, heading_from_pose(center),
                       frame.road_index)
-    kwargs = {"min_size_ratio": min_size_ratio} if min_size_ratio else {}
-    selected = preselect(semantic_map, rough, **kwargs)
+    selected = preselect(semantic_map, rough, min_size_ratio)
     corr = closest_correspond(selected, frame.det_lines, frame.det_points,
                               center, intrinsics,
                               assoc.gate_line_refine_px,

@@ -18,7 +18,8 @@ import numpy as np
 from .association import (AssociationConfig, NoValidAssociation,
                           associate_and_localize)
 from .camera import CameraPose, Intrinsics, wrap_angle
-from .mapmodel import RoughPose, SemanticClass, SemanticMap, preselect
+from .mapmodel import (MIN_SIZE_RATIO, RoughPose, SemanticClass, SemanticMap,
+                       preselect)
 from .residual import ResidualConfig
 from .solver import SolverConfig
 
@@ -97,7 +98,7 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
                  assoc_config: AssociationConfig = AssociationConfig(),
                  solver_config: SolverConfig = SolverConfig(),
                  residual_config: ResidualConfig = ResidualConfig(),
-                 min_size_ratio: float | None = None) -> TrajectoryResult:
+                 min_size_ratio: float = MIN_SIZE_RATIO) -> TrajectoryResult:
     """Localize every frame of a sequence.
 
     ``bootstrap`` supplies the poses of the first two frames. Association
@@ -106,9 +107,6 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
     """
     if len(bootstrap) < 2:
         raise InsufficientBootstrap("need two bootstrap poses")
-    preselect_kwargs = {}
-    if min_size_ratio is not None:
-        preselect_kwargs["min_size_ratio"] = min_size_ratio
 
     result = TrajectoryResult()
     estimates: list[CameraPose] = []
@@ -122,7 +120,7 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
         init = predict_pose(estimates[-1], estimates[-2])
         rough = RoughPose(init.position, heading_from_pose(init),
                           frame.road_index)
-        selected = preselect(semantic_map, rough, **preselect_kwargs)
+        selected = preselect(semantic_map, rough, min_size_ratio)
         try:
             fit, refined = associate_and_localize(
                 selected, frame.det_lines, frame.det_points, init, intrinsics,

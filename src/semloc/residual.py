@@ -20,6 +20,7 @@ from .mapmodel import PreselectedSet, SemanticClass
 
 DEG_PER_RAD = 180.0 / math.pi
 CM_PER_M = 100.0
+HALF_SQRT2 = math.sqrt(0.5)
 
 # Sentinel: resolve the lane height from the preselected set at the current
 # pose instead of taking a caller-supplied value.
@@ -83,23 +84,30 @@ class CorrespondenceSet:
                         f"class mismatch in {kind} pair ({lm_idx}, {det_idx})")
 
 
-def _cross2(a: np.ndarray, b: np.ndarray) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
+def _cross2(a: np.ndarray, b: np.ndarray):
+    """Signed 2D cross product a x b over the first axis."""
+    return a[0] * b[1] - a[1] * b[0]
 
 
-def line_distance(proj: ProjectedLine, det) -> float:
-    """Mean perpendicular distance of the two projected control points to
-    the infinite line through the detected endpoints (pixels)."""
+def _detected_line(det):
+    """Anchor, direction and length of a detected line. Canonical endpoint
+    order makes every distance bit-identical under endpoint swaps."""
     m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
-    # Canonical endpoint order makes the value bit-identical under swaps.
     if tuple(m2) < tuple(m1):
         m1, m2 = m2, m1
     d = m2 - m1
     length = float(np.linalg.norm(d))
     if length < 1e-6:
         raise DegenerateDetection("detected line endpoints coincide")
-    return (abs(_cross2(d, proj.u1 - m1)) + abs(_cross2(d, proj.u2 - m1))) \
-        / (2.0 * length)
+    return m1, d, length
+
+
+def line_distance(proj: ProjectedLine, det) -> float:
+    """Mean perpendicular distance of the two projected control points to
+    the infinite line through the detected endpoints (pixels)."""
+    m1, d, length = _detected_line(det)
+    c1, c2 = float(_cross2(d, proj.u1 - m1)), float(_cross2(d, proj.u2 - m1))
+    return (abs(c1) + abs(c2)) / (2.0 * length)
 
 
 def point_distance(proj, det) -> float:
@@ -138,7 +146,22 @@ def soft_constraint(pose: CameraPose, y_lane: float | None,
     return np.array(terms)
 
 
-class ReprojectionObjective:
+class _Objective:
+    """Evaluation methods shared by both objectives, all reductions of
+    ``residual_and_jacobian(pose, with_jacobian)``."""
+
+    def residual(self, pose: CameraPose) -> np.ndarray:
+        return self.residual_and_jacobian(pose, with_jacobian=False)[0]
+
+    def jacobian(self, pose: CameraPose) -> np.ndarray:
+        return self.residual_and_jacobian(pose)[1]
+
+    def cost(self, pose: CameraPose) -> float:
+        r = self.residual(pose)
+        return float(r @ r)
+
+
+class ReprojectionObjective(_Objective):
     """Residual/Jacobian provider for a fixed correspondence set.
 
     Precomputes per-pair geometry once; each evaluation is a handful of
@@ -160,19 +183,13 @@ class ReprojectionObjective:
         self.y_lane = y_lane
         self.n_lines = len(corr.line_pairs)
         self.n_points = len(corr.point_pairs)
+        self.n_soft = 2 if y_lane is None else 3
 
         pts = []
         dirs, anchors, lengths = [], [], []
         for lm_idx, det_idx in corr.line_pairs:
-            lm, det = preselected.lines[lm_idx], det_lines[det_idx]
-            m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
-            if tuple(m2) < tuple(m1):
-                m1, m2 = m2, m1
-            d = m2 - m1
-            length = float(np.linalg.norm(d))
-            if length < 1e-6:
-                raise DegenerateDetection(
-                    f"detected line {det_idx} endpoints coincide")
+            lm = preselected.lines[lm_idx]
+            m1, d, length = _detected_line(det_lines[det_idx])
             pts.extend((lm.p1, lm.p2))
             dirs.append(d)
             anchors.append(m1)
@@ -187,71 +204,50 @@ class ReprojectionObjective:
         self._line_anchor = np.array(anchors, dtype=float).reshape(-1, 2)
         self._line_len = np.array(lengths, dtype=float)
         self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
+        # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
+        self._line_grad = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]],
+                                   axis=1) * (HALF_SQRT2 / self._line_len)[:, None]
 
     @property
     def n_rows(self) -> int:
-        soft = 2 if self.y_lane is None else 3
-        return self.n_lines + self.n_points + soft
+        return self.n_lines + self.n_points + self.n_soft
 
-    def _project_all(self, pose: CameraPose):
+    def _kernel(self, pose: CameraPose, with_jacobian: bool):
+        """Project every control point once.
+
+        Returns the signed cross products of the detected line direction
+        with both projected endpoints (n_lines, 2), the point pixel errors
+        (n_points, 2), the line and point cheirality masks and, when asked,
+        d(pixel)/d(pose) per projected control point (n, 2, 6).
+        """
         rot = pose.rotation()
         rel = self._world - pose.position
         cam = rel @ rot.T
-        z = cam[:, 2]
-        valid = z > MIN_DEPTH_M
-        zs = np.where(valid, z, 1.0)
+        valid = cam[:, 2] > MIN_DEPTH_M
+        zs = np.where(valid, cam[:, 2], 1.0)
         k = self.intrinsics
         uv = np.empty((cam.shape[0], 2))
         uv[:, 0] = k.fx * cam[:, 0] / zs + k.skew * cam[:, 1] / zs + k.cx
         uv[:, 1] = k.fy * cam[:, 1] / zs + k.cy
-        return rot, rel, cam, uv, valid
 
-    def _soft_rows(self, pose: CameraPose) -> np.ndarray:
-        return self.config.lambda_n * soft_constraint(pose, self.y_lane, self.config)
-
-    def residual(self, pose: CameraPose) -> np.ndarray:
-        _, _, _, uv, valid = self._project_all(pose)
-        res = np.empty(self.n_rows)
-        nl, npt = self.n_lines, self.n_points
-        penalty = self.config.behind_camera_penalty_px
-        if nl:
-            u1 = uv[0:2 * nl:2] - self._line_anchor
-            u2 = uv[1:2 * nl:2] - self._line_anchor
-            cross1 = self._line_dir[:, 0] * u1[:, 1] - self._line_dir[:, 1] * u1[:, 0]
-            cross2 = self._line_dir[:, 0] * u2[:, 1] - self._line_dir[:, 1] * u2[:, 0]
-            dl = (np.abs(cross1) + np.abs(cross2)) / (2.0 * self._line_len)
-            ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
-            res[:nl] = np.where(ok, dl, penalty)
-        if npt:
-            err = uv[2 * nl:] - self._det_pts
-            dp = np.linalg.norm(err, axis=1)
-            res[nl:nl + npt] = np.where(valid[2 * nl:], dp, penalty)
-        res[nl + npt:] = self._soft_rows(pose)
-        return res
-
-    def cost(self, pose: CameraPose) -> float:
-        r = self.residual(pose)
-        return float(r @ r)
-
-    def jacobian(self, pose: CameraPose) -> np.ndarray:
-        return self.residual_and_jacobian(pose)[1]
-
-    def _projection_jacobian(self, pose: CameraPose):
-        """Projections plus d(pixel)/d(pose) per projected control point."""
-        rot, rel, cam, uv, valid = self._project_all(pose)
-        n = cam.shape[0]
-        k = self.intrinsics
-        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
+        nl = self.n_lines
+        u = uv[:2 * nl].reshape(nl, 2, 2) - self._line_anchor[:, np.newaxis]
+        cross = _cross2(self._line_dir.T[:, :, np.newaxis], u.transpose(2, 0, 1))
+        err = uv[2 * nl:] - self._det_pts
+        line_ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
+        point_ok = valid[2 * nl:]
+        if not with_jacobian:
+            return cross, err, line_ok, point_ok, None
 
         # d(camera point)/d(pose): translation block is -R, one column per
         # angle from the rotation derivative.
+        n = cam.shape[0]
         dcam = np.empty((n, 3, 6))
         dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
+        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
         for col, dr in enumerate(d_rot, start=3):
             dcam[:, :, col] = rel @ dr.T
-
-        z = np.where(valid, cam[:, 2], 1.0)
-        inv_z = 1.0 / z
+        inv_z = 1.0 / zs
         # Pixel derivative rows stacked per projected point: (n, 2, 3).
         duv_dcam = np.zeros((n, 2, 3))
         duv_dcam[:, 0, 0] = k.fx * inv_z
@@ -259,53 +255,52 @@ class ReprojectionObjective:
         duv_dcam[:, 0, 2] = -(k.fx * cam[:, 0] + k.skew * cam[:, 1]) * inv_z ** 2
         duv_dcam[:, 1, 1] = k.fy * inv_z
         duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] * inv_z ** 2
-        duv = np.einsum("nij,njk->nik", duv_dcam, dcam)  # (n, 2, 6)
-        return rot, rel, cam, uv, valid, duv
+        duv = np.einsum("nij,njk->nik", duv_dcam, dcam)
+        return cross, err, line_ok, point_ok, duv
 
-    def residual_and_jacobian(self, pose: CameraPose):
-        rot, rel, cam, uv, valid, duv = self._projection_jacobian(pose)
-        res = np.empty(self.n_rows)
-        jac = np.zeros((self.n_rows, 6))
+    def _endpoint_rows(self, duv: np.ndarray) -> np.ndarray:
+        """Jacobian of half_sqrt2 * cross / length per line endpoint,
+        shape (n_lines, 2, 6)."""
+        nl = self.n_lines
+        return np.einsum("ni,nkij->nkj", self._line_grad,
+                         duv[:2 * nl].reshape(nl, 2, 2, 6))
+
+    def _write_soft(self, pose: CameraPose, res: np.ndarray, jac, start: int):
+        """Weighted flat-ground rows from ``start`` on, and their Jacobian
+        entries when ``jac`` is given."""
+        lam = self.config.lambda_n
+        res[start:] = lam * soft_constraint(pose, self.y_lane, self.config)
+        if jac is not None:
+            jac[start, 4] = lam * DEG_PER_RAD      # pitch row
+            jac[start + 1, 5] = lam * DEG_PER_RAD  # roll row
+            if self.y_lane is not None:
+                jac[start + 2, 1] = lam * CM_PER_M
+
+    def residual_and_jacobian(self, pose: CameraPose, with_jacobian: bool = True):
+        cross, err, line_ok, point_ok, duv = self._kernel(pose, with_jacobian)
         nl, npt = self.n_lines, self.n_points
         penalty = self.config.behind_camera_penalty_px
-
-        if nl:
-            u1 = uv[0:2 * nl:2] - self._line_anchor
-            u2 = uv[1:2 * nl:2] - self._line_anchor
-            cross1 = self._line_dir[:, 0] * u1[:, 1] - self._line_dir[:, 1] * u1[:, 0]
-            cross2 = self._line_dir[:, 0] * u2[:, 1] - self._line_dir[:, 1] * u2[:, 0]
-            dl = (np.abs(cross1) + np.abs(cross2)) / (2.0 * self._line_len)
-            ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
-            res[:nl] = np.where(ok, dl, penalty)
-            # d|cross(d, u - m1)|/du = sign(cross) * (-d_y, d_x)
-            perp = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]], axis=1)
-            g1 = np.sign(cross1)[:, None] * perp
-            g2 = np.sign(cross2)[:, None] * perp
-            rows = (np.einsum("ni,nij->nj", g1, duv[0:2 * nl:2]) +
-                    np.einsum("ni,nij->nj", g2, duv[1:2 * nl:2])) \
-                / (2.0 * self._line_len)[:, None]
-            jac[:nl] = np.where(ok[:, None], rows, 0.0)
-        if npt:
-            err = uv[2 * nl:] - self._det_pts
-            dp = np.linalg.norm(err, axis=1)
-            ok = valid[2 * nl:]
-            res[nl:nl + npt] = np.where(ok, dp, penalty)
-            safe = np.where(dp > 1e-12, dp, 1.0)
-            unit = err / safe[:, None]
+        res = np.empty(self.n_rows)
+        dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
+        res[:nl] = np.where(line_ok, dl, penalty)
+        dp = np.linalg.norm(err, axis=1)
+        res[nl:nl + npt] = np.where(point_ok, dp, penalty)
+        jac = None
+        if with_jacobian:
+            jac = np.zeros((self.n_rows, 6))
+            # d|cross|/(2 length) = sign(cross) * half_sqrt2 * endpoint row
+            rows = HALF_SQRT2 * np.einsum("nk,nkj->nj", np.sign(cross),
+                                          self._endpoint_rows(duv))
+            jac[:nl] = np.where(line_ok[:, None], rows, 0.0)
+            moving = dp > 1e-12
+            unit = err / np.where(moving, dp, 1.0)[:, None]
             rows = np.einsum("ni,nij->nj", unit, duv[2 * nl:])
-            rows = np.where((dp > 1e-12)[:, None], rows, 0.0)
-            jac[nl:nl + npt] = np.where(ok[:, None], rows, 0.0)
-
-        res[nl + npt:] = self._soft_rows(pose)
-        lam = self.config.lambda_n
-        jac[nl + npt, 4] = lam * DEG_PER_RAD      # pitch row
-        jac[nl + npt + 1, 5] = lam * DEG_PER_RAD  # roll row
-        if self.y_lane is not None:
-            jac[nl + npt + 2, 1] = lam * CM_PER_M
+            jac[nl:nl + npt] = np.where((point_ok & moving)[:, None], rows, 0.0)
+        self._write_soft(pose, res, jac, nl + npt)
         return res, jac
 
 
-class SolverObjective:
+class SolverObjective(_Objective):
     """Smooth least-squares formulation of the same alignment problem.
 
     The mean-of-absolutes line distance has V-shaped facets whose balance
@@ -323,66 +318,39 @@ class SolverObjective:
 
     @property
     def n_rows(self) -> int:
-        soft = 2 if self.base.y_lane is None else 3
-        return 2 * self.base.n_lines + 2 * self.base.n_points + soft
-
-    def residual(self, pose: CameraPose) -> np.ndarray:
-        return self.residual_and_jacobian(pose, with_jacobian=False)[0]
-
-    def jacobian(self, pose: CameraPose) -> np.ndarray:
-        return self.residual_and_jacobian(pose)[1]
-
-    def cost(self, pose: CameraPose) -> float:
-        r = self.residual(pose)
-        return float(r @ r)
+        base = self.base
+        return 2 * base.n_lines + 2 * base.n_points + base.n_soft
 
     def residual_and_jacobian(self, pose: CameraPose, with_jacobian: bool = True):
         base = self.base
-        if with_jacobian:
-            rot, rel, cam, uv, valid, duv = base._projection_jacobian(pose)
-        else:
-            rot, rel, cam, uv, valid = base._project_all(pose)
-            duv = None
-        nl, npt = base.n_lines, base.n_points
-        res = np.empty(self.n_rows)
-        jac = np.zeros((self.n_rows, 6)) if with_jacobian else None
+        cross, err, line_ok, point_ok, duv = base._kernel(pose, with_jacobian)
+        n_line_rows = 2 * base.n_lines
+        n_data_rows = n_line_rows + 2 * base.n_points
         penalty = base.config.behind_camera_penalty_px
-        half_sqrt2 = math.sqrt(0.5)
-
-        if nl:
-            u1 = uv[0:2 * nl:2] - base._line_anchor
-            u2 = uv[1:2 * nl:2] - base._line_anchor
-            c1 = (base._line_dir[:, 0] * u1[:, 1] -
-                  base._line_dir[:, 1] * u1[:, 0]) / base._line_len
-            c2 = (base._line_dir[:, 0] * u2[:, 1] -
-                  base._line_dir[:, 1] * u2[:, 0]) / base._line_len
-            ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
-            res[0:2 * nl:2] = np.where(ok, half_sqrt2 * c1, penalty)
-            res[1:2 * nl:2] = np.where(ok, half_sqrt2 * c2, penalty)
-            if with_jacobian:
-                perp = np.stack([-base._line_dir[:, 1], base._line_dir[:, 0]],
-                                axis=1) * (half_sqrt2 / base._line_len)[:, None]
-                rows1 = np.einsum("ni,nij->nj", perp, duv[0:2 * nl:2])
-                rows2 = np.einsum("ni,nij->nj", perp, duv[1:2 * nl:2])
-                jac[0:2 * nl:2] = np.where(ok[:, None], rows1, 0.0)
-                jac[1:2 * nl:2] = np.where(ok[:, None], rows2, 0.0)
-        if npt:
-            err = uv[2 * nl:] - base._det_pts
-            ok = valid[2 * nl:]
-            block = np.where(ok[:, None], err, penalty * half_sqrt2)
-            res[2 * nl:2 * nl + 2 * npt] = block.ravel()
-            if with_jacobian:
-                rows = np.where(ok[:, None, None], duv[2 * nl:], 0.0)
-                jac[2 * nl:2 * nl + 2 * npt] = rows.reshape(-1, 6)
-
-        res[2 * nl + 2 * npt:] = base._soft_rows(pose)
+        res = np.empty(self.n_rows)
+        c = cross / base._line_len[:, None]
+        res[:n_line_rows] = np.where(line_ok[:, None], HALF_SQRT2 * c,
+                                     penalty).ravel()
+        res[n_line_rows:n_data_rows] = np.where(point_ok[:, None], err,
+                                                penalty * HALF_SQRT2).ravel()
+        jac = None
         if with_jacobian:
-            lam = base.config.lambda_n
-            jac[2 * nl + 2 * npt, 4] = lam * DEG_PER_RAD
-            jac[2 * nl + 2 * npt + 1, 5] = lam * DEG_PER_RAD
-            if base.y_lane is not None:
-                jac[2 * nl + 2 * npt + 2, 1] = lam * CM_PER_M
+            jac = np.zeros((self.n_rows, 6))
+            rows = base._endpoint_rows(duv)
+            jac[:n_line_rows] = np.where(line_ok[:, None, None], rows,
+                                         0.0).reshape(-1, 6)
+            jac[n_line_rows:n_data_rows] = np.where(
+                point_ok[:, None, None], duv[n_line_rows:], 0.0).reshape(-1, 6)
+        base._write_soft(pose, res, jac, n_data_rows)
         return res, jac
+
+
+def _objective(preselected, det_lines, det_points, corr, pose, intrinsics,
+               config, y_lane) -> ReprojectionObjective:
+    if y_lane is AUTO_LANE_HEIGHT:
+        y_lane = nearest_lane_height(preselected.lines, pose.position)
+    return ReprojectionObjective(preselected, det_lines, det_points, corr,
+                                 intrinsics, config, y_lane)
 
 
 def total_residual(preselected: PreselectedSet, det_lines, det_points,
@@ -396,11 +364,8 @@ def total_residual(preselected: PreselectedSet, det_lines, det_points,
     preselected lanes nearest to the evaluated pose. Pass an explicit float
     (or None to drop the height term) to pin it, e.g. across a whole solve.
     """
-    if y_lane is AUTO_LANE_HEIGHT:
-        y_lane = nearest_lane_height(preselected.lines, pose.position)
-    obj = ReprojectionObjective(preselected, det_lines, det_points, corr,
-                                intrinsics, config, y_lane)
-    r = obj.residual(pose)
+    r = _objective(preselected, det_lines, det_points, corr, pose, intrinsics,
+                   config, y_lane).residual(pose)
     return float(r @ r), r
 
 
@@ -410,8 +375,5 @@ def residual_jacobian(preselected: PreselectedSet, det_lines, det_points,
                       config: ResidualConfig = ResidualConfig(),
                       y_lane=AUTO_LANE_HEIGHT) -> np.ndarray:
     """Jacobian of the stacked residual w.r.t. (x, y, z, yaw, pitch, roll)."""
-    if y_lane is AUTO_LANE_HEIGHT:
-        y_lane = nearest_lane_height(preselected.lines, pose.position)
-    obj = ReprojectionObjective(preselected, det_lines, det_points, corr,
-                                intrinsics, config, y_lane)
-    return obj.jacobian(pose)
+    return _objective(preselected, det_lines, det_points, corr, pose,
+                      intrinsics, config, y_lane).jacobian(pose)

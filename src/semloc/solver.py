@@ -86,8 +86,6 @@ def solve(objective, init: CameraPose,
     cost = float(r @ r)
     trace = [cost]
     damping = config.initial_damping
-    iterations = 0
-    reason = TerminationReason.MAX_ITERATIONS
 
     for iterations in range(1, config.max_iterations + 1):
         r, jac = evaluate(pose)
@@ -97,7 +95,6 @@ def solve(objective, init: CameraPose,
         gradient = jac.T @ r
         diag = np.clip(np.diag(jtj), 1e-12, None)
 
-        accepted = False
         while True:
             try:
                 step = np.linalg.solve(jtj + damping * np.diag(diag), -gradient)
@@ -122,7 +119,6 @@ def solve(objective, init: CameraPose,
                 x, pose, cost = candidate_vec, candidate, new_cost
                 trace.append(cost)
                 damping = max(damping / config.damping_down, 1e-15)
-                accepted = True
                 if relative_drop < config.cost_tolerance:
                     return SolveResult(pose, cost, math.sqrt(cost), iterations,
                                        True, TerminationReason.COST_TOLERANCE,
@@ -132,11 +128,9 @@ def solve(objective, init: CameraPose,
             if damping > config.max_damping:
                 return SolveResult(pose, cost, math.sqrt(cost), iterations,
                                    False, TerminationReason.MAX_DAMPING, trace)
-        if not accepted:  # pragma: no cover - loop above always resolves
-            break
 
     return SolveResult(pose, cost, math.sqrt(cost), config.max_iterations,
-                       False, reason, trace)
+                       False, TerminationReason.MAX_ITERATIONS, trace)
 
 
 def _param_index(dim) -> int:

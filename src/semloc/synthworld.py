@@ -11,7 +11,7 @@ detections for robustness studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -449,8 +449,3 @@ def render_masks(semantic_map: SemanticMap, pose: CameraPose,
         exact_points.append(DetectedPoint(uv, semantic))
     mask = SemanticMask(intr.width, intr.height, channels)
     return mask, exact_lines, exact_points
-
-
-def world_with(config: WorldConfig, **overrides) -> WorldConfig:
-    """Convenience copy-with-changes for test variations."""
-    return replace(config, **overrides)

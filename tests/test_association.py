@@ -234,17 +234,3 @@ class TestConfig:
     def test_refine_gates_must_be_tighter(self):
         with pytest.raises(ValueError):
             AssociationConfig(gate_line_refine_px=400.0)
-
-    def test_rematch_choice_validated(self):
-        with pytest.raises(ValueError):
-            AssociationConfig(rematch_around="elsewhere")
-
-    def test_rematch_around_initial_pose_runs(self):
-        cfg = paper_scale_world(8)
-        _, truth, rendered, selected = frame_at(cfg, 35)
-        config = AssociationConfig(rematch_around="initial_pose")
-        # with the init exactly at truth the tight re-match gates still work
-        fit, refined = associate_and_localize(
-            selected, rendered.frame.det_lines, rendered.frame.det_points,
-            truth, cfg.intrinsics, config)
-        assert np.linalg.norm(fit.pose.position - truth.position) < 1e-3

@@ -151,6 +151,55 @@ class TestLocalize:
         assert "bogus_knob" in capsys.readouterr().err
 
 
+class TestManifest:
+    def write(self, tmp_path, synth_dir, **blocks):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(json.dumps({
+            "map": str(synth_dir / "map.txt"),
+            "detections": str(synth_dir / "detections.txt"),
+            "intrinsics": str(synth_dir / "intrinsics.txt"),
+            "bootstrap": str(synth_dir / "groundtruth.txt"),
+            "ground-truth": str(synth_dir / "groundtruth.txt"),
+            **blocks,
+        }))
+        return manifest
+
+    @pytest.mark.parametrize("block, key", [
+        ({"association": {"rematch_around": "initial_pose"}}, "rematch_around"),
+        ({"preselect": {"min_size_raito": 0.02}}, "min_size_raito"),
+    ])
+    def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
+        manifest = self.write(tmp_path, synth_dir, **block)
+        assert run_cli("localize", "--manifest", manifest) == 1
+        err = capsys.readouterr().err
+        assert f"unknown {next(iter(block))} settings" in err
+        assert key in err
+
+    @pytest.mark.parametrize("command, extra", [
+        ("localize", ()),
+        ("landscape", ("--frame", "4", "--grid", "3")),
+    ])
+    def test_zero_min_size_ratio_reaches_preselect(self, synth_dir, tmp_path,
+                                                   monkeypatch, command, extra):
+        import semloc.cli
+        import semloc.pipeline
+        from semloc.mapmodel import preselect
+
+        ratios = []
+
+        def recording(semantic_map, rough, min_size_ratio, *rest):
+            ratios.append(min_size_ratio)
+            return preselect(semantic_map, rough, min_size_ratio, *rest)
+
+        monkeypatch.setattr(semloc.pipeline, "preselect", recording)
+        monkeypatch.setattr(semloc.cli, "preselect", recording)
+        manifest = self.write(tmp_path, synth_dir,
+                              preselect={"min_size_ratio": 0})
+        assert run_cli(command, "--manifest", manifest,
+                       "--out", tmp_path / "out.csv", *extra) == 0
+        assert ratios and all(r == 0 for r in ratios)
+
+
 class TestEval:
     def test_matches_pipeline_summary(self, synth_dir, tmp_path, capsys):
         result_csv = tmp_path / "result.csv"

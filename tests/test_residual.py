@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from semloc.residual import (AUTO_LANE_HEIGHT, CorrespondenceSet,
 POLE = SemanticClass.POLE_LIKE
 SIGN = SemanticClass.TRAFFIC_SIGN
 LANE = SemanticClass.LANE_LINE
+# (line pairs, point pairs): mixed and single-kind correspondence sets
+SET_SHAPES = [(3, 2), (3, 0), (0, 2)]
 
 
 def det_line(m1, m2, semantic=POLE):
@@ -325,31 +328,33 @@ class TestJacobian:
         assert jac[0][5] == pytest.approx(0.0, abs=1e-9)
 
     def test_gradient_check_100_random_configurations(self, intrinsics):
-        worst = 0.0
-        for seed in range(100):
+        worst = {}
+        for (n_lines, n_points), seed in product(SET_SHAPES, range(100)):
             sel, det_lines, det_points, corr, pose = toy_scene(
-                intrinsics, n_lines=3, n_points=2, seed=seed)
+                intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
             obj = ReprojectionObjective(sel, det_lines, det_points, corr,
                                         intrinsics, ResidualConfig(), 0.0)
             jac = obj.jacobian(pose)
             fd = self.finite_difference(obj, pose)
             rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
-            worst = max(worst, float(rel.max()))
-        assert worst < 1e-5
+            shape = (n_lines, n_points)
+            worst[shape] = max(worst.get(shape, 0.0), float(rel.max()))
+        assert max(worst.values()) < 1e-5, worst
 
     def test_solver_objective_gradient(self, intrinsics):
-        worst = 0.0
-        for seed in range(30):
+        worst = {}
+        for (n_lines, n_points), seed in product(SET_SHAPES, range(30)):
             sel, det_lines, det_points, corr, pose = toy_scene(
-                intrinsics, n_lines=3, n_points=2, seed=seed)
+                intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
             obj = SolverObjective(ReprojectionObjective(
                 sel, det_lines, det_points, corr, intrinsics,
                 ResidualConfig(), 0.0))
             jac = obj.jacobian(pose)
             fd = self.finite_difference(obj, pose)
             rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
-            worst = max(worst, float(rel.max()))
-        assert worst < 1e-5
+            shape = (n_lines, n_points)
+            worst[shape] = max(worst.get(shape, 0.0), float(rel.max()))
+        assert max(worst.values()) < 1e-5, worst
 
     def test_solver_objective_shares_zero_set(self, intrinsics):
         sel, det_lines, det_points, corr, truth = toy_scene(

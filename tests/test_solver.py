@@ -14,6 +14,7 @@ from semloc.solver import (SingularNormalEquations, SolverConfig,
 from semloc.synthworld import WorldConfig, generate_world, render_detections
 
 from conftest import paper_scale_world
+from test_residual import toy_scene
 
 
 class SoftOnlyObjective:
@@ -159,6 +160,15 @@ class TestSolve:
 
         with pytest.raises(SingularNormalEquations):
             solve(Exploding(), CameraPose(0, 0, 0))
+
+    def test_iteration_cap(self, intrinsics):
+        sel, det_lines, det_points, corr, start = toy_scene(intrinsics, seed=3)
+        obj = SolverObjective(ReprojectionObjective(
+            sel, det_lines, det_points, corr, intrinsics, ResidualConfig(), 0.0))
+        result = solve(obj, start, SolverConfig(max_iterations=1))
+        assert result.termination_reason is TerminationReason.MAX_ITERATIONS
+        assert result.iterations == 1
+        assert result.converged is False
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
