@@ -18,8 +18,7 @@ from .pipeline import (EvaluationSummary, FrameInput, FrameRecord,
                        evaluate, predict_pose, run_sequence)
 from .residual import (CorrespondenceSet, EmptyCorrespondence,
                        ReprojectionObjective, ResidualConfig, line_distance,
-                       point_distance, residual_jacobian, soft_constraint,
-                       total_residual)
+                       point_distance, soft_constraint)
 from .solver import (SingularNormalEquations, SolveResult, SolverConfig,
                      TerminationReason, cost_landscape, solve)
 from .synthworld import (WorldConfig, generate_world, render_detections,

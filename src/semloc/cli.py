@@ -43,6 +43,13 @@ class CliError(Exception):
     pass
 
 
+# Top-level manifest keys: input paths, the result path, run settings and
+# the config blocks.
+_MANIFEST_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
+                  "ground-truth", "out", "seed", "road_index", "association",
+                  "solver", "residual", "preselect", "extraction")
+
+
 def _read(path, what):
     path = Path(path)
     if not path.exists():
@@ -56,8 +63,21 @@ def _check_keys(block: dict, allowed, what: str) -> None:
         raise CliError(f"unknown {what} settings: {sorted(unknown)}")
 
 
+def _check_type(value, default, what: str, key: str) -> None:
+    """A setting must have the type of its default; an int may stand in
+    for a float, a bool for nothing else."""
+    expected = type(default)
+    if not (type(value) is expected or
+            (expected is float and type(value) is int)):
+        raise CliError(f"{what} setting {key!r} must be {expected.__name__}, "
+                       f"got {value!r}")
+
+
 def _config_from(block: dict, cls, what: str):
-    _check_keys(block, (f.name for f in dataclasses.fields(cls)), what)
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    _check_keys(block, fields, what)
+    for key, value in block.items():
+        _check_type(value, fields[key], what, key)
     return cls(**block)
 
 
@@ -68,6 +88,10 @@ def _load_manifest(args) -> dict:
             manifest = json.loads(_read(args.manifest, "manifest"))
         except json.JSONDecodeError as exc:
             raise CliError(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise CliError("manifest must be a JSON object")
+        _check_keys(manifest, _MANIFEST_KEYS, "manifest")
+        _check_type(manifest.get("road_index", 0), 0, "manifest", "road_index")
     return manifest
 
 
@@ -95,6 +119,7 @@ def _configs(args, manifest):
     min_size_ratio = preselect_block.get("min_size_ratio")
     if min_size_ratio is None:  # absent or null: the preselection default
         min_size_ratio = MIN_SIZE_RATIO
+    _check_type(min_size_ratio, MIN_SIZE_RATIO, "preselect", "min_size_ratio")
     return assoc, solver, residual, min_size_ratio
 
 
@@ -113,7 +138,7 @@ def _frames_from_masks(mask_dir, manifest):
         raise CliError(f"no .pgm masks in {mask_dir}")
     extraction = _config_from(dict(manifest.get("extraction", {})),
                               ExtractionConfig, "extraction")
-    road_index = int(manifest.get("road_index", 0))
+    road_index = manifest.get("road_index", 0)
     frames = []
     for frame_id in frame_ids:
         mask = read_mask_files(mask_dir, frame_id)

@@ -13,7 +13,9 @@ from enum import Enum
 
 import numpy as np
 
-# A landmark is kept by preselection when rough_size / distance exceeds this.
+# A landmark is kept by preselection when rough_size / distance exceeds this
+# (0.017 rad is about 12 px at f = 700 px, a plausible resolvability floor
+# for a segmentation net); synthworld renders by the same rule.
 MIN_SIZE_RATIO = 0.017
 # Lane polyline points this far ahead of the rough position (meters, along
 # the rough heading) are fitted into a synthetic lane landmark.
@@ -204,31 +206,34 @@ def _lex_positive(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def resolvable(size_m: float, anchor, position,
+               min_size_ratio: float = MIN_SIZE_RATIO) -> bool:
+    """The size/distance rule: true when ``size_m`` over the 3D distance
+    from ``position`` to ``anchor`` strictly exceeds ``min_size_ratio``."""
+    dist = float(np.linalg.norm(position - anchor))
+    return dist > 0 and size_m / dist > min_size_ratio
+
+
 def preselect(semantic_map: SemanticMap, rough: RoughPose,
-              min_size_ratio: float = MIN_SIZE_RATIO,
-              lane_window_m: tuple = LANE_WINDOW_M) -> PreselectedSet:
+              min_size_ratio: float = MIN_SIZE_RATIO) -> PreselectedSet:
     """Select landmarks likely visible from a rough pose.
 
-    Keeps landmarks on the same road whose size/distance ratio strictly
-    exceeds ``min_size_ratio`` (3D distance to the first control point).
-    Lane polylines on the road contribute a synthetic straight lane landmark
-    fitted to their points 5..20 m ahead along the rough heading.
+    Keeps landmarks on the same road that are ``resolvable`` from the rough
+    position (distance to the first control point). Lane polylines on the
+    road contribute a synthetic straight lane landmark fitted to their
+    points ``LANE_WINDOW_M`` ahead along the rough heading.
     """
     out = PreselectedSet()
     pos = rough.position
     for lm in semantic_map.lines:
-        if lm.road_index != rough.road_index:
-            continue
-        dist = float(np.linalg.norm(pos - lm.p1))
-        if dist > 0 and lm.size_m / dist > min_size_ratio:
+        if lm.road_index == rough.road_index and \
+                resolvable(lm.size_m, lm.p1, pos, min_size_ratio):
             out.lines.append(lm)
     for lm in semantic_map.points:
-        if lm.road_index != rough.road_index:
-            continue
-        dist = float(np.linalg.norm(pos - lm.p))
-        if dist > 0 and lm.size_m / dist > min_size_ratio:
+        if lm.road_index == rough.road_index and \
+                resolvable(lm.size_m, lm.p, pos, min_size_ratio):
             out.points.append(lm)
-    near, far = lane_window_m
+    near, far = LANE_WINDOW_M
     for lane in semantic_map.lanes:
         if lane.road_index != rough.road_index:
             continue

@@ -22,10 +22,6 @@ DEG_PER_RAD = 180.0 / math.pi
 CM_PER_M = 100.0
 HALF_SQRT2 = math.sqrt(0.5)
 
-# Sentinel: resolve the lane height from the preselected set at the current
-# pose instead of taking a caller-supplied value.
-AUTO_LANE_HEIGHT = "auto"
-
 
 class EmptyCorrespondence(ValueError):
     """No line and no point pairs; the pose is unconstrained by data."""
@@ -344,36 +340,3 @@ class SolverObjective(_Objective):
         base._write_soft(pose, res, jac, n_data_rows)
         return res, jac
 
-
-def _objective(preselected, det_lines, det_points, corr, pose, intrinsics,
-               config, y_lane) -> ReprojectionObjective:
-    if y_lane is AUTO_LANE_HEIGHT:
-        y_lane = nearest_lane_height(preselected.lines, pose.position)
-    return ReprojectionObjective(preselected, det_lines, det_points, corr,
-                                 intrinsics, config, y_lane)
-
-
-def total_residual(preselected: PreselectedSet, det_lines, det_points,
-                   corr: CorrespondenceSet, pose: CameraPose,
-                   intrinsics: Intrinsics,
-                   config: ResidualConfig = ResidualConfig(),
-                   y_lane=AUTO_LANE_HEIGHT):
-    """Total cost and stacked residual vector at a pose.
-
-    With the default ``y_lane``, the lane height is resolved from the
-    preselected lanes nearest to the evaluated pose. Pass an explicit float
-    (or None to drop the height term) to pin it, e.g. across a whole solve.
-    """
-    r = _objective(preselected, det_lines, det_points, corr, pose, intrinsics,
-                   config, y_lane).residual(pose)
-    return float(r @ r), r
-
-
-def residual_jacobian(preselected: PreselectedSet, det_lines, det_points,
-                      corr: CorrespondenceSet, pose: CameraPose,
-                      intrinsics: Intrinsics,
-                      config: ResidualConfig = ResidualConfig(),
-                      y_lane=AUTO_LANE_HEIGHT) -> np.ndarray:
-    """Jacobian of the stacked residual w.r.t. (x, y, z, yaw, pitch, roll)."""
-    return _objective(preselected, det_lines, det_points, corr, pose,
-                      intrinsics, config, y_lane).jacobian(pose)

@@ -77,20 +77,21 @@ def solve(objective, init: CameraPose,
 
     def evaluate(pose):
         if combined is not None:
-            return combined(pose)
-        return objective.residual(pose), objective.jacobian(pose)
+            r, jac = combined(pose)
+        else:
+            r, jac = objective.residual(pose), objective.jacobian(pose)
+        return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
 
     x = init.as_vector()
     pose = init
-    r = np.asarray(objective.residual(pose), dtype=float)
+    r, jac = evaluate(pose)
     cost = float(r @ r)
     trace = [cost]
     damping = config.initial_damping
 
     for iterations in range(1, config.max_iterations + 1):
-        r, jac = evaluate(pose)
-        r = np.asarray(r, dtype=float)
-        jac = np.asarray(jac, dtype=float)
+        if iterations > 1:  # the previous iteration accepted a new pose
+            r, jac = evaluate(pose)
         jtj = jac.T @ jac
         gradient = jac.T @ r
         diag = np.clip(np.diag(jtj), 1e-12, None)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .camera import CameraPose, Intrinsics, project_line, project_point
 from .features import DetectedLine, DetectedPoint, SemanticMask
-from .mapmodel import (LanePolyline, LineLandmark, PointLandmark,
-                       SemanticClass, SemanticMap)
-from .pipeline import FrameInput
+from .mapmodel import (LANE_WINDOW_M, LanePolyline, LineLandmark,
+                       PointLandmark, SemanticClass, SemanticMap, resolvable)
+from .pipeline import FrameInput, heading_from_pose
 
 DEFAULT_INTRINSICS = Intrinsics(fx=700.0, fy=700.0, cx=613.0, cy=185.0,
                                 skew=0.0, width=1226, height=370)
@@ -67,13 +67,6 @@ class WorldConfig:
     pixel_noise_sigma: float = 0.0
     outlier_rate: float = 0.0
     dropout_rate: float = 0.0
-    # Detectability limit as an angular size ratio, matching the landmark
-    # preselection rule (0.017 rad is about 12 px at f = 700 px, a
-    # plausible resolvability floor for a segmentation net). Keeping the
-    # two rules identical means every preselectable landmark has its own
-    # rendering and no un-preselectable bait detections exist.
-    min_size_ratio: float = 0.017
-    max_detection_distance_m: float | None = None
     road_index: int = 0
     rng_seed: int = 0
     intrinsics: Intrinsics = DEFAULT_INTRINSICS
@@ -210,26 +203,24 @@ def _in_image(uv: np.ndarray, intrinsics: Intrinsics) -> bool:
                 0.0 <= uv[1] <= intrinsics.height - 1)
 
 
-def _depth(point, pose: CameraPose) -> float:
-    return float((pose.rotation() @ (np.asarray(point, float) - pose.position))[2])
-
-
 def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
-                         intrinsics: Intrinsics, step_m: float = 0.5):
-    """Projected endpoints of the lane stretch 5..20 m ahead that lands
-    inside the image. Returns (m1, m2) or None."""
-    heading = np.array([math.cos(pose.yaw), math.sin(pose.yaw)])
+                         intrinsics: Intrinsics):
+    """Projected endpoints of the lane stretch ``LANE_WINDOW_M`` ahead
+    (sampled every 0.5 m) that lands inside the image. Returns (m1, m2) or
+    None."""
+    heading = heading_from_pose(pose)
+    near, far = LANE_WINDOW_M
     samples = []
     for a, b in zip(lane.points[:-1], lane.points[1:]):
         seg_len = float(np.linalg.norm(b - a))
-        n = max(2, int(seg_len / step_m) + 1)
+        n = max(2, int(seg_len / 0.5) + 1)
         for t in np.linspace(0.0, 1.0, n, endpoint=False):
             samples.append(a + t * (b - a))
     samples.append(lane.points[-1])
     kept = []
     for q in samples:
         along = float((q[[0, 2]] - pose.position[[0, 2]]) @ heading)
-        if not 5.0 <= along <= 20.0:
+        if not near <= along <= far:
             continue
         uv = project_point(q, pose, intrinsics)
         if uv is None or not _in_image(uv, intrinsics):
@@ -244,26 +235,17 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
     return m1, m2
 
 
-def _resolvable(size_m: float, anchor, pose: CameraPose,
-                config: WorldConfig) -> bool:
-    """Same angular-size rule the preselector applies, from the true pose."""
-    dist = float(np.linalg.norm(np.asarray(anchor, float) - pose.position))
-    if dist <= 0 or size_m / dist <= config.min_size_ratio:
-        return False
-    if config.max_detection_distance_m is not None and \
-            dist > config.max_detection_distance_m:
-        return False
-    return True
-
-
 def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
                            config: WorldConfig):
     """(landmark id, class, m1, m2) for every line landmark and lane window
-    fully visible and resolvable from the pose."""
+    fully visible from the pose. A landmark must also pass preselection's
+    size/distance rule from the pose, so every preselectable landmark has
+    its own rendering and no un-preselectable bait detections exist."""
     intr = config.intrinsics
+    position = pose.position
     out = []
     for lm in semantic_map.lines:
-        if not _resolvable(lm.size_m, lm.p1, pose, config):
+        if not resolvable(lm.size_m, lm.p1, position):
             continue
         proj = project_line(lm, pose, intr)
         if proj is None:
@@ -280,15 +262,18 @@ def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
 
 def _true_point_projections(semantic_map: SemanticMap, pose: CameraPose,
                             config: WorldConfig):
+    """(landmark, pixel) for every point landmark visible and resolvable
+    from the pose."""
     intr = config.intrinsics
+    position = pose.position
     out = []
     for lm in semantic_map.points:
-        if not _resolvable(lm.size_m, lm.p, pose, config):
+        if not resolvable(lm.size_m, lm.p, position):
             continue
         uv = project_point(lm.p, pose, intr)
         if uv is None or not _in_image(uv, intr):
             continue
-        out.append((lm.id, lm.semantic, uv))
+        out.append((lm, uv))
     return out
 
 
@@ -297,10 +282,10 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
                       rng=None) -> RenderedFrame:
     """Render one frame of detections from the true pose.
 
-    Visibility means both control points project inside the image (and
-    within ``max_detection_distance_m`` when set). Gaussian noise, dropouts
-    and outliers are applied per the config; outlier counts are
-    ``round(rate * number of visible true detections)`` per feature kind.
+    Visibility means both control points project inside the image.
+    Gaussian noise, dropouts and outliers are applied per the config;
+    outlier counts are ``round(rate * number of visible true detections)``
+    per feature kind.
     """
     if rng is None:
         rng = np.random.default_rng((config.rng_seed, frame_id))
@@ -324,13 +309,13 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
         frame.det_lines.append(DetectedLine(noisy1, noisy2, semantic, support))
         rendered.line_labels.append(lm_id)
         rendered.exact_lines.append((m1, m2))
-    for lm_id, semantic, uv in true_points:
+    for lm, uv in true_points:
         if rng.uniform() < config.dropout_rate:
             continue
         noisy = uv + rng.normal(0.0, config.pixel_noise_sigma, 2) \
             if config.pixel_noise_sigma > 0 else uv.copy()
-        frame.det_points.append(DetectedPoint(noisy, semantic, support=50))
-        rendered.point_labels.append(lm_id)
+        frame.det_points.append(DetectedPoint(noisy, lm.semantic, support=50))
+        rendered.point_labels.append(lm.id)
         rendered.exact_points.append(uv)
 
     if config.outlier_rate > 0:
@@ -374,8 +359,7 @@ def render_frames(semantic_map: SemanticMap, trajectory,
 # --- mask rasterization -----------------------------------------------------
 
 
-def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray,
-            half_width: int = 1):
+def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray):
     """3 px wide anti-alias-free stroke.
 
     Walks the major axis one pixel at a time and paints a perpendicular
@@ -390,7 +374,7 @@ def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         for y in range(y0, y1 + step, step):
             t = 0.0 if dy == 0 else (y - p0[1]) / dy
             x = int(round(p0[0] + t * dx))
-            hw = 0 if y in (y0, y1) else half_width  # taper: exact ends
+            hw = 0 if y in (y0, y1) else 1  # taper: exact ends
             if 0 <= y < h:
                 raster[y, max(0, x - hw):min(w, x + hw + 1)] = 1.0
     else:
@@ -399,7 +383,7 @@ def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray,
         for x in range(x0, x1 + step, step):
             t = (x - p0[0]) / dx
             y = int(round(p0[1] + t * dy))
-            hw = 0 if x in (x0, x1) else half_width
+            hw = 0 if x in (x0, x1) else 1
             if 0 <= x < w:
                 raster[max(0, y - hw):min(h, y + hw + 1), x] = 1.0
 
@@ -438,14 +422,10 @@ def render_masks(semantic_map: SemanticMap, pose: CameraPose,
     for lm_id, semantic, m1, m2 in _true_line_projections(semantic_map, pose, config):
         _stroke(channel(semantic), m1, m2)
         exact_lines.append(DetectedLine(m1, m2, semantic))
-    for lm_id, semantic, uv in _true_point_projections(semantic_map, pose, config):
-        depth = None
-        for lm in semantic_map.points:
-            if lm.id == lm_id:
-                depth = _depth(lm.p, pose)
-                radius = max(4.0, intr.fx * lm.size_m / 2.0 / max(depth, 1.0))
-                break
-        _disc(channel(semantic), uv, min(radius, 20.0))
-        exact_points.append(DetectedPoint(uv, semantic))
+    for lm, uv in _true_point_projections(semantic_map, pose, config):
+        depth = float((pose.rotation() @ (lm.p - pose.position))[2])
+        radius = max(4.0, intr.fx * lm.size_m / 2.0 / max(depth, 1.0))
+        _disc(channel(lm.semantic), uv, min(radius, 20.0))
+        exact_points.append(DetectedPoint(uv, lm.semantic))
     mask = SemanticMask(intr.width, intr.height, channels)
     return mask, exact_lines, exact_points

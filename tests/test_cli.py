@@ -164,16 +164,44 @@ class TestManifest:
         }))
         return manifest
 
+    def run_both(self, manifest, tmp_path):
+        """Exit codes of localize and landscape on the manifest."""
+        return [run_cli("localize", "--manifest", manifest,
+                        "--out", tmp_path / "result.csv"),
+                run_cli("landscape", "--manifest", manifest, "--frame", "4",
+                        "--grid", "3", "--out", tmp_path / "landscape.csv")]
+
     @pytest.mark.parametrize("block, key", [
         ({"association": {"rematch_around": "initial_pose"}}, "rematch_around"),
         ({"preselect": {"min_size_raito": 0.02}}, "min_size_raito"),
+        ({"ground_truth": "world/groundtruth.txt"}, "ground_truth"),
     ])
     def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
         manifest = self.write(tmp_path, synth_dir, **block)
-        assert run_cli("localize", "--manifest", manifest) == 1
-        err = capsys.readouterr().err
-        assert f"unknown {next(iter(block))} settings" in err
-        assert key in err
+        name, value = next(iter(block.items()))
+        what = name if isinstance(value, dict) else "manifest"
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith(f"error: unknown {what} settings")
+            assert key in line
+
+    @pytest.mark.parametrize("block, key", [
+        ({"association": {"max_hypotheses": "5"}}, "max_hypotheses"),
+        ({"solver": {"max_iterations": 10.5}}, "max_iterations"),
+        ({"preselect": {"min_size_ratio": "x"}}, "min_size_ratio"),
+        ({"residual": {"lambda_n": True}}, "lambda_n"),
+        ({"road_index": 0.7}, "road_index"),
+    ])
+    def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
+                                  key):
+        manifest = self.write(tmp_path, synth_dir, **block)
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("error:") and key in line
 
     @pytest.mark.parametrize("command, extra", [
         ("localize", ()),

@@ -8,13 +8,11 @@ from semloc.camera import CameraPose, Intrinsics, ProjectedLine
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
-from semloc.residual import (AUTO_LANE_HEIGHT, CorrespondenceSet,
-                             DegenerateDetection, EmptyCorrespondence,
-                             ReprojectionObjective, ResidualConfig,
-                             SolverObjective, line_distance,
+from semloc.residual import (CorrespondenceSet, DegenerateDetection,
+                             EmptyCorrespondence, ReprojectionObjective,
+                             ResidualConfig, SolverObjective, line_distance,
                              nearest_lane_height, point_distance,
-                             residual_jacobian, soft_constraint,
-                             total_residual)
+                             soft_constraint)
 
 POLE = SemanticClass.POLE_LIKE
 SIGN = SemanticClass.TRAFFIC_SIGN
@@ -188,6 +186,8 @@ def toy_scene(intrinsics, n_lines=3, n_points=2, seed=0,
 
 
 class TestTotalResidual:
+    """Total cost and stacked residual of a ReprojectionObjective."""
+
     def test_single_point_pair_cost(self, intrinsics):
         from semloc.camera import project_point
         pose = CameraPose(0, 1.6, 0)
@@ -197,8 +197,9 @@ class TestTotalResidual:
         det = DetectedPoint(uv + np.array([3.0, 4.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
         config = ResidualConfig(camera_height_m=1.6)
-        cost, vec = total_residual(sel, [], [det], corr, pose, intrinsics,
-                                   config, y_lane=None)
+        vec = ReprojectionObjective(sel, [], [det], corr, intrinsics, config,
+                                    None).residual(pose)
+        cost = float(vec @ vec)
         # one point row at 5 px plus two zero angle rows
         assert vec.shape == (3,)
         assert cost == pytest.approx(25.0)
@@ -207,8 +208,9 @@ class TestTotalResidual:
         from semloc.camera import project_line, project_point
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=3)
         config = ResidualConfig(camera_height_m=1.6)
-        cost, vec = total_residual(sel, det_lines, det_points, corr, pose,
-                                   intrinsics, config, y_lane=0.0)
+        vec = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                    intrinsics, config, 0.0).residual(pose)
+        cost = float(vec @ vec)
         want = 0.0
         for lm_idx, d_idx in corr.line_pairs:
             proj = project_line(sel.lines[lm_idx], pose, intrinsics)
@@ -224,8 +226,7 @@ class TestTotalResidual:
     def test_empty_correspondence_rejected(self, intrinsics):
         sel = PreselectedSet([], [])
         with pytest.raises(EmptyCorrespondence):
-            total_residual(sel, [], [], CorrespondenceSet(), CameraPose(0, 0, 0),
-                           intrinsics)
+            ReprojectionObjective(sel, [], [], CorrespondenceSet(), intrinsics)
 
     def test_behind_camera_penalty(self, intrinsics):
         p = np.array([-20.0, 2.0, 0.0])  # behind the zero pose
@@ -233,11 +234,11 @@ class TestTotalResidual:
         det = DetectedPoint([100.0, 100.0], SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
         config = ResidualConfig()
-        cost, vec = total_residual(sel, [], [det], corr, CameraPose(0, 1.6, 0),
-                                   intrinsics, config, y_lane=None)
+        obj = ReprojectionObjective(sel, [], [det], corr, intrinsics, config,
+                                    None)
+        vec = obj.residual(CameraPose(0, 1.6, 0))
         assert vec[0] == config.behind_camera_penalty_px
-        jac = residual_jacobian(sel, [], [det], corr, CameraPose(0, 1.6, 0),
-                                intrinsics, config, y_lane=None)
+        jac = obj.jacobian(CameraPose(0, 1.6, 0))
         assert np.all(jac[0] == 0.0)
 
     def test_dropping_pair_never_increases_data_term(self, intrinsics):
@@ -245,20 +246,21 @@ class TestTotalResidual:
         config = ResidualConfig()
         soft = soft_constraint(pose, 0.0, config)
         soft_cost = config.lambda_n ** 2 * float(soft @ soft)
-        full, _ = total_residual(sel, det_lines, det_points, corr, pose,
-                                 intrinsics, config, y_lane=0.0)
+        full = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                     intrinsics, config, 0.0).cost(pose)
         for k in range(len(corr.line_pairs)):
             reduced = CorrespondenceSet(
                 corr.line_pairs[:k] + corr.line_pairs[k + 1:],
                 corr.point_pairs)
-            less, _ = total_residual(sel, det_lines, det_points, reduced, pose,
-                                     intrinsics, config, y_lane=0.0)
+            less = ReprojectionObjective(sel, det_lines, det_points, reduced,
+                                         intrinsics, config, 0.0).cost(pose)
             assert less - soft_cost <= full - soft_cost + 1e-12
 
     def test_continuity_in_pose(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=8)
-        base, _ = total_residual(sel, det_lines, det_points, corr, pose,
-                                 intrinsics, y_lane=0.0)
+        obj = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                    intrinsics, ResidualConfig(), 0.0)
+        base = obj.cost(pose)
         rng = np.random.default_rng(1)
         direction = rng.normal(size=6)
         direction /= np.linalg.norm(direction)
@@ -266,8 +268,7 @@ class TestTotalResidual:
         diffs = []
         for d in deltas:
             moved = CameraPose.from_vector(pose.as_vector() + d * direction)
-            cost, _ = total_residual(sel, det_lines, det_points, corr, moved,
-                                     intrinsics, y_lane=0.0)
+            cost = obj.cost(moved)
             diffs.append(abs(cost - base))
         # shrinks roughly linearly with the step: continuous in pose
         assert diffs[1] < 0.1 * diffs[0]
@@ -280,10 +281,10 @@ class TestTotalResidual:
         pose = CameraPose(0, 2.1, 0)
         uv = project_point(sel.points[0].p, pose, intrinsics)
         corr = CorrespondenceSet([], [(0, 0)])
-        cost, vec = total_residual(sel, [], [DetectedPoint(uv, SIGN)], corr,
-                                   pose, intrinsics,
-                                   ResidualConfig(camera_height_m=1.6),
-                                   y_lane=AUTO_LANE_HEIGHT)
+        vec = ReprojectionObjective(
+            sel, [], [DetectedPoint(uv, SIGN)], corr, intrinsics,
+            ResidualConfig(camera_height_m=1.6),
+            nearest_lane_height(sel.lines, pose.position)).residual(pose)
         # height term present: C_y - (0.5 + 1.6) = 0 at y = 2.1
         assert vec.shape == (4,)
         assert vec[-1] == pytest.approx(0.0)
@@ -305,8 +306,8 @@ class TestJacobian:
     def test_soft_rows_analytic(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=2)
         config = ResidualConfig()
-        jac = residual_jacobian(sel, det_lines, det_points, corr, pose,
-                                intrinsics, config, y_lane=0.0)
+        jac = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                    intrinsics, config, 0.0).jacobian(pose)
         lam = config.lambda_n
         pitch_row = jac[-3]
         assert pitch_row[4] == pytest.approx(lam * 180.0 / math.pi)
@@ -323,8 +324,8 @@ class TestJacobian:
         sel = PreselectedSet([], [PointLandmark(p, SIGN, 0.7, 0, 0)])
         det = DetectedPoint(uv + np.array([2.0, 1.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
-        jac = residual_jacobian(sel, [], [det], corr, pose, intrinsics,
-                                ResidualConfig(), y_lane=None)
+        jac = ReprojectionObjective(sel, [], [det], corr, intrinsics,
+                                    ResidualConfig(), None).jacobian(pose)
         assert jac[0][5] == pytest.approx(0.0, abs=1e-9)
 
     def test_gradient_check_100_random_configurations(self, intrinsics):

@@ -84,6 +84,25 @@ class TestRenderDetections:
         for lab, exact in zip(rendered.line_labels, rendered.exact_lines):
             assert (lab is None) == (exact is None)
 
+    def test_detections_pass_preselection(self):
+        # From the true pose, a landmark is rendered only if preselection
+        # keeps it, so no detection is bait for an unselectable landmark.
+        cfg = paper_scale_world(6, pole_sides=2)
+        semantic_map, trajectory = generate_world(cfg)
+        lane_ids = {lane.id for lane in semantic_map.lanes}
+        checked = 0
+        for k in range(0, len(trajectory), 5):
+            pose = trajectory[k]
+            rendered = render_detections(semantic_map, pose, cfg, frame_id=k)
+            rough = RoughPose(pose.position, heading_from_pose(pose), 0)
+            selected = preselect(semantic_map, rough)
+            kept = {lm.id for lm in selected.lines + selected.points}
+            labels = [lab for lab in rendered.line_labels + rendered.point_labels
+                      if lab not in lane_ids]
+            assert set(labels) <= kept, k
+            checked += len(labels)
+        assert checked > 100
+
     def test_noise_follows_half_normal_mean(self):
         cfg = paper_scale_world(5, pixel_noise_sigma=1.0)
         semantic_map, trajectory = generate_world(cfg)
