@@ -24,12 +24,13 @@ import numpy as np
 from . import __version__
 from .association import AssociationConfig, NoValidAssociation, closest_correspond
 from .camera import parse_intrinsics, serialize_intrinsics
-from .features import ExtractionConfig, extract_features, write_mask_files
+from .features import (ExtractionConfig, extract_features, read_mask_files,
+                       write_mask_files)
 from .mapmodel import (MIN_SIZE_RATIO, DegenerateCluster, ParseError,
                        RoughPose, SemanticClass, SemanticMap,
                        fit_line_landmark, fit_point_landmark, parse_map,
                        preselect, save_map)
-from .pipeline import (FrameStatus, evaluate, heading_from_pose,
+from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
                        parse_detections, parse_ground_truth, parse_result,
                        run_sequence, serialize_detections,
                        serialize_ground_truth, serialize_result)
@@ -92,6 +93,7 @@ def _load_manifest(args) -> dict:
             raise CliError("manifest must be a JSON object")
         _check_keys(manifest, _MANIFEST_KEYS, "manifest")
         _check_type(manifest.get("road_index", 0), 0, "manifest", "road_index")
+        _check_type(manifest.get("seed", 0), 0, "manifest", "seed")
     return manifest
 
 
@@ -126,9 +128,6 @@ def _configs(args, manifest):
 def _frames_from_masks(mask_dir, manifest):
     """Build per-frame detections by running feature extraction over
     <frame>_<class>.pgm rasters found in a directory."""
-    from .features import read_mask_files
-    from .pipeline import FrameInput
-
     mask_dir = Path(mask_dir)
     if not mask_dir.is_dir():
         raise CliError(f"mask directory not found: {mask_dir}")
@@ -341,6 +340,7 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     manifest = _load_manifest(args)
+    out = _resolve(args, manifest, "out")
     semantic_map = parse_map(_read(_resolve_path(args, manifest, "map"), "map"))
     frames = parse_detections(
         _read(_resolve_path(args, manifest, "detections"), "detections"))
@@ -383,9 +383,9 @@ def cmd_landscape(args) -> int:
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
             rows.append(f"{a:.9f},{b:.9f},{grid[i, j]:.9f}")
-    Path(args.out).write_text("\n".join(rows) + "\n")
+    Path(out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.grid}x{args.grid} landscape over "
-          f"({dim_a.strip()}, {dim_b.strip()}) to {args.out}")
+          f"({dim_a.strip()}, {dim_b.strip()}) to {out}")
     return 0
 
 
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--half-ranges", default="2.0,2.0",
                    help="half range per dimension (m or rad)")
     p.add_argument("--grid", type=int, default=21)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", help="cost surface CSV path (flag or manifest)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_landscape)
     return parser

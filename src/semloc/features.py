@@ -1,7 +1,8 @@
 """Geometric feature extraction from per-class semantic masks.
 
-Pipeline per class: threshold the probability raster to a binary image,
-split it into 8-connected regions, then fit each region with a RANSAC line
+A class channel is the 8-bit raster the mask files store, probability
+× 255. Pipeline per class: threshold the raster to a binary image, split
+it into 8-connected regions, then fit each region with a RANSAC line
 (line-shaped classes) or take its centroid (point-shaped classes). Pixel
 coordinates are (x = column, y = row) with integer coordinates at pixel
 centers.
@@ -26,7 +27,7 @@ _SCORE_BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(eq=False)
 class SemanticMask:
-    """Per-class probability rasters for one frame, shape (height, width)."""
+    """Per-class uint8 rasters of one frame, probability × 255."""
 
     width: int
     height: int
@@ -34,14 +35,12 @@ class SemanticMask:
 
     def __post_init__(self):
         for cls, raster in self.channels.items():
-            raster = np.asarray(raster, dtype=float)
+            if not isinstance(raster, np.ndarray) or raster.dtype != np.uint8:
+                raise ValueError(f"{cls} raster must be a uint8 array")
             if raster.shape != (self.height, self.width):
                 raise ValueError(
                     f"{cls} raster shape {raster.shape} does not match "
                     f"({self.height}, {self.width})")
-            if raster.size and (raster.min() < 0.0 or raster.max() > 1.0):
-                raise ValueError(f"{cls} raster has values outside [0, 1]")
-            self.channels[cls] = raster
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,14 +89,15 @@ class ExtractionConfig:
 
 def binarize(mask: SemanticMask, semantic: SemanticClass,
              threshold: float = 0.1) -> np.ndarray:
-    """Binary raster: 1 where the class probability strictly exceeds the
-    threshold."""
+    """Boolean raster: True where the class probability (level / 255)
+    strictly exceeds ``threshold``, decided exactly by comparing levels
+    with the smallest level whose probability exceeds the threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     raster = mask.channels.get(semantic)
     if raster is None:
-        return np.zeros((mask.height, mask.width), dtype=np.uint8)
-    return (raster > threshold).astype(np.uint8)
+        return np.zeros((mask.height, mask.width), dtype=bool)
+    return raster >= np.count_nonzero(np.arange(256) / 255.0 <= threshold)
 
 
 def region_grow(binary: np.ndarray, min_region_px: int = 30) -> list:
@@ -265,10 +265,9 @@ def write_mask_files(directory, frame_id: int, mask: SemanticMask) -> list:
         if raster is None:
             continue
         path = directory / f"{frame_id:06d}_{semantic.value}.pgm"
-        data = np.rint(raster * 255.0).astype(np.uint8)
         with open(path, "wb") as fh:
             fh.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
-            fh.write(data.tobytes())
+            fh.write(raster.tobytes())
         written.append(path)
     return written
 
@@ -280,7 +279,7 @@ def read_mask_files(directory, frame_id: int) -> SemanticMask:
     for path in sorted(directory.glob(f"{frame_id:06d}_*.pgm")):
         tag = re.match(rf"{frame_id:06d}_(.+)\.pgm", path.name).group(1)
         raster = _read_pgm(path)
-        channels[SemanticClass(tag)] = raster / 255.0
+        channels[SemanticClass(tag)] = raster
         height, width = raster.shape
     if not channels:
         raise FileNotFoundError(

@@ -18,6 +18,7 @@ import numpy as np
 from .association import (AssociationConfig, NoValidAssociation,
                           associate_and_localize)
 from .camera import CameraPose, Intrinsics, wrap_angle
+from .features import DetectedLine, DetectedPoint
 from .mapmodel import (MIN_SIZE_RATIO, RoughPose, SemanticClass, SemanticMap,
                        preselect)
 from .residual import ResidualConfig
@@ -196,8 +197,6 @@ def serialize_detections(frames) -> str:
 
 
 def parse_detections(text: str) -> list:
-    from .features import DetectedLine, DetectedPoint
-
     frames: list[FrameInput] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()

@@ -376,7 +376,7 @@ def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray):
             x = int(round(p0[0] + t * dx))
             hw = 0 if y in (y0, y1) else 1  # taper: exact ends
             if 0 <= y < h:
-                raster[y, max(0, x - hw):min(w, x + hw + 1)] = 1.0
+                raster[y, max(0, x - hw):min(w, x + hw + 1)] = 255
     else:
         x0, x1 = int(round(p0[0])), int(round(p1[0]))
         step = 1 if x1 >= x0 else -1
@@ -385,7 +385,7 @@ def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray):
             y = int(round(p0[1] + t * dy))
             hw = 0 if x in (x0, x1) else 1
             if 0 <= x < w:
-                raster[max(0, y - hw):min(h, y + hw + 1), x] = 1.0
+                raster[max(0, y - hw):min(h, y + hw + 1), x] = 255
 
 
 def _disc(raster: np.ndarray, center: np.ndarray, radius: float):
@@ -398,24 +398,24 @@ def _disc(raster: np.ndarray, center: np.ndarray, radius: float):
         return
     yy, xx = np.mgrid[y0:y1 + 1, x0:x1 + 1]
     inside = (xx - center[0]) ** 2 + (yy - center[1]) ** 2 <= radius ** 2
-    raster[y0:y1 + 1, x0:x1 + 1][inside] = 1.0
+    raster[y0:y1 + 1, x0:x1 + 1][inside] = 255
 
 
 def render_masks(semantic_map: SemanticMap, pose: CameraPose,
                  config: WorldConfig):
-    """Rasterize visible landmarks into per-class probability masks.
+    """Rasterize visible landmarks into per-class 8-bit masks.
 
-    Lines become 3 px wide binary strokes, signs filled discs. Returns
-    (SemanticMask, exact DetectedLine list, exact DetectedPoint list); the
-    exact detections are the noise-free geometry the strokes were drawn
-    from, for round-trip checks. Masks are always noiseless.
+    Lines become 3 px wide strokes, signs filled discs, both at 255.
+    Returns (SemanticMask, exact DetectedLine list, exact DetectedPoint
+    list); the exact detections are the noise-free geometry the strokes
+    were drawn from, for round-trip checks. Masks are always noiseless.
     """
     intr = config.intrinsics
     channels = {}
 
     def channel(semantic):
         if semantic not in channels:
-            channels[semantic] = np.zeros((intr.height, intr.width))
+            channels[semantic] = np.zeros((intr.height, intr.width), np.uint8)
         return channels[semantic]
 
     exact_lines, exact_points = [], []

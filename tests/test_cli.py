@@ -193,6 +193,7 @@ class TestManifest:
         ({"preselect": {"min_size_ratio": "x"}}, "min_size_ratio"),
         ({"residual": {"lambda_n": True}}, "lambda_n"),
         ({"road_index": 0.7}, "road_index"),
+        ({"seed": "3"}, "seed"),
     ])
     def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
                                   key):
@@ -201,7 +202,16 @@ class TestManifest:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
         for line in lines:
-            assert line.startswith("error:") and key in line
+            assert line.startswith("error:") and repr(key) in line
+
+    def test_landscape_out_from_manifest(self, synth_dir, tmp_path, capsys):
+        args = ("landscape", "--frame", "4", "--grid", "3", "--manifest")
+        assert run_cli(*args, self.write(tmp_path, synth_dir)) == 1
+        assert "missing required input 'out'" in capsys.readouterr().err
+        out = tmp_path / "landscape.csv"
+        manifest = self.write(tmp_path, synth_dir, out=str(out))
+        assert run_cli(*args, manifest) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
     @pytest.mark.parametrize("command, extra", [
         ("localize", ()),

@@ -101,22 +101,34 @@ def mask_of(raster, semantic=POLE):
 
 class TestBinarize:
     def test_all_below_threshold(self):
-        raster = np.full((20, 30), 0.05)
+        raster = np.full((20, 30), 13, dtype=np.uint8)  # probability 0.051
         assert binarize(mask_of(raster), POLE, 0.1).sum() == 0
 
     def test_all_above_threshold(self):
-        raster = np.full((20, 30), 0.5)
+        raster = np.full((20, 30), 128, dtype=np.uint8)  # probability 0.502
         assert binarize(mask_of(raster), POLE, 0.1).sum() == 20 * 30
 
     def test_strictly_greater(self):
-        raster = np.full((5, 5), 0.1)
-        assert binarize(mask_of(raster), POLE, 0.1).sum() == 0
+        raster = np.full((5, 5), 51, dtype=np.uint8)  # exactly 0.2
+        assert binarize(mask_of(raster), POLE, 0.2).sum() == 0
+
+    def test_matches_probability_comparison(self):
+        levels = np.arange(256, dtype=np.uint8)[None, :]
+        probability = np.arange(256) / 255.0
+        exact = probability[1:-1]
+        thresholds = np.concatenate([
+            np.random.default_rng(0).uniform(0.0, 1.0, 2000), exact,
+            np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
+        for t in thresholds[(thresholds > 0.0) & (thresholds < 1.0)]:
+            got = binarize(mask_of(levels), POLE, t)
+            assert got.dtype == bool
+            assert np.array_equal(got[0], probability > t), t
 
     def test_default_threshold_setting(self):
         assert ExtractionConfig().threshold == 0.1
 
     def test_missing_class_is_empty(self):
-        raster = np.ones((4, 4))
+        raster = np.full((4, 4), 255, dtype=np.uint8)
         assert binarize(mask_of(raster, POLE), SIGN).sum() == 0
 
 
@@ -347,11 +359,11 @@ class TestRegionCentroid:
 class TestExtractFeatures:
     def make_mask(self, shift=(0, 0)):
         dy, dx = shift
-        pole = np.zeros((240, 320))
-        pole[40 + dy:140 + dy, 60 + dx:63 + dx] = 1.0
-        sign = np.zeros((240, 320))
+        pole = np.zeros((240, 320), dtype=np.uint8)
+        pole[40 + dy:140 + dy, 60 + dx:63 + dx] = 255
+        sign = np.zeros((240, 320), dtype=np.uint8)
         yy, xx = np.mgrid[0:240, 0:320]
-        sign[(xx - 200 - dx) ** 2 + (yy - 80 - dy) ** 2 <= 25] = 1.0
+        sign[(xx - 200 - dx) ** 2 + (yy - 80 - dy) ** 2 <= 25] = 255
         return SemanticMask(320, 240, {POLE: pole, SIGN: sign})
 
     def test_composition(self):
@@ -378,26 +390,27 @@ class TestExtractFeatures:
 class TestMaskFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        raster = (rng.integers(0, 256, size=(37, 53)) / 255.0)
+        raster = rng.integers(0, 256, size=(37, 53), dtype=np.uint8)
         mask = SemanticMask(53, 37, {POLE: raster})
         written = write_mask_files(tmp_path, 12, mask)
         assert [p.name for p in written] == ["000012_POLE.pgm"]
         back = read_mask_files(tmp_path, 12)
         assert back.width == 53 and back.height == 37
-        assert np.allclose(back.channels[POLE], raster, atol=0.5 / 255)
+        assert back.channels[POLE].dtype == np.uint8
+        assert np.array_equal(back.channels[POLE], raster)
 
     def test_blank_line_between_header_comments(self, tmp_path):
         header = b"P5\n# one\n\n# two\n2 1\n255\n"
         (tmp_path / "000003_POLE.pgm").write_bytes(header + bytes([0, 255]))
         back = read_mask_files(tmp_path, 3)
         assert (back.width, back.height) == (2, 1)
-        assert back.channels[POLE].tolist() == [[0.0, 1.0]]
+        assert back.channels[POLE].tolist() == [[0, 255]]
 
     def test_comment_right_after_token(self, tmp_path):
         header = b"P5# magic\n3#w\n1\n# max\n255\n"
         (tmp_path / "000004_POLE.pgm").write_bytes(header + bytes([51, 0, 255]))
         back = read_mask_files(tmp_path, 4)
-        assert back.channels[POLE].tolist() == [[0.2, 0.0, 1.0]]
+        assert back.channels[POLE].tolist() == [[51, 0, 255]]
 
     def test_missing_frame(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -415,6 +428,6 @@ class TestDetectionTypes:
 
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):
-            SemanticMask(10, 10, {POLE: np.zeros((5, 5))})
+            SemanticMask(10, 10, {POLE: np.zeros((5, 5), dtype=np.uint8)})
         with pytest.raises(ValueError):
-            SemanticMask(5, 5, {POLE: np.full((5, 5), 1.5)})
+            SemanticMask(5, 5, {POLE: np.zeros((5, 5))})

@@ -205,6 +205,15 @@ class TestRenderMasks:
         lines, _ = extract_features(mask, ExtractionConfig())
         assert len(lines) >= 1  # may merge into one stroke, never zero
 
+    def test_channels_are_binary_levels(self):
+        cfg = paper_scale_world(8)
+        semantic_map, trajectory = generate_world(cfg)
+        mask, _, _ = render_masks(semantic_map, trajectory[60], cfg)
+        assert any(raster.any() for raster in mask.channels.values())
+        for raster in mask.channels.values():
+            assert raster.dtype == np.uint8
+            assert set(np.unique(raster).tolist()) <= {0, 255}
+
     def test_masks_match_detection_geometry(self):
         cfg = paper_scale_world(8)
         semantic_map, trajectory = generate_world(cfg)
