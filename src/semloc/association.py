@@ -11,7 +11,7 @@ tightly gated correspondence set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +21,7 @@ from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, EmptyCorrespondence,
                        ReprojectionObjective, ResidualConfig, SolverObjective,
                        line_distance, nearest_lane_height, point_distance)
-from .solver import SingularNormalEquations, SolveResult, SolverConfig, solve
+from .solver import SingularNormalEquations, SolverConfig, solve
 
 
 class NoValidAssociation(RuntimeError):
@@ -189,9 +189,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             residual_config, y_lane)
         fit = solve(SolverObjective(reported), start, solver_config)
         gate_cost = reported.cost(fit.pose)
-        return SolveResult(fit.pose, gate_cost, math.sqrt(gate_cost),
-                           fit.iterations, fit.converged,
-                           fit.termination_reason, fit.cost_trace)
+        return replace(fit, final_cost=gate_cost,
+                       residual_rms=math.sqrt(gate_cost))
 
     for hypothesis in _iter_hypotheses(base, assoc_config, rng):
         try:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mapmodel import text_records
+
 # Camera axes written in "forward/up/right" map-aligned axes:
 # cam X = right, cam Y = -up, cam Z = forward.
 AXIS_SWAP = np.array([
@@ -100,13 +102,6 @@ class Intrinsics:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([
-            [self.fx, self.skew, self.cx],
-            [0.0, self.fy, self.cy],
-            [0.0, 0.0, 1.0],
-        ])
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,13 +208,9 @@ def serialize_intrinsics(intrinsics: Intrinsics) -> str:
 
 
 def parse_intrinsics(text: str) -> Intrinsics:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for line_no, fields in text_records(text):
         if fields[0] != "K" or len(fields) != 8:
-            raise ValueError(f"bad intrinsics record: {raw!r}")
+            raise ValueError(f"intrinsics line {line_no}: malformed record")
         fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
         return Intrinsics(fx, fy, cx, cy, skew, int(fields[6]), int(fields[7]))
     raise ValueError("no intrinsics record found")

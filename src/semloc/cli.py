@@ -29,7 +29,7 @@ from .features import (ExtractionConfig, extract_features, read_mask_files,
 from .mapmodel import (MIN_SIZE_RATIO, DegenerateCluster, ParseError,
                        RoughPose, SemanticClass, SemanticMap,
                        fit_line_landmark, fit_point_landmark, parse_map,
-                       preselect, save_map)
+                       preselect, save_map, text_records)
 from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
                        parse_detections, parse_ground_truth, parse_result,
                        run_sequence, serialize_detections,
@@ -44,10 +44,11 @@ class CliError(Exception):
     pass
 
 
-# Top-level manifest keys: input paths, the result path, run settings and
-# the config blocks.
-_MANIFEST_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
-                  "ground-truth", "out", "seed", "road_index", "association",
+# Top-level manifest keys: input paths (resolved against the manifest's
+# directory), the result path, run settings and the config blocks.
+_INPUT_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
+               "ground-truth")
+_MANIFEST_KEYS = (*_INPUT_KEYS, "out", "seed", "road_index", "association",
                   "solver", "residual", "preselect", "extraction")
 
 
@@ -83,6 +84,9 @@ def _config_from(block: dict, cls, what: str):
 
 
 def _load_manifest(args) -> dict:
+    """The run's inputs: the manifest (if any) with its input paths resolved
+    against its directory, then each path flag given, and --out, in place of
+    the manifest's value."""
     manifest = {}
     if args.manifest:
         try:
@@ -92,18 +96,30 @@ def _load_manifest(args) -> dict:
         if not isinstance(manifest, dict):
             raise CliError("manifest must be a JSON object")
         _check_keys(manifest, _MANIFEST_KEYS, "manifest")
+        for key in (*_INPUT_KEYS, "out"):
+            if key in manifest:
+                _check_type(manifest[key], "", "manifest", key)
         _check_type(manifest.get("road_index", 0), 0, "manifest", "road_index")
         _check_type(manifest.get("seed", 0), 0, "manifest", "seed")
+        base = Path(args.manifest).parent
+        for key in _INPUT_KEYS:
+            if key in manifest:
+                manifest[key] = str(base / manifest[key])
+    for key in (*_INPUT_KEYS, "out"):
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is not None:
+            manifest[key] = value
     return manifest
 
 
-def _resolve(args, manifest, key, required=True):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = manifest.get(key)
-    if value is None and required:
+def _required(manifest, key):
+    if key not in manifest:
         raise CliError(f"missing required input {key!r} (flag or manifest)")
-    return value
+    return manifest[key]
+
+
+def _read_input(manifest, key) -> str:
+    return _read(_required(manifest, key), key.replace("-", " "))
 
 
 def _configs(args, manifest):
@@ -166,11 +182,7 @@ def _parse_clusters(text: str, path: str):
             raise CliError(f"{path}:{line_no}: cluster without points")
         clusters.append((header, np.array(points)))
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for line_no, fields in text_records(text):
         if fields[0] == "CLUSTER":
             flush(line_no)
             points = []
@@ -234,6 +246,11 @@ def cmd_synth(args) -> int:
         rng_seed=args.seed if args.seed is not None else 0,
     )
     semantic_map, trajectory = generate_world(config)
+    if len(trajectory) < 2:
+        raise CliError(
+            f"a {args.length:g} m corridor gives {len(trajectory)} frame(s); "
+            f"localize needs 2 to bootstrap, and the trajectory stops "
+            f"{config.trajectory_margin_m:g} m before the corridor end")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_map(semantic_map, out / "map.txt")
@@ -257,8 +274,8 @@ def cmd_synth(args) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _load_bootstrap(path) -> list:
-    poses = parse_ground_truth(_read(path, "bootstrap"))
+def _load_bootstrap(text: str) -> list:
+    poses = parse_ground_truth(text)
     if len(poses) < 2:
         raise CliError("bootstrap file must contain at least two GT records")
     first_two = sorted(poses)[:2]
@@ -267,46 +284,31 @@ def _load_bootstrap(path) -> list:
 
 def cmd_localize(args) -> int:
     manifest = _load_manifest(args)
-    semantic_map = parse_map(_read(_resolve_path(args, manifest, "map"), "map"))
-    detections_path = _resolve_path(args, manifest, "detections", required=False)
-    masks_path = _resolve_path(args, manifest, "masks", required=False)
-    if detections_path:
-        frames = parse_detections(_read(detections_path, "detections"))
-    elif masks_path:
-        frames = _frames_from_masks(masks_path, manifest)
+    if ("detections" in manifest) == ("masks" in manifest):
+        raise CliError("give exactly one of 'detections' or 'masks' "
+                       "(flag or manifest)")
+    semantic_map = parse_map(_read_input(manifest, "map"))
+    if "masks" in manifest:
+        frames = _frames_from_masks(manifest["masks"], manifest)
     else:
-        raise CliError("missing required input: 'detections' or 'masks'")
-    intrinsics = parse_intrinsics(
-        _read(_resolve_path(args, manifest, "intrinsics"), "intrinsics"))
-    bootstrap = _load_bootstrap(_resolve_path(args, manifest, "bootstrap"))
+        frames = parse_detections(_read_input(manifest, "detections"))
+    intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
+    bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"))
     assoc, solver, residual, min_size_ratio = _configs(args, manifest)
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
                           assoc, solver, residual, min_size_ratio)
-    out = _resolve(args, manifest, "out", required=False) or "result.csv"
+    out = manifest.get("out", "result.csv")
     Path(out).write_text(serialize_result(result))
     n_loc = result.count(FrameStatus.LOCALIZED)
     n_coast = result.count(FrameStatus.COASTED)
     print(f"{len(result.records)} frames: {n_loc} localized, "
           f"{n_coast} coasted -> {out}")
 
-    gt_path = _resolve_path(args, manifest, "ground-truth", required=False)
-    if gt_path:
-        summary = evaluate(result, parse_ground_truth(_read(gt_path, "ground truth")))
-        result.summary = summary
-        _print_summary(summary)
+    if "ground-truth" in manifest:
+        truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
+        _print_summary(evaluate(result, truth))
     return 0
-
-
-def _resolve_path(args, manifest, key, required=True):
-    value = _resolve(args, manifest, key, required)
-    if value is None:
-        return None
-    if args.manifest and key in manifest and \
-            getattr(args, key.replace("-", "_"), None) is None:
-        base = Path(args.manifest).parent
-        return str((base / value) if not Path(value).is_absolute() else value)
-    return value
 
 
 def _print_summary(summary) -> None:
@@ -340,14 +342,11 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     manifest = _load_manifest(args)
-    out = _resolve(args, manifest, "out")
-    semantic_map = parse_map(_read(_resolve_path(args, manifest, "map"), "map"))
-    frames = parse_detections(
-        _read(_resolve_path(args, manifest, "detections"), "detections"))
-    intrinsics = parse_intrinsics(
-        _read(_resolve_path(args, manifest, "intrinsics"), "intrinsics"))
-    truth = parse_ground_truth(
-        _read(_resolve_path(args, manifest, "ground-truth"), "ground truth"))
+    out = _required(manifest, "out")
+    semantic_map = parse_map(_read_input(manifest, "map"))
+    frames = parse_detections(_read_input(manifest, "detections"))
+    intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
+    truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
     assoc, _, residual, min_size_ratio = _configs(args, manifest)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)

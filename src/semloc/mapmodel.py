@@ -262,6 +262,15 @@ def preselect(semantic_map: SemanticMap, rough: RoughPose,
 _HEADER = "SEMMAP 1"
 
 
+def text_records(text: str):
+    """Yield (1-based line number, whitespace-separated fields) for each line
+    of a line-oriented text format, skipping blank lines and '#' comments."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield line_no, fields
+
+
 def _fmt(values) -> str:
     return " ".join(f"{v:.6f}" for v in values)
 
@@ -306,11 +315,7 @@ def parse_map(text: str) -> SemanticMap:
     points: list = []
     lanes: list = []
     saw_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for line_no, fields in text_records(text):
         if not saw_header:
             if fields != _HEADER.split():
                 raise ParseError(line_no, f"expected {_HEADER!r} header")

@@ -20,7 +20,7 @@ from .association import (AssociationConfig, NoValidAssociation,
 from .camera import CameraPose, Intrinsics, wrap_angle
 from .features import DetectedLine, DetectedPoint
 from .mapmodel import (MIN_SIZE_RATIO, RoughPose, SemanticClass, SemanticMap,
-                       preselect)
+                       preselect, text_records)
 from .residual import ResidualConfig
 from .solver import SolverConfig
 
@@ -57,11 +57,6 @@ class FrameRecord:
 @dataclass(eq=False)
 class TrajectoryResult:
     records: list = field(default_factory=list)
-    summary: "EvaluationSummary | None" = None
-
-    @property
-    def poses(self) -> list:
-        return [rec.pose for rec in self.records]
 
     def count(self, status: FrameStatus) -> int:
         return sum(1 for rec in self.records if rec.status is status)
@@ -198,11 +193,7 @@ def serialize_detections(frames) -> str:
 
 def parse_detections(text: str) -> list:
     frames: list[FrameInput] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for line_no, fields in text_records(text):
         try:
             if fields[0] == "F":
                 frames.append(FrameInput(int(fields[1]),
@@ -242,11 +233,7 @@ def serialize_ground_truth(poses: dict) -> str:
 
 def parse_ground_truth(text: str) -> dict:
     poses = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for line_no, fields in text_records(text):
         if fields[0] != "GT" or len(fields) != 8:
             raise ValueError(f"ground truth line {line_no}: malformed record")
         try:

@@ -69,29 +69,22 @@ def solve(objective, init: CameraPose,
           config: SolverConfig = SolverConfig()) -> SolveResult:
     """Minimize the objective's squared residual norm starting from ``init``.
 
-    ``objective`` must provide residual(pose) and jacobian(pose); a combined
-    residual_and_jacobian(pose) is used when available. Deterministic: the
-    same inputs produce the same iterate sequence.
+    ``objective`` provides two methods. ``residual_and_jacobian(pose)``
+    returns the residual vector r, shape (n,), and its Jacobian, shape
+    (n, 6) over the parameters in ``POSE_PARAMS`` order. ``residual(pose)``
+    returns the same r alone. Both are float arrays and the cost is r @ r.
+    Deterministic: the same inputs produce the same iterate sequence.
     """
-    combined = getattr(objective, "residual_and_jacobian", None)
-
-    def evaluate(pose):
-        if combined is not None:
-            r, jac = combined(pose)
-        else:
-            r, jac = objective.residual(pose), objective.jacobian(pose)
-        return np.asarray(r, dtype=float), np.asarray(jac, dtype=float)
-
     x = init.as_vector()
     pose = init
-    r, jac = evaluate(pose)
+    r, jac = objective.residual_and_jacobian(pose)
     cost = float(r @ r)
     trace = [cost]
     damping = config.initial_damping
 
     for iterations in range(1, config.max_iterations + 1):
         if iterations > 1:  # the previous iteration accepted a new pose
-            r, jac = evaluate(pose)
+            r, jac = objective.residual_and_jacobian(pose)
         jtj = jac.T @ jac
         gradient = jac.T @ r
         diag = np.clip(np.diag(jtj), 1e-12, None)
@@ -113,7 +106,7 @@ def solve(objective, init: CameraPose,
                                    True, TerminationReason.STEP_TOLERANCE, trace)
             candidate_vec = _wrap_vector(x + step)
             candidate = CameraPose.from_vector(candidate_vec)
-            r_new = np.asarray(objective.residual(candidate), dtype=float)
+            r_new = objective.residual(candidate)
             new_cost = float(r_new @ r_new)
             if math.isfinite(new_cost) and new_cost < cost:
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
@@ -134,27 +127,22 @@ def solve(objective, init: CameraPose,
                        False, TerminationReason.MAX_ITERATIONS, trace)
 
 
-def _param_index(dim) -> int:
-    if isinstance(dim, str):
-        try:
-            return POSE_PARAMS.index(dim)
-        except ValueError:
-            raise ValueError(
-                f"unknown pose parameter {dim!r}, expected one of {POSE_PARAMS}"
-            ) from None
-    idx = int(dim)
-    if not 0 <= idx < 6:
-        raise ValueError("pose parameter index out of range")
-    return idx
+def _param_index(dim: str) -> int:
+    try:
+        return POSE_PARAMS.index(dim)
+    except ValueError:
+        raise ValueError(
+            f"unknown pose parameter {dim!r}, expected one of {POSE_PARAMS}"
+        ) from None
 
 
 def cost_landscape(objective, center: CameraPose, dim_a, dim_b,
                    half_range_a: float, half_range_b: float, grid_n: int):
     """Evaluate sqrt(cost) over a regular 2D grid of pose perturbations.
 
-    The two selected parameters (name or index) sweep +-half_range around
-    the center pose; the other four stay fixed. Returns (a_values,
-    b_values, grid) with grid[i, j] at a_values[i], b_values[j].
+    The two selected parameters (names from ``POSE_PARAMS``) sweep
+    +-half_range around the center pose; the other four stay fixed. Returns
+    (a_values, b_values, grid) with grid[i, j] at a_values[i], b_values[j].
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")

@@ -23,6 +23,9 @@ from .pipeline import FrameInput, heading_from_pose
 
 DEFAULT_INTRINSICS = Intrinsics(fx=700.0, fy=700.0, cx=613.0, cy=185.0,
                                 skew=0.0, width=1226, height=370)
+CURVE_WAVELENGTH_M = 180.0    # period of the optional S-curve
+LANE_POINT_SPACING_M = 7.5    # between lane polyline points
+POLE_LATERAL_JITTER_M = 1.0   # half-width of the pole lateral jitter
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,8 @@ class WorldConfig:
     # corridor. Note a curved lane breaks the exactness of the straight
     # lane-window model, so noiseless round-trip worlds keep this at zero.
     curve_amplitude_m: float = 0.0
-    curve_wavelength_m: float = 180.0
     lane_count: int = 2
     lane_spacing_m: float = 3.5
-    lane_point_spacing_m: float = 7.5
     # One roadside lattice of pole-like objects; every ``milestone_every``-th
     # entry is a milestone (shorter, closer to the road) instead of a lamp
     # pole, so nearest-neighbor matching works within two separate classes.
@@ -52,10 +53,10 @@ class WorldConfig:
     milestone_height_m: float = 0.52
     milestone_lateral_m: float = 5.5
     # Irregular layout, like real street furniture: per-landmark position
-    # jitter as a fraction of the spacing, plus height and lateral variation.
+    # jitter as a fraction of the spacing, plus height variation (the lateral
+    # variation is POLE_LATERAL_JITTER_M).
     layout_jitter_frac: float = 0.3
     pole_height_jitter_m: float = 0.05
-    pole_lateral_jitter_m: float = 1.0
     sign_spacing_m: float = 54.0   # first sign at half a spacing
     sign_lateral_m: float = 5.5
     sign_height_m: float = 3.0
@@ -76,8 +77,7 @@ class WorldConfig:
             raise ValueError("rates must lie in [0, 1]")
         if self.pixel_noise_sigma < 0:
             raise ValueError("noise sigma must be non-negative")
-        if min(self.lane_spacing_m, self.lane_point_spacing_m,
-               self.pole_spacing_m, self.sign_spacing_m,
+        if min(self.lane_spacing_m, self.pole_spacing_m, self.sign_spacing_m,
                self.frame_spacing_m) <= 0:
             raise ValueError("spacings must be positive")
 
@@ -102,7 +102,7 @@ def _centerline(config: WorldConfig, x: float):
     """Road centerline point (x, z) and heading angle at parameter x."""
     if config.curve_amplitude_m == 0.0:
         return x, 0.0, 0.0
-    omega = 2.0 * math.pi / config.curve_wavelength_m
+    omega = 2.0 * math.pi / CURVE_WAVELENGTH_M
     z = config.curve_amplitude_m * math.sin(omega * x)
     yaw = math.atan2(config.curve_amplitude_m * omega * math.cos(omega * x), 1.0)
     return x, z, yaw
@@ -151,8 +151,8 @@ def generate_world(config: WorldConfig):
                                   config.pole_height_jitter_m))
             height = max(height, 0.3)
             lateral = side_sign * (
-                base_lateral + float(rng.uniform(-config.pole_lateral_jitter_m,
-                                                 config.pole_lateral_jitter_m)))
+                base_lateral + float(rng.uniform(-POLE_LATERAL_JITTER_M,
+                                                 POLE_LATERAL_JITTER_M)))
             px, pz = _offset_from_center(config, x, lateral)
             lines.append(LineLandmark(
                 p1=[px, 0.0, pz], p2=[px, height, pz],
@@ -175,8 +175,8 @@ def generate_world(config: WorldConfig):
         sign_index += 1
         x += config.sign_spacing_m
 
-    n_lane_pts = int(math.floor(length / config.lane_point_spacing_m)) + 1
-    xs = np.arange(n_lane_pts) * config.lane_point_spacing_m
+    n_lane_pts = int(math.floor(length / LANE_POINT_SPACING_M)) + 1
+    xs = np.arange(n_lane_pts) * LANE_POINT_SPACING_M
     for i in range(config.lane_count):
         lateral = (i - (config.lane_count - 1) / 2.0) * config.lane_spacing_m
         ground = [_offset_from_center(config, float(x), lateral) for x in xs]

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import semloc
+from semloc.camera import parse_intrinsics, serialize_intrinsics
 from semloc.cli import main
-from semloc.mapmodel import SemanticClass, load_map
-from semloc.pipeline import parse_result
+from semloc.mapmodel import SemanticClass, load_map, parse_map, serialize_map
+from semloc.pipeline import (parse_detections, parse_ground_truth,
+                             parse_result, serialize_detections,
+                             serialize_ground_truth)
 
 
 def run_cli(*argv):
@@ -24,6 +27,43 @@ def synth_dir(tmp_path):
                    "--no-masks")
     assert code == 0
     return out
+
+
+CLUSTERS = ("CLUSTER LINE POLE 0\n"
+            "10.0 0.0 3.0\n10.02 1.0 3.0\n9.98 2.0 3.0\n"
+            "CLUSTER POINT SIGN 0\n"
+            "20.0 2.0 -3.0\n20.5 2.5 -3.0\n")
+
+
+def _commented(text):
+    """The same records among blank lines, whole-line and trailing comments."""
+    rows = ["# leading comment", ""]
+    for row in text.splitlines():
+        rows += [f"{row}  # trailing comment", "  ", "\t# indented comment"]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("name", ["map.txt", "detections.txt",
+                                  "groundtruth.txt", "intrinsics.txt",
+                                  "clusters.txt"])
+def test_comments_and_blank_lines_are_skipped(synth_dir, tmp_path, name):
+    def compile_map(text):
+        clusters, out = tmp_path / "clusters.txt", tmp_path / "compiled.txt"
+        clusters.write_text(text)
+        assert run_cli("compile-map", clusters, "--out", out) == 0
+        return out.read_text()
+
+    parsed = {
+        "map.txt": lambda t: serialize_map(parse_map(t)),
+        "detections.txt": lambda t: serialize_detections(parse_detections(t)),
+        "groundtruth.txt":
+            lambda t: serialize_ground_truth(parse_ground_truth(t)),
+        "intrinsics.txt": lambda t: serialize_intrinsics(parse_intrinsics(t)),
+        "clusters.txt": compile_map,
+    }[name]
+    plain = CLUSTERS if name == "clusters.txt" else \
+        (synth_dir / name).read_text()
+    assert parsed(_commented(plain)) == parsed(plain)
 
 
 def test_cli_import_leaves_out_scipy_spatial():
@@ -76,7 +116,7 @@ class TestCompileMap:
 class TestSynth:
     def test_emits_artifacts(self, tmp_path):
         out = tmp_path / "world"
-        assert run_cli("synth", "--out", out, "--length", "12",
+        assert run_cli("synth", "--out", out, "--length", "42",
                        "--frame-spacing", "2.0", "--seed", "1") == 0
         for name in ("map.txt", "detections.txt", "groundtruth.txt",
                      "intrinsics.txt"):
@@ -87,18 +127,26 @@ class TestSynth:
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert run_cli("synth", "--out", out, "--length", "40",
+            assert run_cli("synth", "--out", out, "--length", "50",
                            "--seed", "9", "--no-masks") == 0
         for name in ("map.txt", "detections.txt", "groundtruth.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_full_dropout_empty_frames(self, tmp_path):
         out = tmp_path / "world"
-        assert run_cli("synth", "--out", out, "--length", "30",
+        assert run_cli("synth", "--out", out, "--length", "50",
                        "--dropout-rate", "1.0", "--seed", "0",
                        "--no-masks") == 0
         text = (out / "detections.txt").read_text()
         assert "DL" not in text and "DP" not in text
+
+    def test_short_corridor_fails(self, tmp_path, capsys):
+        # 30 m minus the 40 m trajectory margin leaves one frame, and
+        # localize needs two to bootstrap.
+        out = tmp_path / "world"
+        assert run_cli("synth", "--out", out, "--length", "30") == 1
+        assert capsys.readouterr().err.startswith("error: a 30 m corridor")
+        assert not out.exists()
 
 
 class TestLocalize:
@@ -194,6 +242,8 @@ class TestManifest:
         ({"residual": {"lambda_n": True}}, "lambda_n"),
         ({"road_index": 0.7}, "road_index"),
         ({"seed": "3"}, "seed"),
+        ({"map": 5}, "map"),
+        ({"out": 7}, "out"),
     ])
     def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
                                   key):
@@ -203,6 +253,34 @@ class TestManifest:
         assert len(lines) == 2
         for line in lines:
             assert line.startswith("error:") and repr(key) in line
+
+    @pytest.mark.parametrize("blocks, flags", [
+        ({}, ("--masks", "/nonexistent/dir")),
+        ({"masks": "masks"}, ()),
+    ])
+    def test_detections_and_masks_fail(self, synth_dir, tmp_path, capsys,
+                                       blocks, flags):
+        manifest = self.write(tmp_path, synth_dir, **blocks)
+        assert run_cli("localize", "--manifest", manifest, *flags,
+                       "--out", tmp_path / "result.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'masks'" in err
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_paths_resolve_against_manifest_dir(self, synth_dir, tmp_path,
+                                                monkeypatch):
+        manifest = synth_dir / "run.json"
+        manifest.write_text(json.dumps({
+            "map": "map.txt", "detections": "detections.txt",
+            "intrinsics": "intrinsics.txt", "bootstrap": "groundtruth.txt",
+            "out": "result.csv"}))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("localize", "--manifest", manifest) == 0
+        assert (elsewhere / "result.csv").exists()  # out: working directory
+        assert run_cli("localize", "--manifest", manifest,
+                       "--detections", "missing.txt") == 1  # flag wins
 
     def test_landscape_out_from_manifest(self, synth_dir, tmp_path, capsys):
         args = ("landscape", "--frame", "4", "--grid", "3", "--manifest")

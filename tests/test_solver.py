@@ -27,13 +27,13 @@ class SoftOnlyObjective:
     def residual(self, pose):
         return soft_constraint(pose, self.y_lane, self.config)
 
-    def jacobian(self, pose):
+    def residual_and_jacobian(self, pose):
         deg = 180.0 / math.pi
         jac = np.zeros((3, 6))
         jac[0, 4] = deg
         jac[1, 5] = deg
         jac[2, 1] = 100.0
-        return jac
+        return self.residual(pose), jac
 
 
 def correct_correspondences(sel, rendered):
@@ -130,8 +130,9 @@ class TestSolve:
             def residual(self, pose):
                 return self.k * self.inner.residual(pose)
 
-            def jacobian(self, pose):
-                return self.k * self.inner.jacobian(pose)
+            def residual_and_jacobian(self, pose):
+                r, jac = self.inner.residual_and_jacobian(pose)
+                return self.k * r, self.k * jac
 
         obj = SolverObjective(base)
         a = solve(obj, init)
@@ -143,8 +144,8 @@ class TestSolve:
             def residual(self, pose):
                 return np.array([1.0])  # constant, no gradient anywhere
 
-            def jacobian(self, pose):
-                return np.zeros((1, 6))
+            def residual_and_jacobian(self, pose):
+                return self.residual(pose), np.zeros((1, 6))
 
         # zero Jacobian + a constant residual: step collapses to zero and
         # the solver converges by step tolerance without moving
@@ -155,8 +156,8 @@ class TestSolve:
             def residual(self, pose):
                 return np.array([math.inf])
 
-            def jacobian(self, pose):
-                return np.full((1, 6), math.nan)
+            def residual_and_jacobian(self, pose):
+                return self.residual(pose), np.full((1, 6), math.nan)
 
         with pytest.raises(SingularNormalEquations):
             solve(Exploding(), CameraPose(0, 0, 0))
