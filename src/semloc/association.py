@@ -81,32 +81,28 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     hypothesis validation stage is the defense against such conflicts.
     """
     corr = CorrespondenceSet()
-    for lm_idx, lm in enumerate(preselected.lines):
-        proj = project_line(lm, pose, intrinsics)
-        if proj is None:
-            continue
-        best, best_idx = math.inf, -1
-        for det_idx, det in enumerate(det_lines):
-            if det.semantic is not lm.semantic:
+    # The projections name the module globals at call time, so a wrapper
+    # installed on this module sees every call.
+    for pairs, landmarks, detections, project, distance, gate in (
+            (corr.line_pairs, preselected.lines, det_lines,
+             lambda lm: project_line(lm, pose, intrinsics), line_distance,
+             gate_line_px),
+            (corr.point_pairs, preselected.points, det_points,
+             lambda lm: project_point(lm.p, pose, intrinsics), point_distance,
+             gate_point_px)):
+        for lm_idx, lm in enumerate(landmarks):
+            proj = project(lm)
+            if proj is None:
                 continue
-            dist = line_distance(proj, det)
-            if dist < best:
-                best, best_idx = dist, det_idx
-        if best_idx >= 0 and best <= gate_line_px:
-            corr.line_pairs.append((lm_idx, best_idx))
-    for lm_idx, lm in enumerate(preselected.points):
-        proj = project_point(lm.p, pose, intrinsics)
-        if proj is None:
-            continue
-        best, best_idx = math.inf, -1
-        for det_idx, det in enumerate(det_points):
-            if det.semantic is not lm.semantic:
-                continue
-            dist = point_distance(proj, det)
-            if dist < best:
-                best, best_idx = dist, det_idx
-        if best_idx >= 0 and best <= gate_point_px:
-            corr.point_pairs.append((lm_idx, best_idx))
+            best, best_idx = math.inf, -1
+            for det_idx, det in enumerate(detections):
+                if det.semantic is not lm.semantic:
+                    continue
+                dist = distance(proj, det)
+                if dist < best:
+                    best, best_idx = dist, det_idx
+            if best_idx >= 0 and best <= gate:
+                pairs.append((lm_idx, best_idx))
     return corr
 
 

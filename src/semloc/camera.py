@@ -176,14 +176,17 @@ def project_point(point, pose: CameraPose, intrinsics: Intrinsics) -> np.ndarray
     return _pixel_from_camera(p_cam, intrinsics)
 
 
+def pinhole(x, y, z, intrinsics: Intrinsics):
+    """Pixel (u, v) of camera-frame coordinates; elementwise, so scalars
+    and arrays alike. The caller owns the cheirality check."""
+    k = intrinsics
+    return k.fx * x / z + k.skew * y / z + k.cx, k.fy * y / z + k.cy
+
+
 def _pixel_from_camera(p_cam: np.ndarray, intrinsics: Intrinsics) -> np.ndarray | None:
-    z = p_cam[2]
-    if z <= MIN_DEPTH_M:
+    if p_cam[2] <= MIN_DEPTH_M:
         return None
-    return np.array([
-        intrinsics.fx * p_cam[0] / z + intrinsics.skew * p_cam[1] / z + intrinsics.cx,
-        intrinsics.fy * p_cam[1] / z + intrinsics.cy,
-    ])
+    return np.array(pinhole(p_cam[0], p_cam[1], p_cam[2], intrinsics))
 
 
 def project_line(landmark, pose: CameraPose, intrinsics: Intrinsics) -> ProjectedLine | None:

@@ -122,10 +122,12 @@ def _read_input(manifest, key) -> str:
     return _read(_required(manifest, key), key.replace("-", " "))
 
 
-def _configs(args, manifest):
+def _configs(seed, manifest):
+    """Config objects from the manifest blocks; ``seed``, when given,
+    replaces the association RNG seed."""
     assoc_block = dict(manifest.get("association", {}))
-    if args.seed is not None:
-        assoc_block["rng_seed"] = args.seed
+    if seed is not None:
+        assoc_block["rng_seed"] = seed
     elif "seed" in manifest and "rng_seed" not in assoc_block:
         assoc_block["rng_seed"] = manifest["seed"]
     assoc = _config_from(assoc_block, AssociationConfig, "association")
@@ -274,12 +276,16 @@ def cmd_synth(args) -> int:
 # --- localize ---------------------------------------------------------------
 
 
-def _load_bootstrap(text: str) -> list:
+def _load_bootstrap(text: str, frames) -> list:
+    """The GT records of the first two input frames."""
+    if len(frames) < 2:
+        raise CliError(f"need two input frames to bootstrap, got {len(frames)}")
     poses = parse_ground_truth(text)
-    if len(poses) < 2:
-        raise CliError("bootstrap file must contain at least two GT records")
-    first_two = sorted(poses)[:2]
-    return [poses[k] for k in first_two]
+    ids = [frame.frame_id for frame in frames[:2]]
+    for frame_id in ids:
+        if frame_id not in poses:
+            raise CliError(f"bootstrap file has no record for frame {frame_id}")
+    return [poses[frame_id] for frame_id in ids]
 
 
 def cmd_localize(args) -> int:
@@ -293,8 +299,8 @@ def cmd_localize(args) -> int:
     else:
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
-    bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"))
-    assoc, solver, residual, min_size_ratio = _configs(args, manifest)
+    bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
+    assoc, solver, residual, min_size_ratio = _configs(args.seed, manifest)
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
                           assoc, solver, residual, min_size_ratio)
@@ -347,7 +353,7 @@ def cmd_landscape(args) -> int:
     frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
-    assoc, _, residual, min_size_ratio = _configs(args, manifest)
+    assoc, _, residual, min_size_ratio = _configs(None, manifest)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)
     if frame is None:
@@ -428,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "of a detections file")
     p.add_argument("--intrinsics")
     p.add_argument("--bootstrap",
-                   help="GT-format file; first two records bootstrap the run")
+                   help="GT-format file; the records of the first two "
+                        "input frames bootstrap the run")
     p.add_argument("--ground-truth", dest="ground_truth",
                    help="optional GT file for an immediate evaluation")
     p.add_argument("--out", help="result CSV path (default result.csv)")
@@ -455,7 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="half range per dimension (m or rad)")
     p.add_argument("--grid", type=int, default=21)
     p.add_argument("--out", help="cost surface CSV path (flag or manifest)")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_landscape)
     return parser
 
@@ -464,7 +470,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, ValueError, NoValidAssociation) as exc:
+    except (CliError, ParseError, ValueError, NoValidAssociation,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

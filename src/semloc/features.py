@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .mapmodel import SemanticClass
+from .mapmodel import SemanticClass, principal_axis
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # RANSAC models are scored in blocks of at most this many model-pixel
@@ -175,13 +175,13 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
 
     # Least-squares refit on the winning inliers, then one re-gating pass
     # against the refit line so support and endpoints are consistent.
-    centroid, direction = _pca_line(pts[best_mask])
+    centroid, direction = principal_axis(pts[best_mask])
     dist = _line_distances(pts, centroid[None], direction[None])[0]
     inliers = pts[dist <= inlier_tol]
     support = inliers.shape[0]
     if support < 2 or support / n < min_inlier_ratio:
         return None
-    centroid, direction = _pca_line(inliers)
+    centroid, direction = principal_axis(inliers)
     t = (inliers - centroid) @ direction
     m1 = centroid + t.min() * direction
     m2 = centroid + t.max() * direction
@@ -197,17 +197,6 @@ def _line_distances(pts: np.ndarray, anchors: np.ndarray,
     dx = pts[:, 0] - anchors[:, 0, None]
     dy = pts[:, 1] - anchors[:, 1, None]
     return np.abs(dx * directions[:, 1, None] - dy * directions[:, 0, None])
-
-
-def _pca_line(pts: np.ndarray):
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    direction = eigvecs[:, int(np.argmax(eigvals))]
-    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
-        direction = -direction
-    return centroid, direction
 
 
 def region_centroid(region: np.ndarray, semantic: SemanticClass) -> DetectedPoint:

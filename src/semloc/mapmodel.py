@@ -164,14 +164,10 @@ def fit_line_landmark(cluster, semantic: SemanticClass, road_index: int,
     pts = np.asarray(cluster, dtype=float).reshape(-1, 3)
     if pts.shape[0] < 2:
         raise DegenerateCluster("need at least 2 points to fit a line")
-    centroid = pts.mean(axis=0)
+    centroid, axis = principal_axis(pts)
     centered = pts - centroid
     if float(np.max(np.linalg.norm(centered, axis=1))) < _COINCIDENT_EPS:
         raise DegenerateCluster("all cluster points coincide")
-    scatter = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    axis = eigvecs[:, int(np.argmax(eigvals))]
-    axis = _lex_positive(axis)
     t = centered @ axis
     p1 = centroid + t.min() * axis
     p2 = centroid + t.max() * axis
@@ -197,13 +193,22 @@ def fit_point_landmark(cluster, semantic: SemanticClass, road_index: int,
                          road_index, landmark_id)
 
 
-def _lex_positive(v: np.ndarray) -> np.ndarray:
-    for comp in v:
-        if comp > 0:
-            return v
+def principal_axis(pts: np.ndarray):
+    """Centroid and unit principal axis of an (n, d) point set.
+
+    The axis is the top eigenvector of the scatter matrix, signed so that
+    its first nonzero component is positive.
+    """
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    axis = eigvecs[:, int(np.argmax(eigvals))]
+    for comp in axis:
         if comp < 0:
-            return -v
-    return v
+            return centroid, -axis
+        if comp > 0:
+            break
+    return centroid, axis
 
 
 def resolvable(size_m: float, anchor, position,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import (MIN_DEPTH_M, CameraPose, Intrinsics, ProjectedLine,
-                     rotation_derivatives)
+                     pinhole, rotation_derivatives)
 from .mapmodel import PreselectedSet, SemanticClass
 
 DEG_PER_RAD = 180.0 / math.pi
@@ -149,9 +149,6 @@ class _Objective:
     def residual(self, pose: CameraPose) -> np.ndarray:
         return self.residual_and_jacobian(pose, with_jacobian=False)[0]
 
-    def jacobian(self, pose: CameraPose) -> np.ndarray:
-        return self.residual_and_jacobian(pose)[1]
-
     def cost(self, pose: CameraPose) -> float:
         r = self.residual(pose)
         return float(r @ r)
@@ -223,8 +220,7 @@ class ReprojectionObjective(_Objective):
         zs = np.where(valid, cam[:, 2], 1.0)
         k = self.intrinsics
         uv = np.empty((cam.shape[0], 2))
-        uv[:, 0] = k.fx * cam[:, 0] / zs + k.skew * cam[:, 1] / zs + k.cx
-        uv[:, 1] = k.fy * cam[:, 1] / zs + k.cy
+        uv[:, 0], uv[:, 1] = pinhole(cam[:, 0], cam[:, 1], zs, k)
 
         nl = self.n_lines
         u = uv[:2 * nl].reshape(nl, 2, 2) - self._line_anchor[:, np.newaxis]

@@ -296,13 +296,15 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
     true_lines = _true_line_projections(semantic_map, pose, config)
     true_points = _true_point_projections(semantic_map, pose, config)
 
+    sigma = config.pixel_noise_sigma
+
+    def noisy(uv):
+        return uv + rng.normal(0.0, sigma, 2) if sigma > 0 else uv.copy()
+
     for lm_id, semantic, m1, m2 in true_lines:
         if rng.uniform() < config.dropout_rate:
             continue
-        noisy1 = m1 + rng.normal(0.0, config.pixel_noise_sigma, 2) \
-            if config.pixel_noise_sigma > 0 else m1.copy()
-        noisy2 = m2 + rng.normal(0.0, config.pixel_noise_sigma, 2) \
-            if config.pixel_noise_sigma > 0 else m2.copy()
+        noisy1, noisy2 = noisy(m1), noisy(m2)
         if float(np.linalg.norm(noisy2 - noisy1)) < 1e-3:
             continue
         support = int(3 * np.linalg.norm(m2 - m1))
@@ -312,9 +314,8 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
     for lm, uv in true_points:
         if rng.uniform() < config.dropout_rate:
             continue
-        noisy = uv + rng.normal(0.0, config.pixel_noise_sigma, 2) \
-            if config.pixel_noise_sigma > 0 else uv.copy()
-        frame.det_points.append(DetectedPoint(noisy, lm.semantic, support=50))
+        frame.det_points.append(DetectedPoint(noisy(uv), lm.semantic,
+                                              support=50))
         rendered.point_labels.append(lm.id)
         rendered.exact_points.append(uv)
 
@@ -366,26 +367,20 @@ def _stroke(raster: np.ndarray, p0: np.ndarray, p1: np.ndarray):
     slab, so the stroke ends exactly at the (rounded) endpoints instead of
     overshooting like a square brush would.
     """
-    h, w = raster.shape
     dx, dy = float(p1[0] - p0[0]), float(p1[1] - p0[1])
-    if abs(dy) >= abs(dx):
-        y0, y1 = int(round(p0[1])), int(round(p1[1]))
-        step = 1 if y1 >= y0 else -1
-        for y in range(y0, y1 + step, step):
-            t = 0.0 if dy == 0 else (y - p0[1]) / dy
-            x = int(round(p0[0] + t * dx))
-            hw = 0 if y in (y0, y1) else 1  # taper: exact ends
-            if 0 <= y < h:
-                raster[y, max(0, x - hw):min(w, x + hw + 1)] = 255
-    else:
-        x0, x1 = int(round(p0[0])), int(round(p1[0]))
-        step = 1 if x1 >= x0 else -1
-        for x in range(x0, x1 + step, step):
-            t = (x - p0[0]) / dx
-            y = int(round(p0[1] + t * dy))
-            hw = 0 if x in (x0, x1) else 1
-            if 0 <= x < w:
-                raster[max(0, y - hw):min(h, y + hw + 1), x] = 255
+    if abs(dy) < abs(dx):
+        # x-major: the same walk over the transposed raster, (y, x) points.
+        _stroke(raster.T, p0[::-1], p1[::-1])
+        return
+    h, w = raster.shape
+    y0, y1 = int(round(p0[1])), int(round(p1[1]))
+    step = 1 if y1 >= y0 else -1
+    for y in range(y0, y1 + step, step):
+        t = 0.0 if dy == 0 else (y - p0[1]) / dy
+        x = int(round(p0[0] + t * dx))
+        hw = 0 if y in (y0, y1) else 1  # taper: exact ends
+        if 0 <= y < h:
+            raster[y, max(0, x - hw):min(w, x + hw + 1)] = 255
 
 
 def _disc(raster: np.ndarray, center: np.ndarray, radius: float):

@@ -101,7 +101,7 @@ def test_criterion_2_gradient_check(intrinsics):
             intrinsics, n_lines=3, n_points=2, seed=seed)
         obj = ReprojectionObjective(sel, det_lines, det_points, corr,
                                     intrinsics, ResidualConfig(), 0.0)
-        jac = obj.jacobian(pose)
+        jac = obj.residual_and_jacobian(pose)[1]
         vec = pose.as_vector()
         fd = np.empty_like(jac)
         h = 1e-6

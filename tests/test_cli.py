@@ -186,6 +186,55 @@ class TestLocalize:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_input_fails(self, synth_dir, tmp_path, capsys):
+        code = run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--detections", synth_dir,
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unpadded_mask_names_fail(self, synth_dir, tmp_path, capsys):
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        (masks / "1_POLE.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        code = run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--masks", masks,
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frame 1" in err
+
+    def test_bootstrap_by_frame_id(self, synth_dir, tmp_path, capsys):
+        frames = parse_detections((synth_dir / "detections.txt").read_text())
+        late = tmp_path / "late.txt"
+        late.write_text(serialize_detections(frames[10:]))
+        gt_text = (synth_dir / "groundtruth.txt").read_text()
+        truth = parse_ground_truth(gt_text)
+        result_csv = tmp_path / "result.csv"
+        args = ("localize", "--map", synth_dir / "map.txt",
+                "--detections", late,
+                "--intrinsics", synth_dir / "intrinsics.txt",
+                "--out", result_csv)
+        assert run_cli(*args, "--bootstrap", synth_dir / "groundtruth.txt") == 0
+        records = parse_result(result_csv.read_text()).records
+        assert [r.frame_id for r in records[:2]] == [10, 11]
+        for rec in records[:2]:
+            assert np.allclose(rec.pose.as_vector(),
+                               truth[rec.frame_id].as_vector(), atol=1e-6)
+
+        partial = tmp_path / "partial.txt"
+        partial.write_text(serialize_ground_truth(
+            {k: pose for k, pose in truth.items() if k != 11}))
+        capsys.readouterr()
+        assert run_cli(*args, "--bootstrap", partial) == 1
+        assert "frame 11" in capsys.readouterr().err
+
     def test_unknown_config_key_fails(self, synth_dir, tmp_path, capsys):
         manifest = tmp_path / "run.json"
         manifest.write_text(json.dumps({
@@ -375,6 +424,17 @@ class TestLandscape:
         values = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
         center = values[len(values) // 2]
         assert center[2] == values[:, 2].min()  # minimum at the true pose
+
+    def test_no_seed_flag(self, synth_dir, tmp_path):
+        # The landscape draws no random numbers, so it takes no seed.
+        with pytest.raises(SystemExit):
+            run_cli("landscape",
+                    "--map", synth_dir / "map.txt",
+                    "--detections", synth_dir / "detections.txt",
+                    "--intrinsics", synth_dir / "intrinsics.txt",
+                    "--ground-truth", synth_dir / "groundtruth.txt",
+                    "--frame", "4", "--seed", "3",
+                    "--out", tmp_path / "x.csv")
 
     def test_unknown_frame_fails(self, synth_dir, tmp_path):
         assert run_cli("landscape",

@@ -28,6 +28,17 @@ def reference_region_grow(binary, min_region_px=30):
     return regions
 
 
+def reference_pca_line(pts):
+    """Centroid and top scatter eigenvector, x positive (y on a tie)."""
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered)
+    direction = eigvecs[:, int(np.argmax(eigvals))]
+    if direction[0] < 0 or (direction[0] == 0 and direction[1] < 0):
+        direction = -direction
+    return centroid, direction
+
+
 def reference_fit_region_line(region, semantic, inlier_tol=2.0,
                               iterations=100, seed=0, min_inlier_ratio=0.5):
     """RANSAC line fit scoring one sampled pair at a time."""
@@ -61,14 +72,14 @@ def reference_fit_region_line(region, semantic, inlier_tol=2.0,
             best_mask = mask
     if best_mask is None:
         return None
-    centroid, direction = features._pca_line(pts[best_mask])
+    centroid, direction = reference_pca_line(pts[best_mask])
     offsets = pts - centroid
     dist = np.abs(offsets[:, 0] * direction[1] - offsets[:, 1] * direction[0])
     inliers = pts[dist <= inlier_tol]
     support = inliers.shape[0]
     if support < 2 or support / n < min_inlier_ratio:
         return None
-    centroid, direction = features._pca_line(inliers)
+    centroid, direction = reference_pca_line(inliers)
     t = (inliers - centroid) @ direction
     m1 = centroid + t.min() * direction
     m2 = centroid + t.max() * direction

@@ -238,7 +238,7 @@ class TestTotalResidual:
                                     None)
         vec = obj.residual(CameraPose(0, 1.6, 0))
         assert vec[0] == config.behind_camera_penalty_px
-        jac = obj.jacobian(CameraPose(0, 1.6, 0))
+        jac = obj.residual_and_jacobian(CameraPose(0, 1.6, 0))[1]
         assert np.all(jac[0] == 0.0)
 
     def test_dropping_pair_never_increases_data_term(self, intrinsics):
@@ -307,7 +307,8 @@ class TestJacobian:
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=2)
         config = ResidualConfig()
         jac = ReprojectionObjective(sel, det_lines, det_points, corr,
-                                    intrinsics, config, 0.0).jacobian(pose)
+                                    intrinsics, config,
+                                    0.0).residual_and_jacobian(pose)[1]
         lam = config.lambda_n
         pitch_row = jac[-3]
         assert pitch_row[4] == pytest.approx(lam * 180.0 / math.pi)
@@ -325,7 +326,8 @@ class TestJacobian:
         det = DetectedPoint(uv + np.array([2.0, 1.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
         jac = ReprojectionObjective(sel, [], [det], corr, intrinsics,
-                                    ResidualConfig(), None).jacobian(pose)
+                                    ResidualConfig(),
+                                    None).residual_and_jacobian(pose)[1]
         assert jac[0][5] == pytest.approx(0.0, abs=1e-9)
 
     def test_gradient_check_100_random_configurations(self, intrinsics):
@@ -335,7 +337,7 @@ class TestJacobian:
                 intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
             obj = ReprojectionObjective(sel, det_lines, det_points, corr,
                                         intrinsics, ResidualConfig(), 0.0)
-            jac = obj.jacobian(pose)
+            jac = obj.residual_and_jacobian(pose)[1]
             fd = self.finite_difference(obj, pose)
             rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
             shape = (n_lines, n_points)
@@ -350,7 +352,7 @@ class TestJacobian:
             obj = SolverObjective(ReprojectionObjective(
                 sel, det_lines, det_points, corr, intrinsics,
                 ResidualConfig(), 0.0))
-            jac = obj.jacobian(pose)
+            jac = obj.residual_and_jacobian(pose)[1]
             fd = self.finite_difference(obj, pose)
             rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
             shape = (n_lines, n_points)

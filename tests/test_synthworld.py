@@ -8,8 +8,8 @@ from semloc.camera import CameraPose
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
 from semloc.features import ExtractionConfig, extract_features
-from semloc.synthworld import (WorldConfig, generate_world, render_detections,
-                               render_frames, render_masks)
+from semloc.synthworld import (WorldConfig, _stroke, generate_world,
+                               render_detections, render_frames, render_masks)
 
 from conftest import noise_world, paper_scale_world, perturbed
 
@@ -222,6 +222,68 @@ class TestRenderMasks:
         _, exact_lines, exact_points = render_masks(semantic_map, pose, cfg)
         assert len(exact_lines) == len(rendered.frame.det_lines)
         assert len(exact_points) == len(rendered.frame.det_points)
+
+
+def reference_stroke(raster, p0, p1):
+    """Two-branch stroke: a y-major walk painting row slabs and an x-major
+    walk painting column slabs."""
+    h, w = raster.shape
+    dx, dy = float(p1[0] - p0[0]), float(p1[1] - p0[1])
+    if abs(dy) >= abs(dx):
+        y0, y1 = int(round(p0[1])), int(round(p1[1]))
+        step = 1 if y1 >= y0 else -1
+        for y in range(y0, y1 + step, step):
+            t = 0.0 if dy == 0 else (y - p0[1]) / dy
+            x = int(round(p0[0] + t * dx))
+            hw = 0 if y in (y0, y1) else 1
+            if 0 <= y < h:
+                raster[y, max(0, x - hw):min(w, x + hw + 1)] = 255
+    else:
+        x0, x1 = int(round(p0[0])), int(round(p1[0]))
+        step = 1 if x1 >= x0 else -1
+        for x in range(x0, x1 + step, step):
+            t = (x - p0[0]) / dx
+            y = int(round(p0[1] + t * dy))
+            hw = 0 if x in (x0, x1) else 1
+            if 0 <= x < w:
+                raster[max(0, y - hw):min(h, y + hw + 1), x] = 255
+
+
+class TestStroke:
+    SHAPE = (40, 60)
+
+    def assert_matches_reference(self, p0, p1):
+        p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+        got = np.zeros(self.SHAPE, np.uint8)
+        want = np.zeros(self.SHAPE, np.uint8)
+        _stroke(got, p0, p1)
+        reference_stroke(want, p0, p1)
+        assert np.array_equal(got, want), (p0, p1)
+
+    @pytest.mark.parametrize("p0, p1", [
+        ((5, 5), (25, 25)),        # |dx| = |dy|, down-right
+        ((25, 5), (5, 25)),        # |dx| = |dy|, down-left
+        ((30.5, 12.5), (20.5, 2.5)),
+        ((10, 10), (10, 10)),      # zero length
+        ((7.4, 3.6), (7.4, 3.6)),
+        ((50, 20), (5, 22)),       # reversed, x-major
+        ((12, 35), (14, 2)),       # reversed, y-major
+        ((-10, 5), (70, 30)),      # both ends off the raster
+        ((30, -8), (35, 50)),
+        ((55, 10), (80, 12)),      # partly off the right edge
+        ((-5, -5), (10, 10)),
+    ])
+    def test_edge_cases(self, p0, p1):
+        self.assert_matches_reference(p0, p1)
+        self.assert_matches_reference(p1, p0)
+
+    def test_random_segments(self):
+        rng = np.random.default_rng(0)
+        h, w = self.SHAPE
+        for _ in range(400):
+            p0 = rng.uniform((-15, -15), (w + 15, h + 15))
+            p1 = rng.uniform((-15, -15), (w + 15, h + 15))
+            self.assert_matches_reference(p0, p1)
 
 
 class TestRoundTrip:
