@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -24,8 +25,8 @@ import numpy as np
 from . import __version__
 from .association import AssociationConfig, NoValidAssociation, closest_correspond
 from .camera import parse_intrinsics, serialize_intrinsics
-from .features import (ExtractionConfig, extract_features, read_mask_files,
-                       write_mask_files)
+from .features import (ExtractionConfig, extract_features, mask_file_name,
+                       read_mask_files, write_mask_files)
 from .mapmodel import (MIN_SIZE_RATIO, DegenerateCluster, ParseError,
                        RoughPose, SemanticClass, SemanticMap,
                        fit_line_landmark, fit_point_landmark, parse_map,
@@ -149,8 +150,7 @@ def _frames_from_masks(mask_dir, manifest):
     mask_dir = Path(mask_dir)
     if not mask_dir.is_dir():
         raise CliError(f"mask directory not found: {mask_dir}")
-    frame_ids = sorted({int(p.name.split("_", 1)[0])
-                        for p in mask_dir.glob("*.pgm")})
+    frame_ids = sorted({_mask_frame_id(p.name) for p in mask_dir.glob("*.pgm")})
     if not frame_ids:
         raise CliError(f"no .pgm masks in {mask_dir}")
     extraction = _config_from(dict(manifest.get("extraction", {})),
@@ -162,6 +162,23 @@ def _frames_from_masks(mask_dir, manifest):
         det_lines, det_points = extract_features(mask, extraction)
         frames.append(FrameInput(frame_id, det_lines, det_points, road_index))
     return frames
+
+
+def _mask_frame_id(name: str) -> int:
+    """Frame id of a mask file, whose name must be <frame>_<class>.pgm."""
+    match = re.fullmatch(r"([0-9]+)_(.*)\.pgm", name)
+    if match is None:
+        raise CliError(f"mask file {name}: expected <frame>_<class>.pgm")
+    frame_id = int(match.group(1))
+    try:
+        semantic = SemanticClass(match.group(2))
+    except ValueError:
+        raise CliError(f"mask file {name}: unknown class "
+                       f"{match.group(2)!r}") from None
+    if name != mask_file_name(frame_id, semantic):
+        raise CliError(f"mask file {name}: frame {frame_id} must be named "
+                       f"{mask_file_name(frame_id, semantic)}")
+    return frame_id
 
 
 # --- compile-map ------------------------------------------------------------

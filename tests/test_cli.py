@@ -210,6 +210,22 @@ class TestLocalize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame 1" in err
 
+    @pytest.mark.parametrize("name", ["notes.pgm", "000003_FOO.pgm"])
+    def test_foreign_mask_names_fail(self, synth_dir, tmp_path, capsys, name):
+        masks = tmp_path / "masks"
+        masks.mkdir()
+        (masks / "000003_POLE.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        (masks / name).write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        code = run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--masks", masks,
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mask file {name}: ")
+
     def test_bootstrap_by_frame_id(self, synth_dir, tmp_path, capsys):
         frames = parse_detections((synth_dir / "detections.txt").read_text())
         late = tmp_path / "late.txt"

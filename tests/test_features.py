@@ -6,9 +6,10 @@ from scipy import ndimage
 
 from semloc import features
 from semloc.features import (DetectedLine, DetectedPoint, ExtractionConfig,
-                             SemanticMask, binarize, extract_features,
-                             fit_region_line, read_mask_files, region_centroid,
-                             region_grow, write_mask_files)
+                             SemanticMask, _read_pgm, _sample_pairs,
+                             extract_features, fit_region_line,
+                             read_mask_files, region_centroid, region_grow,
+                             threshold_level, write_mask_files)
 from semloc.mapmodel import SemanticClass
 
 POLE = SemanticClass.POLE_LIKE
@@ -110,37 +111,38 @@ def mask_of(raster, semantic=POLE):
     return SemanticMask(w, h, {semantic: raster})
 
 
-class TestBinarize:
+class TestThresholdLevel:
     def test_all_below_threshold(self):
         raster = np.full((20, 30), 13, dtype=np.uint8)  # probability 0.051
-        assert binarize(mask_of(raster), POLE, 0.1).sum() == 0
+        assert (raster >= threshold_level(0.1)).sum() == 0
 
     def test_all_above_threshold(self):
         raster = np.full((20, 30), 128, dtype=np.uint8)  # probability 0.502
-        assert binarize(mask_of(raster), POLE, 0.1).sum() == 20 * 30
+        assert (raster >= threshold_level(0.1)).sum() == 20 * 30
 
     def test_strictly_greater(self):
         raster = np.full((5, 5), 51, dtype=np.uint8)  # exactly 0.2
-        assert binarize(mask_of(raster), POLE, 0.2).sum() == 0
+        assert (raster >= threshold_level(0.2)).sum() == 0
 
     def test_matches_probability_comparison(self):
-        levels = np.arange(256, dtype=np.uint8)[None, :]
+        levels = np.arange(256, dtype=np.uint8)
         probability = np.arange(256) / 255.0
         exact = probability[1:-1]
         thresholds = np.concatenate([
             np.random.default_rng(0).uniform(0.0, 1.0, 2000), exact,
             np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
         for t in thresholds[(thresholds > 0.0) & (thresholds < 1.0)]:
-            got = binarize(mask_of(levels), POLE, t)
-            assert got.dtype == bool
-            assert np.array_equal(got[0], probability > t), t
+            level = threshold_level(t)
+            assert type(level) is int and 1 <= level <= 255
+            assert np.array_equal(levels >= level, probability > t), t
 
     def test_default_threshold_setting(self):
         assert ExtractionConfig().threshold == 0.1
 
-    def test_missing_class_is_empty(self):
-        raster = np.full((4, 4), 255, dtype=np.uint8)
-        assert binarize(mask_of(raster, POLE), SIGN).sum() == 0
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        with pytest.raises(ValueError):
+            threshold_level(threshold)
 
 
 class TestRegionGrow:
@@ -202,12 +204,31 @@ class TestRegionGrowOracle:
         binary = np.zeros((30, 40), dtype=np.uint8)
         assert region_grow(binary, 1) == []
         assert reference_region_grow(binary, 1) == []
+        assert region_grow(np.zeros((30, 0), dtype=np.uint8), 1) == []
 
     def test_single_full_box_region(self):
         binary = np.ones((17, 23), dtype=np.uint8)
         regions = region_grow(binary, 1)
         assert len(regions) == 1 and regions[0].shape == (17 * 23, 2)
         assert_same_regions(regions, reference_region_grow(binary, 1))
+
+    def test_level_matches_thresholded_raster(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            h, w = (int(v) for v in rng.integers(5, 120, 2))
+            raster = rng.integers(0, 256, (h, w), dtype=np.uint8)
+            raster[rng.random((h, w)) < 0.7] = 0
+            for level in (1, 26, 128, 255):
+                assert_same_regions(
+                    region_grow(raster, 3, level),
+                    reference_region_grow(raster >= level, 3))
+
+    def test_bool_raster(self):
+        binary = np.zeros((30, 40), dtype=bool)
+        binary[3:9, 10:30] = True
+        binary[20, 5:35] = True
+        assert_same_regions(region_grow(binary, 1),
+                            reference_region_grow(binary, 1))
 
     def test_nested_bounding_boxes(self):
         # A ring around an island: the island's box lies inside the ring's,
@@ -287,6 +308,82 @@ class TestFitRegionLineOracle:
         region = np.argwhere(np.ones((5, features._SCORE_BLOCK_ELEMENTS // 5 + 7)))
         assert_same_line(fit_region_line(region, POLE),
                          reference_fit_region_line(region, POLE))
+
+
+def reference_pairs(n, iterations, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([rng.choice(n, size=2, replace=False)
+                     for _ in range(iterations)], dtype=np.intp).reshape(-1, 2)
+
+
+@pytest.fixture
+def choice_calls(monkeypatch):
+    """Records each Generator.choice call made through np.random.default_rng."""
+    calls = []
+    real_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = real_rng(seed)
+            self.bit_generator = self._rng.bit_generator
+
+        def choice(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.choice(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    return calls
+
+
+class TestSamplePairs:
+    """_sample_pairs must give the pairs of repeated rng.choice calls."""
+
+    SEEDS = [(0, 0, 0), (0, 2, 5), (7, 1, 3), 12345, (3, 0, 41)]
+    ITERATIONS = (0, 1, 2, 37, 100, 1000)
+
+    def assert_pairs(self, n, iterations, seed, want):
+        first, second = _sample_pairs(n, iterations, seed)
+        assert first.dtype == second.dtype == np.intp
+        assert np.array_equal(np.column_stack([first, second]),
+                              want[:iterations]), (n, iterations, seed)
+
+    def test_every_small_population(self):
+        # The first k calls of a 100-call loop are the k-call loop.
+        for n in range(3, 2001):
+            seed = self.SEEDS[n % len(self.SEEDS)]
+            want = reference_pairs(n, 100, seed)
+            for iterations in (0, 1, 2, 37, 100):
+                self.assert_pairs(n, iterations, seed, want)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 256, 1999, 2000, 10001,
+                                   12345, 65536, 99991])
+    def test_every_iteration_count(self, n):
+        for seed in self.SEEDS:
+            want = reference_pairs(n, max(self.ITERATIONS), seed)
+            for iterations in self.ITERATIONS:
+                self.assert_pairs(n, iterations, seed, want)
+
+    def test_one_draw_from_the_bit_generator(self, choice_calls):
+        first, second = _sample_pairs(300, 100, (0, 1, 2))
+        assert choice_calls == [] and first.size == 100
+
+    def test_rejected_draw_falls_back_to_choice(self, choice_calls):
+        # For n = 3·2^30 Lemire's method rejects a quarter of the 32-bit
+        # words, so 100 pairs (300 words) all but surely include one.
+        n = 3 << 30
+        for seed in self.SEEDS:
+            want = reference_pairs(n, 100, seed)
+            choice_calls.clear()
+            self.assert_pairs(n, 100, seed, want)
+            assert len(choice_calls) == 100
+
+    @pytest.mark.parametrize("n", [(1 << 32) + 5, 1 << 40])
+    def test_population_beyond_32_bits_falls_back(self, n, choice_calls):
+        for seed in self.SEEDS:
+            want = reference_pairs(n, 37, seed)
+            choice_calls.clear()
+            self.assert_pairs(n, 37, seed, want)
+            assert len(choice_calls) == 37
 
 
 class TestFitRegionLine:
@@ -390,6 +487,13 @@ class TestExtractFeatures:
         assert np.allclose(lines[0].m2, base_lines[0].m2 + [21, 13])
         assert np.allclose(points[0].m, base_points[0].m + [21, 13])
 
+    def test_missing_class_is_empty(self):
+        mask = self.make_mask()
+        del mask.channels[SIGN]
+        lines, points = extract_features(mask)
+        assert len(lines) == 1 and lines[0].semantic is POLE
+        assert points == []
+
     def test_deterministic(self):
         a_lines, a_points = extract_features(self.make_mask())
         b_lines, b_points = extract_features(self.make_mask())
@@ -426,6 +530,47 @@ class TestMaskFiles:
     def test_missing_frame(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_mask_files(tmp_path, 99)
+
+    def test_only_present_classes(self, tmp_path):
+        raster = np.full((3, 4), 200, dtype=np.uint8)
+        write_mask_files(tmp_path, 5, SemanticMask(4, 3, {POLE: raster,
+                                                          SIGN: raster}))
+        (tmp_path / "notes.pgm").write_bytes(b"not a mask")
+        back = read_mask_files(tmp_path, 5)
+        assert set(back.channels) == {POLE, SIGN}
+
+
+class TestReadPgm:
+    def read(self, tmp_path, content):
+        path = tmp_path / "000001_POLE.pgm"
+        path.write_bytes(content)
+        return _read_pgm(path)
+
+    def test_pixels(self, tmp_path):
+        pixels = self.read(tmp_path, b"P5\n3 2\n255\n" + bytes(range(6)))
+        assert pixels.dtype == np.uint8
+        assert pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    def test_truncated_header(self, tmp_path):
+        with pytest.raises(ValueError, match="000001_POLE.pgm: truncated PGM header"):
+            self.read(tmp_path, b"P5\n3 2\n")
+
+    def test_truncated_pixel_data(self, tmp_path):
+        with pytest.raises(ValueError, match="000001_POLE.pgm: truncated pixel data"):
+            self.read(tmp_path, b"P5\n3 2\n255\n" + bytes(5))
+
+    def test_ascii_pgm(self, tmp_path):
+        with pytest.raises(ValueError, match="expected 8-bit binary PGM"):
+            self.read(tmp_path, b"P2\n3 2\n255\n0 1 2 3 4 5\n")
+
+    @pytest.mark.parametrize("size", [b"-3 2", b"3 -2", b"ab 2", b"3 2.5"])
+    def test_bad_size(self, tmp_path, size):
+        with pytest.raises(ValueError, match="width and height"):
+            self.read(tmp_path, b"P5\n" + size + b"\n255\n" + bytes(12))
+
+    def test_16_bit_pgm(self, tmp_path):
+        with pytest.raises(ValueError, match="expected 8-bit binary PGM"):
+            self.read(tmp_path, b"P5\n3 2\n65535\n" + bytes(12))
 
 
 class TestDetectionTypes:
