@@ -6,8 +6,8 @@ from .association import (AssociationConfig, NoValidAssociation,
 from .camera import (CameraPose, Intrinsics, ProjectedLine,
                      angles_from_rotation, project_line, project_point,
                      rotation_from_angles)
-from .features import (DetectedLine, DetectedPoint, ExtractionConfig,
-                       SemanticMask, extract_features)
+from .features import (DetectedLine, DetectedPoint, SemanticMask,
+                       extract_features)
 from .mapmodel import (DegenerateCluster, LanePolyline, LineLandmark,
                        ParseError, PointLandmark, PreselectedSet, RoughPose,
                        SemanticClass, SemanticMap, fit_line_landmark,
@@ -19,8 +19,8 @@ from .pipeline import (EvaluationSummary, FrameInput, FrameRecord,
 from .residual import (CorrespondenceSet, EmptyCorrespondence,
                        ReprojectionObjective, ResidualConfig, line_distance,
                        point_distance, soft_constraint)
-from .solver import (SingularNormalEquations, SolveResult, SolverConfig,
-                     TerminationReason, cost_landscape, solve)
+from .solver import (SingularNormalEquations, SolveResult, TerminationReason,
+                     cost_landscape, solve)
 from .synthworld import (WorldConfig, generate_world, render_detections,
                          render_frames, render_masks)
 

@@ -21,7 +21,7 @@ from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, EmptyCorrespondence,
                        ReprojectionObjective, ResidualConfig, SolverObjective,
                        line_distance, nearest_lane_height, point_distance)
-from .solver import SingularNormalEquations, SolverConfig, solve
+from .solver import SingularNormalEquations, solve
 
 
 class NoValidAssociation(RuntimeError):
@@ -159,7 +159,6 @@ def _iter_hypotheses(base: CorrespondenceSet, config: AssociationConfig, rng):
 def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
                            init: CameraPose, intrinsics: Intrinsics,
                            assoc_config: AssociationConfig = AssociationConfig(),
-                           solver_config: SolverConfig = SolverConfig(),
                            residual_config: ResidualConfig = ResidualConfig()):
     """Robust pose estimation with unknown correspondences.
 
@@ -183,7 +182,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         reported = ReprojectionObjective(
             preselected, det_lines, det_points, corr, intrinsics,
             residual_config, y_lane)
-        fit = solve(SolverObjective(reported), start, solver_config)
+        fit = solve(SolverObjective(reported), start)
         gate_cost = reported.cost(fit.pose)
         return replace(fit, final_cost=gate_cost,
                        residual_rms=math.sqrt(gate_cost))

@@ -25,18 +25,17 @@ import numpy as np
 from . import __version__
 from .association import AssociationConfig, NoValidAssociation, closest_correspond
 from .camera import parse_intrinsics, serialize_intrinsics
-from .features import (ExtractionConfig, extract_features, mask_file_name,
-                       read_mask_files, write_mask_files)
-from .mapmodel import (MIN_SIZE_RATIO, DegenerateCluster, ParseError,
-                       RoughPose, SemanticClass, SemanticMap,
-                       fit_line_landmark, fit_point_landmark, parse_map,
-                       preselect, save_map, text_records)
+from .features import (extract_features, mask_file_name, read_mask_files,
+                       write_mask_files)
+from .mapmodel import (DegenerateCluster, ParseError, RoughPose, SemanticClass,
+                       SemanticMap, fit_line_landmark, fit_point_landmark,
+                       parse_map, preselect, save_map, text_records)
 from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
                        parse_detections, parse_ground_truth, parse_result,
                        run_sequence, serialize_detections,
                        serialize_ground_truth, serialize_result)
 from .residual import ReprojectionObjective, ResidualConfig, nearest_lane_height
-from .solver import SolverConfig, cost_landscape
+from .solver import cost_landscape
 from .synthworld import (WorldConfig, generate_world, render_frames,
                          render_masks)
 
@@ -50,7 +49,7 @@ class CliError(Exception):
 _INPUT_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
                "ground-truth")
 _MANIFEST_KEYS = (*_INPUT_KEYS, "out", "seed", "road_index", "association",
-                  "solver", "residual", "preselect", "extraction")
+                  "residual")
 
 
 def _read(path, what):
@@ -76,12 +75,26 @@ def _check_type(value, default, what: str, key: str) -> None:
                        f"got {value!r}")
 
 
+def _block(manifest: dict, name: str) -> dict:
+    """A copy of the manifest's config block ``name``, empty when absent."""
+    block = manifest.get(name, {})
+    if not isinstance(block, dict):
+        raise CliError(f"manifest setting {name!r} must be a JSON object, "
+                       f"got {block!r}")
+    return dict(block)
+
+
 def _config_from(block: dict, cls, what: str):
     fields = {f.name: f.default for f in dataclasses.fields(cls)}
     _check_keys(block, fields, what)
     for key, value in block.items():
         _check_type(value, fields[key], what, key)
     return cls(**block)
+
+
+def _non_finite(name: str):
+    """``json.loads`` hook for the NaN and Infinity literals it accepts."""
+    raise CliError(f"manifest number {name} is not finite")
 
 
 def _load_manifest(args) -> dict:
@@ -91,7 +104,8 @@ def _load_manifest(args) -> dict:
     manifest = {}
     if args.manifest:
         try:
-            manifest = json.loads(_read(args.manifest, "manifest"))
+            manifest = json.loads(_read(args.manifest, "manifest"),
+                                  parse_constant=_non_finite)
         except json.JSONDecodeError as exc:
             raise CliError(f"manifest is not valid JSON: {exc}") from None
         if not isinstance(manifest, dict):
@@ -126,22 +140,15 @@ def _read_input(manifest, key) -> str:
 def _configs(seed, manifest):
     """Config objects from the manifest blocks; ``seed``, when given,
     replaces the association RNG seed."""
-    assoc_block = dict(manifest.get("association", {}))
+    assoc_block = _block(manifest, "association")
     if seed is not None:
         assoc_block["rng_seed"] = seed
     elif "seed" in manifest and "rng_seed" not in assoc_block:
         assoc_block["rng_seed"] = manifest["seed"]
     assoc = _config_from(assoc_block, AssociationConfig, "association")
-    solver = _config_from(dict(manifest.get("solver", {})), SolverConfig, "solver")
-    residual = _config_from(dict(manifest.get("residual", {})), ResidualConfig,
+    residual = _config_from(_block(manifest, "residual"), ResidualConfig,
                             "residual")
-    preselect_block = manifest.get("preselect", {})
-    _check_keys(preselect_block, ("min_size_ratio",), "preselect")
-    min_size_ratio = preselect_block.get("min_size_ratio")
-    if min_size_ratio is None:  # absent or null: the preselection default
-        min_size_ratio = MIN_SIZE_RATIO
-    _check_type(min_size_ratio, MIN_SIZE_RATIO, "preselect", "min_size_ratio")
-    return assoc, solver, residual, min_size_ratio
+    return assoc, residual
 
 
 def _frames_from_masks(mask_dir, manifest):
@@ -153,13 +160,11 @@ def _frames_from_masks(mask_dir, manifest):
     frame_ids = sorted({_mask_frame_id(p.name) for p in mask_dir.glob("*.pgm")})
     if not frame_ids:
         raise CliError(f"no .pgm masks in {mask_dir}")
-    extraction = _config_from(dict(manifest.get("extraction", {})),
-                              ExtractionConfig, "extraction")
     road_index = manifest.get("road_index", 0)
     frames = []
     for frame_id in frame_ids:
         mask = read_mask_files(mask_dir, frame_id)
-        det_lines, det_points = extract_features(mask, extraction)
+        det_lines, det_points = extract_features(mask)
         frames.append(FrameInput(frame_id, det_lines, det_points, road_index))
     return frames
 
@@ -214,7 +219,12 @@ def _parse_clusters(text: str, path: str):
             except ValueError:
                 raise CliError(f"{path}:{line_no}: unknown class {fields[2]!r}") \
                     from None
-            header = (fields[1], semantic, int(fields[3]), line_no)
+            try:
+                road_index = int(fields[3])
+            except ValueError:
+                raise CliError(f"{path}:{line_no}: malformed road index "
+                               f"{fields[3]!r}") from None
+            header = (fields[1], semantic, road_index, line_no)
         else:
             if header is None:
                 raise CliError(f"{path}:{line_no}: point before any CLUSTER header")
@@ -317,10 +327,10 @@ def cmd_localize(args) -> int:
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
-    assoc, solver, residual, min_size_ratio = _configs(args.seed, manifest)
+    assoc, residual = _configs(args.seed, manifest)
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
-                          assoc, solver, residual, min_size_ratio)
+                          assoc, residual)
     out = manifest.get("out", "result.csv")
     Path(out).write_text(serialize_result(result))
     n_loc = result.count(FrameStatus.LOCALIZED)
@@ -370,7 +380,7 @@ def cmd_landscape(args) -> int:
     frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
-    assoc, _, residual, min_size_ratio = _configs(None, manifest)
+    assoc, residual = _configs(None, manifest)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)
     if frame is None:
@@ -381,7 +391,7 @@ def cmd_landscape(args) -> int:
 
     rough = RoughPose(center.position, heading_from_pose(center),
                       frame.road_index)
-    selected = preselect(semantic_map, rough, min_size_ratio)
+    selected = preselect(semantic_map, rough)
     corr = closest_correspond(selected, frame.det_lines, frame.det_points,
                               center, intrinsics,
                               assoc.gate_line_refine_px,

@@ -29,6 +29,8 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 # extract_features took about 28 % less time at 1 << 13 or 1 << 14 than
 # at 1 << 16. Blocks smaller than 1 << 13 pay more per-block overhead.
 _SCORE_BLOCK_ELEMENTS = 1 << 13
+# Probability cutoff of the mask channels; see threshold_level.
+THRESHOLD = 0.1
 
 
 @dataclass(eq=False)
@@ -77,20 +79,6 @@ class DetectedPoint:
         object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
         if not np.all(np.isfinite(self.m)):
             raise ValueError("detected point must be finite")
-
-
-@dataclass(frozen=True)
-class ExtractionConfig:
-    threshold: float = 0.1        # binarization probability cutoff
-    min_region_px: int = 30       # regions below this are noise
-    ransac_iterations: int = 100
-    inlier_tol_px: float = 2.0
-    min_inlier_ratio: float = 0.5
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
 
 
 def threshold_level(threshold: float) -> int:
@@ -246,28 +234,25 @@ def region_centroid(region: np.ndarray, semantic: SemanticClass) -> DetectedPoin
     return DetectedPoint(mean[::-1], semantic, support=pixels.shape[0])
 
 
-def extract_features(mask: SemanticMask,
-                     config: ExtractionConfig = ExtractionConfig()):
+def extract_features(mask: SemanticMask):
     """Full per-frame extraction. Returns (detected lines, detected points).
 
-    Classes are processed in enum order and regions in top-left order, with
-    a per-region RNG stream, so the output is reproducible bit for bit for
-    a fixed seed.
+    Channels are cut at ``THRESHOLD``, and regions and lines take the
+    defaults of ``region_grow`` and ``fit_region_line``. Classes are
+    processed in enum order and regions in top-left order, each region
+    with its own RNG stream seeded (0, class index, region index), so the
+    output is reproducible bit for bit.
     """
-    level = threshold_level(config.threshold)
+    level = threshold_level(THRESHOLD)
     det_lines, det_points = [], []
     for class_index, semantic in enumerate(SemanticClass):
         if semantic not in mask.channels:
             continue
         for region_index, region in enumerate(region_grow(
-                mask.channels[semantic], config.min_region_px, level)):
+                mask.channels[semantic], level=level)):
             if semantic.is_line_shaped:
-                line = fit_region_line(
-                    region, semantic,
-                    inlier_tol=config.inlier_tol_px,
-                    iterations=config.ransac_iterations,
-                    seed=(config.rng_seed, class_index, region_index),
-                    min_inlier_ratio=config.min_inlier_ratio)
+                line = fit_region_line(region, semantic,
+                                       seed=(0, class_index, region_index))
                 if line is not None:
                     det_lines.append(line)
             else:

@@ -211,16 +211,14 @@ def principal_axis(pts: np.ndarray):
     return centroid, axis
 
 
-def resolvable(size_m: float, anchor, position,
-               min_size_ratio: float = MIN_SIZE_RATIO) -> bool:
+def resolvable(size_m: float, anchor, position) -> bool:
     """The size/distance rule: true when ``size_m`` over the 3D distance
-    from ``position`` to ``anchor`` strictly exceeds ``min_size_ratio``."""
+    from ``position`` to ``anchor`` strictly exceeds ``MIN_SIZE_RATIO``."""
     dist = float(np.linalg.norm(position - anchor))
-    return dist > 0 and size_m / dist > min_size_ratio
+    return dist > 0 and size_m / dist > MIN_SIZE_RATIO
 
 
-def preselect(semantic_map: SemanticMap, rough: RoughPose,
-              min_size_ratio: float = MIN_SIZE_RATIO) -> PreselectedSet:
+def preselect(semantic_map: SemanticMap, rough: RoughPose) -> PreselectedSet:
     """Select landmarks likely visible from a rough pose.
 
     Keeps landmarks on the same road that are ``resolvable`` from the rough
@@ -232,11 +230,11 @@ def preselect(semantic_map: SemanticMap, rough: RoughPose,
     pos = rough.position
     for lm in semantic_map.lines:
         if lm.road_index == rough.road_index and \
-                resolvable(lm.size_m, lm.p1, pos, min_size_ratio):
+                resolvable(lm.size_m, lm.p1, pos):
             out.lines.append(lm)
     for lm in semantic_map.points:
         if lm.road_index == rough.road_index and \
-                resolvable(lm.size_m, lm.p, pos, min_size_ratio):
+                resolvable(lm.size_m, lm.p, pos):
             out.points.append(lm)
     near, far = LANE_WINDOW_M
     for lane in semantic_map.lanes:

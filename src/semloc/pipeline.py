@@ -19,10 +19,9 @@ from .association import (AssociationConfig, NoValidAssociation,
                           associate_and_localize)
 from .camera import CameraPose, Intrinsics, wrap_angle
 from .features import DetectedLine, DetectedPoint
-from .mapmodel import (MIN_SIZE_RATIO, RoughPose, SemanticClass, SemanticMap,
-                       preselect, text_records)
+from .mapmodel import (RoughPose, SemanticClass, SemanticMap, preselect,
+                       text_records)
 from .residual import ResidualConfig
-from .solver import SolverConfig
 
 
 class InsufficientBootstrap(ValueError):
@@ -92,9 +91,8 @@ def heading_from_pose(pose: CameraPose) -> np.ndarray:
 def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
                  intrinsics: Intrinsics,
                  assoc_config: AssociationConfig = AssociationConfig(),
-                 solver_config: SolverConfig = SolverConfig(),
-                 residual_config: ResidualConfig = ResidualConfig(),
-                 min_size_ratio: float = MIN_SIZE_RATIO) -> TrajectoryResult:
+                 residual_config: ResidualConfig = ResidualConfig()
+                 ) -> TrajectoryResult:
     """Localize every frame of a sequence.
 
     ``bootstrap`` supplies the poses of the first two frames. Association
@@ -116,11 +114,11 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
         init = predict_pose(estimates[-1], estimates[-2])
         rough = RoughPose(init.position, heading_from_pose(init),
                           frame.road_index)
-        selected = preselect(semantic_map, rough, min_size_ratio)
+        selected = preselect(semantic_map, rough)
         try:
             fit, refined = associate_and_localize(
                 selected, frame.det_lines, frame.det_points, init, intrinsics,
-                assoc_config, solver_config, residual_config)
+                assoc_config, residual_config)
             estimates.append(fit.pose)
             result.records.append(FrameRecord(
                 frame.frame_id, FrameStatus.LOCALIZED, fit.pose,
@@ -191,29 +189,35 @@ def serialize_detections(frames) -> str:
     return "\n".join(rows) + ("\n" if rows else "")
 
 
+# Fields per detections record, the tag included.
+_DETECTION_FIELDS = {"F": 3, "DL": 6, "DP": 4}
+
+
 def parse_detections(text: str) -> list:
     frames: list[FrameInput] = []
     for line_no, fields in text_records(text):
         try:
+            expected = _DETECTION_FIELDS.get(fields[0])
+            if expected is None:
+                raise ValueError(f"unknown record tag {fields[0]!r}")
+            if len(fields) != expected:
+                raise ValueError(f"{fields[0]} record needs {expected} fields, "
+                                 f"got {len(fields)}")
             if fields[0] == "F":
                 frames.append(FrameInput(int(fields[1]),
                                          road_index=int(fields[2])))
+            elif not frames:
+                raise ValueError(f"{fields[0]} record before any F record")
             elif fields[0] == "DL":
-                if not frames:
-                    raise ValueError("DL record before any F record")
                 frames[-1].det_lines.append(DetectedLine(
                     [float(fields[2]), float(fields[3])],
                     [float(fields[4]), float(fields[5])],
                     SemanticClass(fields[1])))
-            elif fields[0] == "DP":
-                if not frames:
-                    raise ValueError("DP record before any F record")
+            else:
                 frames[-1].det_points.append(DetectedPoint(
                     [float(fields[2]), float(fields[3])],
                     SemanticClass(fields[1])))
-            else:
-                raise ValueError(f"unknown record tag {fields[0]!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"detections line {line_no}: {exc}") from None
     ids = [f.frame_id for f in frames]
     if any(b <= a for a, b in zip(ids, ids[1:])):

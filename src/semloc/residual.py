@@ -21,6 +21,10 @@ from .mapmodel import PreselectedSet, SemanticClass
 DEG_PER_RAD = 180.0 / math.pi
 CM_PER_M = 100.0
 HALF_SQRT2 = math.sqrt(0.5)
+# Weight of the flat-ground rows against the pixel rows.
+LAMBDA_N = 0.001
+# Residual of a pair whose landmark fails the cheirality guard.
+BEHIND_CAMERA_PENALTY_PX = 1e4
 
 
 class EmptyCorrespondence(ValueError):
@@ -33,20 +37,14 @@ class DegenerateDetection(ValueError):
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """Weights and unit constants for the stacked residual.
+    """The rig's calibration for the flat-ground height term.
 
     The flat-ground terms use centimeters for length and degrees for angles;
     image distances stay in pixels. Poses and maps themselves remain in
     meters and radians.
     """
 
-    lambda_n: float = 0.001
     camera_height_m: float = 1.6
-    behind_camera_penalty_px: float = 1e4
-
-    def __post_init__(self):
-        if self.lambda_n < 0:
-            raise ValueError("lambda_n must be non-negative")
 
 
 @dataclass(eq=False)
@@ -134,7 +132,7 @@ def soft_constraint(pose: CameraPose, y_lane: float | None,
 
     The height entry is omitted when no lane height is available. The
     squared norm of the returned vector is the soft-constraint cost before
-    the lambda_n^2 weighting.
+    the LAMBDA_N^2 weighting.
     """
     terms = [pose.pitch * DEG_PER_RAD, pose.roll * DEG_PER_RAD]
     if y_lane is not None:
@@ -260,23 +258,21 @@ class ReprojectionObjective(_Objective):
     def _write_soft(self, pose: CameraPose, res: np.ndarray, jac, start: int):
         """Weighted flat-ground rows from ``start`` on, and their Jacobian
         entries when ``jac`` is given."""
-        lam = self.config.lambda_n
-        res[start:] = lam * soft_constraint(pose, self.y_lane, self.config)
+        res[start:] = LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
         if jac is not None:
-            jac[start, 4] = lam * DEG_PER_RAD      # pitch row
-            jac[start + 1, 5] = lam * DEG_PER_RAD  # roll row
+            jac[start, 4] = LAMBDA_N * DEG_PER_RAD      # pitch row
+            jac[start + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll row
             if self.y_lane is not None:
-                jac[start + 2, 1] = lam * CM_PER_M
+                jac[start + 2, 1] = LAMBDA_N * CM_PER_M
 
     def residual_and_jacobian(self, pose: CameraPose, with_jacobian: bool = True):
         cross, err, line_ok, point_ok, duv = self._kernel(pose, with_jacobian)
         nl, npt = self.n_lines, self.n_points
-        penalty = self.config.behind_camera_penalty_px
         res = np.empty(self.n_rows)
         dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
-        res[:nl] = np.where(line_ok, dl, penalty)
+        res[:nl] = np.where(line_ok, dl, BEHIND_CAMERA_PENALTY_PX)
         dp = np.linalg.norm(err, axis=1)
-        res[nl:nl + npt] = np.where(point_ok, dp, penalty)
+        res[nl:nl + npt] = np.where(point_ok, dp, BEHIND_CAMERA_PENALTY_PX)
         jac = None
         if with_jacobian:
             jac = np.zeros((self.n_rows, 6))
@@ -318,13 +314,12 @@ class SolverObjective(_Objective):
         cross, err, line_ok, point_ok, duv = base._kernel(pose, with_jacobian)
         n_line_rows = 2 * base.n_lines
         n_data_rows = n_line_rows + 2 * base.n_points
-        penalty = base.config.behind_camera_penalty_px
         res = np.empty(self.n_rows)
         c = cross / base._line_len[:, None]
         res[:n_line_rows] = np.where(line_ok[:, None], HALF_SQRT2 * c,
-                                     penalty).ravel()
-        res[n_line_rows:n_data_rows] = np.where(point_ok[:, None], err,
-                                                penalty * HALF_SQRT2).ravel()
+                                     BEHIND_CAMERA_PENALTY_PX).ravel()
+        res[n_line_rows:n_data_rows] = np.where(
+            point_ok[:, None], err, BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2).ravel()
         jac = None
         if with_jacobian:
             jac = np.zeros((self.n_rows, 6))

@@ -29,22 +29,14 @@ class TerminationReason(Enum):
     MAX_DAMPING = "max_damping"
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    initial_damping: float = 1e-3
-    damping_up: float = 10.0     # multiplied in on a rejected step
-    damping_down: float = 10.0   # divided out on an accepted step
-    max_iterations: int = 100
-    step_tolerance: float = 1e-8      # norm of the mixed m/rad update
-    cost_tolerance: float = 1e-10     # relative decrease per accepted step
-    max_damping: float = 1e10
-
-    def __post_init__(self):
-        if min(self.initial_damping, self.step_tolerance, self.cost_tolerance,
-               self.max_damping) <= 0 or self.max_iterations <= 0:
-            raise ValueError("solver settings must be positive")
-        if self.damping_up <= 1.0 or self.damping_down <= 1.0:
-            raise ValueError("damping factors must exceed 1")
+# Levenberg-Marquardt settings. The damping is multiplied by DAMPING_FACTOR
+# on a rejected step and divided by it on an accepted one.
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0
+MAX_DAMPING = 1e10
+MAX_ITERATIONS = 100
+STEP_TOLERANCE = 1e-8      # norm of the mixed m/rad update
+COST_TOLERANCE = 1e-10     # relative decrease per accepted step
 
 
 @dataclass
@@ -65,8 +57,7 @@ def _wrap_vector(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(objective, init: CameraPose,
-          config: SolverConfig = SolverConfig()) -> SolveResult:
+def solve(objective, init: CameraPose) -> SolveResult:
     """Minimize the objective's squared residual norm starting from ``init``.
 
     ``objective`` provides two methods. ``residual_and_jacobian(pose)``
@@ -80,9 +71,9 @@ def solve(objective, init: CameraPose,
     r, jac = objective.residual_and_jacobian(pose)
     cost = float(r @ r)
     trace = [cost]
-    damping = config.initial_damping
+    damping = INITIAL_DAMPING
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         if iterations > 1:  # the previous iteration accepted a new pose
             r, jac = objective.residual_and_jacobian(pose)
         jtj = jac.T @ jac
@@ -96,12 +87,12 @@ def solve(objective, init: CameraPose,
             except np.linalg.LinAlgError:
                 solvable = False
             if not solvable:
-                damping *= config.damping_up
-                if damping > config.max_damping:
+                damping *= DAMPING_FACTOR
+                if damping > MAX_DAMPING:
                     raise SingularNormalEquations(
                         "normal equations unsolvable at maximum damping")
                 continue
-            if float(np.linalg.norm(step)) < config.step_tolerance:
+            if float(np.linalg.norm(step)) < STEP_TOLERANCE:
                 return SolveResult(pose, cost, math.sqrt(cost), iterations,
                                    True, TerminationReason.STEP_TOLERANCE, trace)
             candidate_vec = _wrap_vector(x + step)
@@ -112,18 +103,18 @@ def solve(objective, init: CameraPose,
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
                 x, pose, cost = candidate_vec, candidate, new_cost
                 trace.append(cost)
-                damping = max(damping / config.damping_down, 1e-15)
-                if relative_drop < config.cost_tolerance:
+                damping = max(damping / DAMPING_FACTOR, 1e-15)
+                if relative_drop < COST_TOLERANCE:
                     return SolveResult(pose, cost, math.sqrt(cost), iterations,
                                        True, TerminationReason.COST_TOLERANCE,
                                        trace)
                 break
-            damping *= config.damping_up
-            if damping > config.max_damping:
+            damping *= DAMPING_FACTOR
+            if damping > MAX_DAMPING:
                 return SolveResult(pose, cost, math.sqrt(cost), iterations,
                                    False, TerminationReason.MAX_DAMPING, trace)
 
-    return SolveResult(pose, cost, math.sqrt(cost), config.max_iterations,
+    return SolveResult(pose, cost, math.sqrt(cost), MAX_ITERATIONS,
                        False, TerminationReason.MAX_ITERATIONS, trace)
 
 

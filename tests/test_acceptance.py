@@ -15,7 +15,7 @@ from semloc.association import (AssociationConfig, NoValidAssociation,
                                 associate_and_localize, closest_correspond)
 from semloc.camera import CameraPose, project_line, project_point
 from semloc.cli import main as cli_main
-from semloc.features import ExtractionConfig, extract_features
+from semloc.features import extract_features
 from semloc.mapmodel import (LanePolyline, LineLandmark, PointLandmark,
                              RoughPose, SemanticClass, SemanticMap,
                              parse_map, preselect, serialize_map)
@@ -337,7 +337,7 @@ def test_criterion_8_feature_extraction_roundtrip():
         semantic_map, trajectory = generate_world(cfg)
         for fi in range(2, 102):
             mask, exact_lines, _ = render_masks(semantic_map, trajectory[fi], cfg)
-            det_lines, _ = extract_features(mask, ExtractionConfig())
+            det_lines, _ = extract_features(mask)
             for exact in exact_lines:
                 best = None
                 for det in det_lines:

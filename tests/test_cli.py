@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,6 +112,14 @@ class TestCompileMap:
         cluster = tmp_path / "bad.txt"
         cluster.write_text("CLUSTER LINE POLE 0\n1 1 1\n1 1 1\n")
         assert run_cli("compile-map", cluster, "--out", tmp_path / "m.txt") == 1
+
+    def test_malformed_road_index_fails(self, tmp_path, capsys):
+        cluster = tmp_path / "bad.txt"
+        cluster.write_text("# header comment\nCLUSTER LINE POLE x\n1 1 1\n")
+        assert run_cli("compile-map", cluster, "--out", tmp_path / "m.txt") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cluster}:2: ") and "'x'" in err
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestSynth:
@@ -286,13 +295,17 @@ class TestManifest:
 
     @pytest.mark.parametrize("block, key", [
         ({"association": {"rematch_around": "initial_pose"}}, "rematch_around"),
-        ({"preselect": {"min_size_raito": 0.02}}, "min_size_raito"),
+        ({"residual": {"camera_heigth_m": 1.6}}, "camera_heigth_m"),
         ({"ground_truth": "world/groundtruth.txt"}, "ground_truth"),
+        # Blocks of settings that are now module constants.
+        ({"solver": {"max_iterations": 100}}, "solver"),
+        ({"preselect": {"min_size_ratio": 0.017}}, "preselect"),
+        ({"extraction": {"threshold": 0.1}}, "extraction"),
     ])
     def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
         manifest = self.write(tmp_path, synth_dir, **block)
-        name, value = next(iter(block.items()))
-        what = name if isinstance(value, dict) else "manifest"
+        name = next(iter(block))
+        what = "manifest" if name == key else name
         assert self.run_both(manifest, tmp_path) == [1, 1]
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 2
@@ -302,13 +315,15 @@ class TestManifest:
 
     @pytest.mark.parametrize("block, key", [
         ({"association": {"max_hypotheses": "5"}}, "max_hypotheses"),
-        ({"solver": {"max_iterations": 10.5}}, "max_iterations"),
-        ({"preselect": {"min_size_ratio": "x"}}, "min_size_ratio"),
-        ({"residual": {"lambda_n": True}}, "lambda_n"),
+        ({"residual": {"camera_height_m": "1.6"}}, "camera_height_m"),
+        ({"residual": {"camera_height_m": True}}, "camera_height_m"),
+        ({"residual": {"camera_height_m": None}}, "camera_height_m"),
         ({"road_index": 0.7}, "road_index"),
         ({"seed": "3"}, "seed"),
         ({"map": 5}, "map"),
         ({"out": 7}, "out"),
+        ({"association": 5}, "association"),
+        ({"residual": [1.6]}, "residual"),
     ])
     def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
                                   key):
@@ -318,6 +333,17 @@ class TestManifest:
         assert len(lines) == 2
         for line in lines:
             assert line.startswith("error:") and repr(key) in line
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_non_finite_number_fails(self, synth_dir, tmp_path, capsys, value):
+        manifest = self.write(tmp_path, synth_dir,
+                              residual={"camera_height_m": value})
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("error: manifest number") and \
+                "not finite" in line
 
     @pytest.mark.parametrize("blocks, flags", [
         ({}, ("--masks", "/nonexistent/dir")),
@@ -356,29 +382,18 @@ class TestManifest:
         assert run_cli(*args, manifest) == 0
         assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
-    @pytest.mark.parametrize("command, extra", [
-        ("localize", ()),
-        ("landscape", ("--frame", "4", "--grid", "3")),
-    ])
-    def test_zero_min_size_ratio_reaches_preselect(self, synth_dir, tmp_path,
-                                                   monkeypatch, command, extra):
-        import semloc.cli
-        import semloc.pipeline
-        from semloc.mapmodel import preselect
 
-        ratios = []
-
-        def recording(semantic_map, rough, min_size_ratio, *rest):
-            ratios.append(min_size_ratio)
-            return preselect(semantic_map, rough, min_size_ratio, *rest)
-
-        monkeypatch.setattr(semloc.pipeline, "preselect", recording)
-        monkeypatch.setattr(semloc.cli, "preselect", recording)
-        manifest = self.write(tmp_path, synth_dir,
-                              preselect={"min_size_ratio": 0})
-        assert run_cli(command, "--manifest", manifest,
-                       "--out", tmp_path / "out.csv", *extra) == 0
-        assert ratios and all(r == 0 for r in ratios)
+def test_readme_manifest_example(tmp_path, monkeypatch, capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    example = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
+    (tmp_path / "run.json").write_text(example.group(1))
+    assert run_cli("synth", "--out", tmp_path / "world", "--length", "60",
+                   "--seed", "3", "--no-masks") == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("localize", "--manifest", "run.json",
+                   "--out", "result.csv") == 0
+    assert "rms position error" in capsys.readouterr().out
+    assert len(parse_result((tmp_path / "result.csv").read_text()).records) > 5
 
 
 class TestEval:

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from semloc import features
-from semloc.features import (DetectedLine, DetectedPoint, ExtractionConfig,
+from semloc.features import (THRESHOLD, DetectedLine, DetectedPoint,
                              SemanticMask, _read_pgm, _sample_pairs,
                              extract_features, fit_region_line,
                              read_mask_files, region_centroid, region_grow,
@@ -137,7 +137,7 @@ class TestThresholdLevel:
             assert np.array_equal(levels >= level, probability > t), t
 
     def test_default_threshold_setting(self):
-        assert ExtractionConfig().threshold == 0.1
+        assert THRESHOLD == 0.1
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
     def test_rejects_threshold_outside_unit_interval(self, threshold):

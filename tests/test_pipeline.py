@@ -199,6 +199,14 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             parse_detections("DL POLE 1 2 3 4\n")
 
+    @pytest.mark.parametrize("record", [
+        "F 2 0 7", "F 2", "DL POLE 1 2 3 4 99", "DL POLE 1 2 3",
+        "DP SIGN 5 6 extra", "DP SIGN 5"])
+    def test_detection_record_field_count(self, record):
+        text = f"F 0 0\nDP SIGN 1 2\n{record}\n"
+        with pytest.raises(ValueError, match=r"^detections line 3: "):
+            parse_detections(text)
+
     def test_ground_truth_roundtrip(self):
         poses = {0: CameraPose(1, 2, 3, 0.1, -0.2, 0.3),
                  5: CameraPose(-1, 0.5, 2, 1.0, 0.0, -1.0)}

@@ -8,7 +8,8 @@ from semloc.camera import CameraPose, Intrinsics, ProjectedLine
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
-from semloc.residual import (CorrespondenceSet, DegenerateDetection,
+from semloc.residual import (BEHIND_CAMERA_PENALTY_PX, LAMBDA_N,
+                             CorrespondenceSet, DegenerateDetection,
                              EmptyCorrespondence, ReprojectionObjective,
                              ResidualConfig, SolverObjective, line_distance,
                              nearest_lane_height, point_distance,
@@ -219,7 +220,7 @@ class TestTotalResidual:
             uv = project_point(sel.points[lm_idx].p, pose, intrinsics)
             want += point_distance(uv, det_points[d_idx]) ** 2
         soft = soft_constraint(pose, 0.0, config)
-        want += config.lambda_n ** 2 * float(soft @ soft)
+        want += LAMBDA_N ** 2 * float(soft @ soft)
         assert cost == pytest.approx(want, rel=1e-12)
         assert cost == pytest.approx(float(vec @ vec), rel=1e-12)
 
@@ -237,7 +238,7 @@ class TestTotalResidual:
         obj = ReprojectionObjective(sel, [], [det], corr, intrinsics, config,
                                     None)
         vec = obj.residual(CameraPose(0, 1.6, 0))
-        assert vec[0] == config.behind_camera_penalty_px
+        assert vec[0] == BEHIND_CAMERA_PENALTY_PX
         jac = obj.residual_and_jacobian(CameraPose(0, 1.6, 0))[1]
         assert np.all(jac[0] == 0.0)
 
@@ -245,7 +246,7 @@ class TestTotalResidual:
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=5)
         config = ResidualConfig()
         soft = soft_constraint(pose, 0.0, config)
-        soft_cost = config.lambda_n ** 2 * float(soft @ soft)
+        soft_cost = LAMBDA_N ** 2 * float(soft @ soft)
         full = ReprojectionObjective(sel, det_lines, det_points, corr,
                                      intrinsics, config, 0.0).cost(pose)
         for k in range(len(corr.line_pairs)):
@@ -309,7 +310,7 @@ class TestJacobian:
         jac = ReprojectionObjective(sel, det_lines, det_points, corr,
                                     intrinsics, config,
                                     0.0).residual_and_jacobian(pose)[1]
-        lam = config.lambda_n
+        lam = LAMBDA_N
         pitch_row = jac[-3]
         assert pitch_row[4] == pytest.approx(lam * 180.0 / math.pi)
         assert np.allclose(np.delete(pitch_row, 4), 0.0)

@@ -7,7 +7,7 @@ from semloc.association import associate_and_localize, closest_correspond
 from semloc.camera import CameraPose
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
-from semloc.features import ExtractionConfig, extract_features
+from semloc.features import extract_features
 from semloc.synthworld import (WorldConfig, _stroke, generate_world,
                                render_detections, render_frames, render_masks)
 
@@ -173,7 +173,7 @@ class TestRenderMasks:
         pose = CameraPose(0, 1.6, 0)
         mask, exact_lines, _ = render_masks(semantic_map, pose, cfg)
         assert len(exact_lines) == 1
-        lines, _ = extract_features(mask, ExtractionConfig())
+        lines, _ = extract_features(mask)
         assert len(lines) == 1
         ex = exact_lines[0]
         err = min(
@@ -190,7 +190,7 @@ class TestRenderMasks:
             SemanticMap(), CameraPose(0, 1.6, 0), cfg)
         assert exact_lines == [] and exact_points == []
         assert all(not r.any() for r in mask.channels.values())
-        lines, points = extract_features(mask, ExtractionConfig())
+        lines, points = extract_features(mask)
         assert lines == [] and points == []
 
     def test_overlapping_poles_still_detected(self, intrinsics):
@@ -202,7 +202,7 @@ class TestRenderMasks:
         cfg = WorldConfig(intrinsics=intrinsics)
         mask, _, _ = render_masks(SemanticMap([a, b], [], []),
                                   CameraPose(0, 1.6, 0), cfg)
-        lines, _ = extract_features(mask, ExtractionConfig())
+        lines, _ = extract_features(mask)
         assert len(lines) >= 1  # may merge into one stroke, never zero
 
     def test_channels_are_binary_levels(self):
