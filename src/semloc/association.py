@@ -28,9 +28,16 @@ class NoValidAssociation(RuntimeError):
     """No hypothesis survived validation; coast on the motion model."""
 
 
+# Hypothesis sampling: each hypothesis solves the pose on this many line
+# and point pairs, and a frame tries at most MAX_HYPOTHESES of them.
+HYPOTHESIS_LINES = 4
+HYPOTHESIS_POINTS = 1
+MAX_HYPOTHESES = 500
+
+
 @dataclass(frozen=True)
 class AssociationConfig:
-    """Gates and sampling parameters for associate-and-localize.
+    """Gates for associate-and-localize.
 
     Distances are pixels; ``max_pose_shift`` is the mixed-unit pose norm of
     ``pose_distance`` (meters and degrees). Defaults follow the reference
@@ -44,10 +51,6 @@ class AssociationConfig:
     max_pose_shift: float = 30.0          # validated pose vs initial pose
     max_hypothesis_rms: float = 200.0     # sqrt(cost) bound for a hypothesis
     max_final_rms_per_pair: float = 4.0   # sqrt(cost) bound per refined pair
-    hypothesis_lines: int = 4
-    hypothesis_points: int = 1
-    max_hypotheses: int = 500
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.gate_line_refine_px > self.gate_line_init_px or \
@@ -106,30 +109,30 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     return corr
 
 
-def _hypothesis_sizes(n_lines: int, n_points: int, config: AssociationConfig):
+def _hypothesis_sizes(n_lines: int, n_points: int):
     """How many line/point pairs a hypothesis draws, degrading gracefully
     when one kind is scarce: use all of the scarce kind and top up with the
     other toward the usual total."""
-    total = config.hypothesis_lines + config.hypothesis_points
-    if n_points < config.hypothesis_points:
+    total = HYPOTHESIS_LINES + HYPOTHESIS_POINTS
+    if n_points < HYPOTHESIS_POINTS:
         k_lines = min(n_lines, total)
         k_points = n_points
     else:
-        k_lines = min(n_lines, config.hypothesis_lines)
+        k_lines = min(n_lines, HYPOTHESIS_LINES)
         k_points = min(n_points, total - k_lines)
     return k_lines, k_points
 
 
-def _iter_hypotheses(base: CorrespondenceSet, config: AssociationConfig, rng):
+def _iter_hypotheses(base: CorrespondenceSet, rng):
     """Yield distinct (line pair subset, point pair subset) hypotheses in a
-    seeded random order, at most ``max_hypotheses`` of them."""
+    seeded random order, at most ``MAX_HYPOTHESES`` of them."""
     n_lines, n_points = len(base.line_pairs), len(base.point_pairs)
     if len(base) < 3:
         yield base
         return
-    k_lines, k_points = _hypothesis_sizes(n_lines, n_points, config)
+    k_lines, k_points = _hypothesis_sizes(n_lines, n_points)
     n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
-    if n_combos <= config.max_hypotheses:
+    if n_combos <= MAX_HYPOTHESES:
         pool = [(lc, pc)
                 for lc in combinations(range(n_lines), k_lines)
                 for pc in combinations(range(n_points), k_points)]
@@ -139,8 +142,8 @@ def _iter_hypotheses(base: CorrespondenceSet, config: AssociationConfig, rng):
         def _draws():
             seen = set()
             attempts = 0
-            while len(seen) < config.max_hypotheses and \
-                    attempts < 10 * config.max_hypotheses:
+            while len(seen) < MAX_HYPOTHESES and \
+                    attempts < 10 * MAX_HYPOTHESES:
                 attempts += 1
                 lc = tuple(sorted(rng.choice(n_lines, size=k_lines,
                                              replace=False))) if k_lines else ()
@@ -159,11 +162,13 @@ def _iter_hypotheses(base: CorrespondenceSet, config: AssociationConfig, rng):
 def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
                            init: CameraPose, intrinsics: Intrinsics,
                            assoc_config: AssociationConfig = AssociationConfig(),
-                           residual_config: ResidualConfig = ResidualConfig()):
+                           residual_config: ResidualConfig = ResidualConfig(),
+                           seed: int = 0):
     """Robust pose estimation with unknown correspondences.
 
     Returns (SolveResult, refined CorrespondenceSet) or raises
-    NoValidAssociation. Deterministic for a fixed ``rng_seed``.
+    NoValidAssociation. Deterministic for a fixed ``seed``, which orders
+    the hypotheses.
     """
     base = closest_correspond(preselected, det_lines, det_points, init,
                               intrinsics, assoc_config.gate_line_init_px,
@@ -173,7 +178,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
     # Lane height for the flat-ground term, pinned at the initial position
     # so the objective stays smooth across the whole solve.
     y_lane = nearest_lane_height(preselected.lines, init.position)
-    rng = np.random.default_rng(assoc_config.rng_seed)
+    rng = np.random.default_rng(seed)
 
     def _solve_pairs(corr, start):
         """Optimize over a correspondence set; the returned result reports
@@ -184,10 +189,9 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             residual_config, y_lane)
         fit = solve(SolverObjective(reported), start)
         gate_cost = reported.cost(fit.pose)
-        return replace(fit, final_cost=gate_cost,
-                       residual_rms=math.sqrt(gate_cost))
+        return replace(fit, final_cost=gate_cost)
 
-    for hypothesis in _iter_hypotheses(base, assoc_config, rng):
+    for hypothesis in _iter_hypotheses(base, rng):
         try:
             fit = _solve_pairs(hypothesis, init)
         except (EmptyCorrespondence, SingularNormalEquations):

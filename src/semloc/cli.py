@@ -75,20 +75,17 @@ def _check_type(value, default, what: str, key: str) -> None:
                        f"got {value!r}")
 
 
-def _block(manifest: dict, name: str) -> dict:
-    """A copy of the manifest's config block ``name``, empty when absent."""
+def _config_from(manifest: dict, name: str, cls):
+    """``cls`` built from the manifest's config block ``name``; the
+    defaults when the block is absent."""
     block = manifest.get(name, {})
     if not isinstance(block, dict):
         raise CliError(f"manifest setting {name!r} must be a JSON object, "
                        f"got {block!r}")
-    return dict(block)
-
-
-def _config_from(block: dict, cls, what: str):
     fields = {f.name: f.default for f in dataclasses.fields(cls)}
-    _check_keys(block, fields, what)
+    _check_keys(block, fields, name)
     for key, value in block.items():
-        _check_type(value, fields[key], what, key)
+        _check_type(value, fields[key], name, key)
     return cls(**block)
 
 
@@ -135,20 +132,6 @@ def _required(manifest, key):
 
 def _read_input(manifest, key) -> str:
     return _read(_required(manifest, key), key.replace("-", " "))
-
-
-def _configs(seed, manifest):
-    """Config objects from the manifest blocks; ``seed``, when given,
-    replaces the association RNG seed."""
-    assoc_block = _block(manifest, "association")
-    if seed is not None:
-        assoc_block["rng_seed"] = seed
-    elif "seed" in manifest and "rng_seed" not in assoc_block:
-        assoc_block["rng_seed"] = manifest["seed"]
-    assoc = _config_from(assoc_block, AssociationConfig, "association")
-    residual = _config_from(_block(manifest, "residual"), ResidualConfig,
-                            "residual")
-    return assoc, residual
 
 
 def _frames_from_masks(mask_dir, manifest):
@@ -327,10 +310,14 @@ def cmd_localize(args) -> int:
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
-    assoc, residual = _configs(args.seed, manifest)
+    assoc = _config_from(manifest, "association", AssociationConfig)
+    residual = _config_from(manifest, "residual", ResidualConfig)
+    seed = args.seed if args.seed is not None else manifest.get("seed", 0)
+    if seed < 0:
+        raise CliError(f"seed must be non-negative, got {seed}")
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
-                          assoc, residual)
+                          assoc, residual, seed)
     out = manifest.get("out", "result.csv")
     Path(out).write_text(serialize_result(result))
     n_loc = result.count(FrameStatus.LOCALIZED)
@@ -380,7 +367,8 @@ def cmd_landscape(args) -> int:
     frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
-    assoc, residual = _configs(None, manifest)
+    assoc = _config_from(manifest, "association", AssociationConfig)
+    residual = _config_from(manifest, "residual", ResidualConfig)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)
     if frame is None:
@@ -467,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="optional GT file for an immediate evaluation")
     p.add_argument("--out", help="result CSV path (default result.csv)")
     p.add_argument("--seed", type=int, default=None,
-                   help="association RNG seed override")
+                   help="association RNG seed; overrides the manifest's")
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("eval", help="evaluate a result CSV")

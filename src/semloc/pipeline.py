@@ -91,13 +91,14 @@ def heading_from_pose(pose: CameraPose) -> np.ndarray:
 def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
                  intrinsics: Intrinsics,
                  assoc_config: AssociationConfig = AssociationConfig(),
-                 residual_config: ResidualConfig = ResidualConfig()
-                 ) -> TrajectoryResult:
+                 residual_config: ResidualConfig = ResidualConfig(),
+                 seed: int = 0) -> TrajectoryResult:
     """Localize every frame of a sequence.
 
     ``bootstrap`` supplies the poses of the first two frames. Association
     failures record a Coasted frame whose estimate is the prediction, and
-    the prediction chain continues from it.
+    the prediction chain continues from it. ``seed`` orders each frame's
+    association hypotheses.
     """
     if len(bootstrap) < 2:
         raise InsufficientBootstrap("need two bootstrap poses")
@@ -118,7 +119,7 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
         try:
             fit, refined = associate_and_localize(
                 selected, frame.det_lines, frame.det_points, init, intrinsics,
-                assoc_config, residual_config)
+                assoc_config, residual_config, seed)
             estimates.append(fit.pose)
             result.records.append(FrameRecord(
                 frame.frame_id, FrameStatus.LOCALIZED, fit.pose,

@@ -43,11 +43,19 @@ COST_TOLERANCE = 1e-10     # relative decrease per accepted step
 class SolveResult:
     pose: CameraPose
     final_cost: float
-    residual_rms: float  # sqrt of the total cost, the quantity gates compare
     iterations: int
-    converged: bool
     termination_reason: TerminationReason
     cost_trace: list = field(default_factory=list)  # accepted costs, init first
+
+    @property
+    def residual_rms(self) -> float:
+        """sqrt of the total cost, the quantity gates compare."""
+        return math.sqrt(self.final_cost)
+
+    @property
+    def converged(self) -> bool:
+        return self.termination_reason in (TerminationReason.STEP_TOLERANCE,
+                                           TerminationReason.COST_TOLERANCE)
 
 
 def _wrap_vector(v: np.ndarray) -> np.ndarray:
@@ -93,8 +101,8 @@ def solve(objective, init: CameraPose) -> SolveResult:
                         "normal equations unsolvable at maximum damping")
                 continue
             if float(np.linalg.norm(step)) < STEP_TOLERANCE:
-                return SolveResult(pose, cost, math.sqrt(cost), iterations,
-                                   True, TerminationReason.STEP_TOLERANCE, trace)
+                return SolveResult(pose, cost, iterations,
+                                   TerminationReason.STEP_TOLERANCE, trace)
             candidate_vec = _wrap_vector(x + step)
             candidate = CameraPose.from_vector(candidate_vec)
             r_new = objective.residual(candidate)
@@ -105,17 +113,16 @@ def solve(objective, init: CameraPose) -> SolveResult:
                 trace.append(cost)
                 damping = max(damping / DAMPING_FACTOR, 1e-15)
                 if relative_drop < COST_TOLERANCE:
-                    return SolveResult(pose, cost, math.sqrt(cost), iterations,
-                                       True, TerminationReason.COST_TOLERANCE,
-                                       trace)
+                    return SolveResult(pose, cost, iterations,
+                                       TerminationReason.COST_TOLERANCE, trace)
                 break
             damping *= DAMPING_FACTOR
             if damping > MAX_DAMPING:
-                return SolveResult(pose, cost, math.sqrt(cost), iterations,
-                                   False, TerminationReason.MAX_DAMPING, trace)
+                return SolveResult(pose, cost, iterations,
+                                   TerminationReason.MAX_DAMPING, trace)
 
-    return SolveResult(pose, cost, math.sqrt(cost), MAX_ITERATIONS,
-                       False, TerminationReason.MAX_ITERATIONS, trace)
+    return SolveResult(pose, cost, MAX_ITERATIONS,
+                       TerminationReason.MAX_ITERATIONS, trace)
 
 
 def _param_index(dim: str) -> int:

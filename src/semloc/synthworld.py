@@ -210,22 +210,22 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
     None."""
     heading = heading_from_pose(pose)
     near, far = LANE_WINDOW_M
-    samples = []
+    pieces = []
     for a, b in zip(lane.points[:-1], lane.points[1:]):
-        seg_len = float(np.linalg.norm(b - a))
-        n = max(2, int(seg_len / 0.5) + 1)
-        for t in np.linspace(0.0, 1.0, n, endpoint=False):
-            samples.append(a + t * (b - a))
-    samples.append(lane.points[-1])
+        n = max(2, int(float(np.linalg.norm(b - a)) / 0.5) + 1)
+        t = np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
+        pieces.append(a + t * (b - a))
+    pieces.append(lane.points[-1:])
+    samples = np.concatenate(pieces)
+    along = (samples[:, 0] - pose.position[0]) * heading[0] + \
+        (samples[:, 2] - pose.position[2]) * heading[1]
+    inside = (near <= along) & (along <= far)
     kept = []
-    for q in samples:
-        along = float((q[[0, 2]] - pose.position[[0, 2]]) @ heading)
-        if not near <= along <= far:
-            continue
+    for q, dist in zip(samples[inside], along[inside]):
         uv = project_point(q, pose, intrinsics)
         if uv is None or not _in_image(uv, intrinsics):
             continue
-        kept.append((along, uv))
+        kept.append((dist, uv))
     if len(kept) < 2:
         return None
     kept.sort(key=lambda item: item[0])
@@ -278,8 +278,7 @@ def _true_point_projections(semantic_map: SemanticMap, pose: CameraPose,
 
 
 def render_detections(semantic_map: SemanticMap, pose: CameraPose,
-                      config: WorldConfig, frame_id: int = 0,
-                      rng=None) -> RenderedFrame:
+                      config: WorldConfig, frame_id: int = 0) -> RenderedFrame:
     """Render one frame of detections from the true pose.
 
     Visibility means both control points project inside the image.
@@ -287,8 +286,7 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
     outlier counts are ``round(rate * number of visible true detections)``
     per feature kind.
     """
-    if rng is None:
-        rng = np.random.default_rng((config.rng_seed, frame_id))
+    rng = np.random.default_rng((config.rng_seed, frame_id))
     intr = config.intrinsics
     frame = FrameInput(frame_id, road_index=config.road_index)
     rendered = RenderedFrame(frame)

@@ -301,6 +301,11 @@ class TestManifest:
         ({"solver": {"max_iterations": 100}}, "solver"),
         ({"preselect": {"min_size_ratio": 0.017}}, "preselect"),
         ({"extraction": {"threshold": 0.1}}, "extraction"),
+        # Hypothesis sampling is fixed; the seed is the top-level "seed".
+        ({"association": {"hypothesis_lines": 4}}, "hypothesis_lines"),
+        ({"association": {"hypothesis_points": 1}}, "hypothesis_points"),
+        ({"association": {"max_hypotheses": 500}}, "max_hypotheses"),
+        ({"association": {"rng_seed": 0}}, "rng_seed"),
     ])
     def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
         manifest = self.write(tmp_path, synth_dir, **block)
@@ -314,7 +319,7 @@ class TestManifest:
             assert key in line
 
     @pytest.mark.parametrize("block, key", [
-        ({"association": {"max_hypotheses": "5"}}, "max_hypotheses"),
+        ({"association": {"max_pose_shift": "30"}}, "max_pose_shift"),
         ({"residual": {"camera_height_m": "1.6"}}, "camera_height_m"),
         ({"residual": {"camera_height_m": True}}, "camera_height_m"),
         ({"residual": {"camera_height_m": None}}, "camera_height_m"),
@@ -344,6 +349,18 @@ class TestManifest:
         for line in lines:
             assert line.startswith("error: manifest number") and \
                 "not finite" in line
+
+    @pytest.mark.parametrize("blocks, flags", [
+        ({"seed": -3}, ()),
+        ({}, ("--seed", "-1")),
+    ])
+    def test_negative_seed_fails(self, synth_dir, tmp_path, capsys, blocks,
+                                 flags):
+        manifest = self.write(tmp_path, synth_dir, **blocks)
+        assert run_cli("localize", "--manifest", manifest, *flags,
+                       "--out", tmp_path / "result.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative")
 
     @pytest.mark.parametrize("blocks, flags", [
         ({}, ("--masks", "/nonexistent/dir")),
