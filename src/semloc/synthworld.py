@@ -11,7 +11,7 @@ detections for robustness studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,6 +73,10 @@ class WorldConfig:
     intrinsics: Intrinsics = DEFAULT_INTRINSICS
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.outlier_rate <= 1.0 or not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError("rates must lie in [0, 1]")
         if self.pixel_noise_sigma < 0:

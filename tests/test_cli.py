@@ -67,15 +67,47 @@ def test_comments_and_blank_lines_are_skipped(synth_dir, tmp_path, name):
     assert parsed(_commented(plain)) == parsed(plain)
 
 
-def test_cli_import_leaves_out_scipy_spatial():
-    # scipy.spatial costs about 0.13 s of every CLI start; nothing needs it.
+def _scipy_modules_after(tmp_path, script):
+    """Names of the scipy modules loaded after a fresh interpreter has run
+    ``script`` in ``tmp_path``."""
     src = str(Path(semloc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, semloc.cli; print('scipy.spatial' in sys.modules)"
+    probe = script + (
+        "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_out_scipy(tmp_path):
+    # With scipy.ndimage loaded at import, semloc.features took about 0.39 s
+    # of a 0.53-0.55 s cold CLI start, and only mask extraction needs it.
+    assert _scipy_modules_after(tmp_path, "import semloc, semloc.cli") == "[]"
+
+
+def test_detection_commands_leave_out_scipy(tmp_path):
+    # Every command but ``localize --masks``, in one interpreter: a scipy
+    # import that a detections code path reaches only at run time fails here.
+    (tmp_path / "clusters.txt").write_text(CLUSTERS)
+    world = ("--map", "w/map.txt", "--detections", "w/detections.txt",
+             "--intrinsics", "w/intrinsics.txt")
+    commands = [
+        ("synth", "--out", "w", "--length", "50", "--no-masks"),
+        ("localize", *world, "--bootstrap", "w/groundtruth.txt",
+         "--out", "result.csv"),
+        ("eval", "--result", "result.csv",
+         "--ground-truth", "w/groundtruth.txt"),
+        ("landscape", *world, "--ground-truth", "w/groundtruth.txt",
+         "--frame", "4", "--grid", "3", "--out", "landscape.csv"),
+        ("compile-map", "clusters.txt", "--out", "compiled.txt"),
+    ]
+    script = ("from semloc.cli import main\n"
+              f"assert [main(list(c)) for c in {commands!r}] == "
+              f"{[0] * len(commands)!r}")
+    assert _scipy_modules_after(tmp_path, script) == "[]"
 
 
 class TestCompileMap:
@@ -149,6 +181,19 @@ class TestSynth:
         text = (out / "detections.txt").read_text()
         assert "DL" not in text and "DP" not in text
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--length", "inf", "corridor_length_m"),
+        ("--length", "nan", "corridor_length_m"),
+        ("--noise-sigma", "nan", "pixel_noise_sigma"),
+    ])
+    def test_non_finite_setting_fails(self, tmp_path, capsys, flag, value,
+                                      field):
+        out = tmp_path / "world"
+        assert run_cli("synth", "--out", out, "--no-masks", flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be finite")
+        assert not out.exists()
+
     def test_short_corridor_fails(self, tmp_path, capsys):
         # 30 m minus the 40 m trajectory margin leaves one frame, and
         # localize needs two to bootstrap.
@@ -204,6 +249,25 @@ class TestLocalize:
                        "--out", tmp_path / "result.csv")
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("record", ["DL POLE nan 1 2 3",
+                                        "DL LANE inf 0 1 1"])
+    def test_non_finite_detected_line_fails(self, synth_dir, tmp_path, capsys,
+                                            record):
+        detections = tmp_path / "detections.txt"
+        detections.write_text(
+            (synth_dir / "detections.txt").read_text() + record + "\n")
+        code = run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--detections", detections,
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: detections line ") and \
+            "finite" in err
+        assert not (tmp_path / "result.csv").exists()
 
     def test_unpadded_mask_names_fail(self, synth_dir, tmp_path, capsys):
         masks = tmp_path / "masks"

@@ -207,6 +207,15 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=r"^detections line 3: "):
             parse_detections(text)
 
+    @pytest.mark.parametrize("record", [
+        "DL POLE nan 1 2 3", "DL LANE inf 0 1 1", "DL POLE 1 2 3 -inf",
+        "DL LANE inf 0 inf 0"])
+    def test_non_finite_detected_line(self, record):
+        text = f"F 0 0\nDP SIGN 1 2\n{record}\n"
+        with pytest.raises(ValueError,
+                           match=r"^detections line 3: .*finite"):
+            parse_detections(text)
+
     def test_ground_truth_roundtrip(self):
         poses = {0: CameraPose(1, 2, 3, 0.1, -0.2, 0.3),
                  5: CameraPose(-1, 0.5, 2, 1.0, 0.0, -1.0)}

@@ -307,6 +307,14 @@ class TestRoundTrip:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["corridor_length_m",
+                                       "pixel_noise_sigma", "outlier_rate",
+                                       "camera_height_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            WorldConfig(**{field: value})
+
     def test_rates_bounded(self):
         with pytest.raises(ValueError):
             WorldConfig(outlier_rate=1.5)
