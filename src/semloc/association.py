@@ -18,9 +18,9 @@ import numpy as np
 
 from .camera import CameraPose, Intrinsics, project_line, project_point, wrap_angle
 from .mapmodel import PreselectedSet
-from .residual import (CorrespondenceSet, EmptyCorrespondence,
-                       ReprojectionObjective, ResidualConfig, SolverObjective,
-                       line_distance, nearest_lane_height, point_distance)
+from .residual import (CorrespondenceSet, ReprojectionObjective,
+                       ResidualConfig, SolverObjective, line_distance,
+                       nearest_lane_height, point_distance)
 from .solver import SingularNormalEquations, solve
 
 
@@ -194,7 +194,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
     for hypothesis in _iter_hypotheses(base, rng):
         try:
             fit = _solve_pairs(hypothesis, init)
-        except (EmptyCorrespondence, SingularNormalEquations):
+        except SingularNormalEquations:
             continue
         if fit.residual_rms > assoc_config.max_hypothesis_rms:
             continue
@@ -208,7 +208,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             continue
         try:
             final = _solve_pairs(refined, fit.pose)
-        except (EmptyCorrespondence, SingularNormalEquations):
+        except SingularNormalEquations:
             continue
         if final.residual_rms > assoc_config.max_final_rms_per_pair * len(refined):
             continue

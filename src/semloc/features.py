@@ -63,6 +63,8 @@ class DetectedLine:
     def __post_init__(self):
         object.__setattr__(self, "m1", np.asarray(self.m1, dtype=float))
         object.__setattr__(self, "m2", np.asarray(self.m2, dtype=float))
+        if not self.semantic.is_line_shaped:
+            raise ValueError(f"{self.semantic} is not a line-shaped class")
         # A NaN or infinite coordinate makes the length NaN or infinite, so
         # one comparison checks both. Python floats, unlike numpy, give
         # inf - inf = nan without a RuntimeWarning.
@@ -82,6 +84,8 @@ class DetectedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
+        if self.semantic.is_line_shaped:
+            raise ValueError(f"{self.semantic} is not a point-shaped class")
         if not np.all(np.isfinite(self.m)):
             raise ValueError("detected point must be finite")
 

@@ -1,10 +1,11 @@
-"""Reprojection residuals and their Jacobian.
+"""Reprojection residuals and the solver's Jacobian.
 
-The residual vector stacks, in order: one line distance per line pair, one
-point distance per point pair, then the weighted flat-ground terms (pitch
-in degrees, roll in degrees, and, when a lane height is available, the
-camera-height offset in centimeters). The total cost is the squared norm of
-this vector.
+The gate-form residual vector stacks, in order: one line distance per line
+pair, one point distance per point pair, then the weighted flat-ground
+terms (pitch in degrees, roll in degrees, and, when a lane height is
+available, the camera-height offset in centimeters). The total cost is the
+squared norm of this vector. The solver minimizes a smooth split of the
+same rows, and only that form has a Jacobian.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class EmptyCorrespondence(ValueError):
     """No line and no point pairs; the pose is unconstrained by data."""
 
 
-class DegenerateDetection(ValueError):
-    """Detected line endpoints coincide; its direction is undefined."""
-
-
 @dataclass(frozen=True)
 class ResidualConfig:
     """The rig's calibration for the flat-ground height term.
@@ -45,6 +42,11 @@ class ResidualConfig:
     """
 
     camera_height_m: float = 1.6
+
+    def __post_init__(self):
+        if not 0.0 < self.camera_height_m < math.inf:
+            raise ValueError("'camera_height_m' must be positive and finite, "
+                             f"got {self.camera_height_m!r}")
 
 
 @dataclass(eq=False)
@@ -84,16 +86,14 @@ def _cross2(a: np.ndarray, b: np.ndarray):
 
 
 def _detected_line(det):
-    """Anchor, direction and length of a detected line. Canonical endpoint
-    order makes every distance bit-identical under endpoint swaps."""
+    """Anchor, direction and length of a detected line, whose endpoints
+    ``DetectedLine`` guarantees distinct. Canonical endpoint order makes
+    every distance bit-identical under endpoint swaps."""
     m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
     if tuple(m2) < tuple(m1):
         m1, m2 = m2, m1
     d = m2 - m1
-    length = float(np.linalg.norm(d))
-    if length < 1e-6:
-        raise DegenerateDetection("detected line endpoints coincide")
-    return m1, d, length
+    return m1, d, float(np.linalg.norm(d))
 
 
 def line_distance(proj: ProjectedLine, det) -> float:
@@ -140,26 +140,12 @@ def soft_constraint(pose: CameraPose, y_lane: float | None,
     return np.array(terms)
 
 
-class _Objective:
-    """Evaluation methods shared by both objectives, all reductions of
-    ``residual_and_jacobian(pose, with_jacobian)``."""
-
-    def residual(self, pose: CameraPose) -> np.ndarray:
-        return self.residual_and_jacobian(pose, with_jacobian=False)[0]
-
-    def cost(self, pose: CameraPose) -> float:
-        r = self.residual(pose)
-        return float(r @ r)
-
-
-class ReprojectionObjective(_Objective):
-    """Residual/Jacobian provider for a fixed correspondence set.
+class ReprojectionObjective:
+    """Gate-form residual for a fixed correspondence set.
 
     Precomputes per-pair geometry once; each evaluation is a handful of
     vectorized operations. Pairs whose landmark fails the cheirality guard
-    at the evaluated pose contribute a constant penalty row with zero
-    gradient, which repels the optimizer from accepting such steps without
-    breaking the iteration.
+    at the evaluated pose contribute a constant penalty row.
     """
 
     def __init__(self, preselected: PreselectedSet, det_lines, det_points,
@@ -195,30 +181,28 @@ class ReprojectionObjective(_Objective):
         self._line_anchor = np.array(anchors, dtype=float).reshape(-1, 2)
         self._line_len = np.array(lengths, dtype=float)
         self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
-        # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
-        self._line_grad = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]],
-                                   axis=1) * (HALF_SQRT2 / self._line_len)[:, None]
 
     @property
     def n_rows(self) -> int:
         return self.n_lines + self.n_points + self.n_soft
 
-    def _kernel(self, pose: CameraPose, with_jacobian: bool):
+    def _kernel(self, pose: CameraPose):
         """Project every control point once.
 
         Returns the signed cross products of the detected line direction
         with both projected endpoints (n_lines, 2), the point pixel errors
-        (n_points, 2), the line and point cheirality masks and, when asked,
-        d(pixel)/d(pose) per projected control point (n, 2, 6).
+        (n_points, 2), the line and point cheirality masks, and the
+        camera-frame geometry the pixel Jacobian reuses: the rotation, the
+        control points relative to the camera centre, their camera
+        coordinates and their guarded depths.
         """
         rot = pose.rotation()
         rel = self._world - pose.position
         cam = rel @ rot.T
         valid = cam[:, 2] > MIN_DEPTH_M
         zs = np.where(valid, cam[:, 2], 1.0)
-        k = self.intrinsics
         uv = np.empty((cam.shape[0], 2))
-        uv[:, 0], uv[:, 1] = pinhole(cam[:, 0], cam[:, 1], zs, k)
+        uv[:, 0], uv[:, 1] = pinhole(cam[:, 0], cam[:, 1], zs, self.intrinsics)
 
         nl = self.n_lines
         u = uv[:2 * nl].reshape(nl, 2, 2) - self._line_anchor[:, np.newaxis]
@@ -226,69 +210,29 @@ class ReprojectionObjective(_Objective):
         err = uv[2 * nl:] - self._det_pts
         line_ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
         point_ok = valid[2 * nl:]
-        if not with_jacobian:
-            return cross, err, line_ok, point_ok, None
+        return cross, err, line_ok, point_ok, (rot, rel, cam, zs)
 
-        # d(camera point)/d(pose): translation block is -R, one column per
-        # angle from the rotation derivative.
-        n = cam.shape[0]
-        dcam = np.empty((n, 3, 6))
-        dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
-        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
-        for col, dr in enumerate(d_rot, start=3):
-            dcam[:, :, col] = rel @ dr.T
-        inv_z = 1.0 / zs
-        # Pixel derivative rows stacked per projected point: (n, 2, 3).
-        duv_dcam = np.zeros((n, 2, 3))
-        duv_dcam[:, 0, 0] = k.fx * inv_z
-        duv_dcam[:, 0, 1] = k.skew * inv_z
-        duv_dcam[:, 0, 2] = -(k.fx * cam[:, 0] + k.skew * cam[:, 1]) * inv_z ** 2
-        duv_dcam[:, 1, 1] = k.fy * inv_z
-        duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] * inv_z ** 2
-        duv = np.einsum("nij,njk->nik", duv_dcam, dcam)
-        return cross, err, line_ok, point_ok, duv
+    def _soft_rows(self, pose: CameraPose) -> np.ndarray:
+        """The weighted flat-ground rows that end both residual vectors."""
+        return LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
 
-    def _endpoint_rows(self, duv: np.ndarray) -> np.ndarray:
-        """Jacobian of half_sqrt2 * cross / length per line endpoint,
-        shape (n_lines, 2, 6)."""
-        nl = self.n_lines
-        return np.einsum("ni,nkij->nkj", self._line_grad,
-                         duv[:2 * nl].reshape(nl, 2, 2, 6))
-
-    def _write_soft(self, pose: CameraPose, res: np.ndarray, jac, start: int):
-        """Weighted flat-ground rows from ``start`` on, and their Jacobian
-        entries when ``jac`` is given."""
-        res[start:] = LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
-        if jac is not None:
-            jac[start, 4] = LAMBDA_N * DEG_PER_RAD      # pitch row
-            jac[start + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll row
-            if self.y_lane is not None:
-                jac[start + 2, 1] = LAMBDA_N * CM_PER_M
-
-    def residual_and_jacobian(self, pose: CameraPose, with_jacobian: bool = True):
-        cross, err, line_ok, point_ok, duv = self._kernel(pose, with_jacobian)
+    def residual(self, pose: CameraPose) -> np.ndarray:
+        cross, err, line_ok, point_ok, _ = self._kernel(pose)
         nl, npt = self.n_lines, self.n_points
         res = np.empty(self.n_rows)
         dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
         res[:nl] = np.where(line_ok, dl, BEHIND_CAMERA_PENALTY_PX)
         dp = np.linalg.norm(err, axis=1)
         res[nl:nl + npt] = np.where(point_ok, dp, BEHIND_CAMERA_PENALTY_PX)
-        jac = None
-        if with_jacobian:
-            jac = np.zeros((self.n_rows, 6))
-            # d|cross|/(2 length) = sign(cross) * half_sqrt2 * endpoint row
-            rows = HALF_SQRT2 * np.einsum("nk,nkj->nj", np.sign(cross),
-                                          self._endpoint_rows(duv))
-            jac[:nl] = np.where(line_ok[:, None], rows, 0.0)
-            moving = dp > 1e-12
-            unit = err / np.where(moving, dp, 1.0)[:, None]
-            rows = np.einsum("ni,nij->nj", unit, duv[2 * nl:])
-            jac[nl:nl + npt] = np.where((point_ok & moving)[:, None], rows, 0.0)
-        self._write_soft(pose, res, jac, nl + npt)
-        return res, jac
+        res[nl + npt:] = self._soft_rows(pose)
+        return res
+
+    def cost(self, pose: CameraPose) -> float:
+        r = self.residual(pose)
+        return float(r @ r)
 
 
-class SolverObjective(_Objective):
+class SolverObjective:
     """Smooth least-squares formulation of the same alignment problem.
 
     The mean-of-absolutes line distance has V-shaped facets whose balance
@@ -298,21 +242,50 @@ class SolverObjective(_Objective):
     point pair into its two pixel error components. The rows are smooth,
     share the exact zero set of the reported residual, and bound its cost
     within a factor of two, so gate decisions stay meaningful while the
-    optimizer converges reliably.
+    optimizer converges reliably. Rows of pairs that fail the cheirality
+    guard carry the penalty with zero gradient, which repels the optimizer
+    from accepting such steps without breaking the iteration.
     """
 
     def __init__(self, base: ReprojectionObjective):
         self.base = base
+        # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
+        self._line_grad = np.stack([-base._line_dir[:, 1], base._line_dir[:, 0]],
+                                   axis=1) * (HALF_SQRT2 / base._line_len)[:, None]
 
     @property
     def n_rows(self) -> int:
         base = self.base
         return 2 * base.n_lines + 2 * base.n_points + base.n_soft
 
-    def residual_and_jacobian(self, pose: CameraPose, with_jacobian: bool = True):
+    def _pixel_jacobian(self, pose: CameraPose, rot, rel, cam, zs) -> np.ndarray:
+        """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
+        # d(camera point)/d(pose): translation block is -R, one column per
+        # angle from the rotation derivative.
+        n = cam.shape[0]
+        dcam = np.empty((n, 3, 6))
+        dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
+        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
+        for col, dr in enumerate(d_rot, start=3):
+            dcam[:, :, col] = rel @ dr.T
+        k = self.base.intrinsics
+        inv_z = 1.0 / zs
+        # Pixel derivative rows stacked per projected point: (n, 2, 3).
+        duv_dcam = np.zeros((n, 2, 3))
+        duv_dcam[:, 0, 0] = k.fx * inv_z
+        duv_dcam[:, 0, 1] = k.skew * inv_z
+        duv_dcam[:, 0, 2] = -(k.fx * cam[:, 0] + k.skew * cam[:, 1]) * inv_z ** 2
+        duv_dcam[:, 1, 1] = k.fy * inv_z
+        duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] * inv_z ** 2
+        return np.einsum("nij,njk->nik", duv_dcam, dcam)
+
+    def residual_and_jacobian(self, pose: CameraPose):
+        """The residual vector, shape (n_rows,), and its Jacobian over the
+        pose parameters, shape (n_rows, 6)."""
         base = self.base
-        cross, err, line_ok, point_ok, duv = base._kernel(pose, with_jacobian)
-        n_line_rows = 2 * base.n_lines
+        cross, err, line_ok, point_ok, geometry = base._kernel(pose)
+        nl = base.n_lines
+        n_line_rows = 2 * nl
         n_data_rows = n_line_rows + 2 * base.n_points
         res = np.empty(self.n_rows)
         c = cross / base._line_len[:, None]
@@ -320,14 +293,19 @@ class SolverObjective(_Objective):
                                      BEHIND_CAMERA_PENALTY_PX).ravel()
         res[n_line_rows:n_data_rows] = np.where(
             point_ok[:, None], err, BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2).ravel()
-        jac = None
-        if with_jacobian:
-            jac = np.zeros((self.n_rows, 6))
-            rows = base._endpoint_rows(duv)
-            jac[:n_line_rows] = np.where(line_ok[:, None, None], rows,
-                                         0.0).reshape(-1, 6)
-            jac[n_line_rows:n_data_rows] = np.where(
-                point_ok[:, None, None], duv[n_line_rows:], 0.0).reshape(-1, 6)
-        base._write_soft(pose, res, jac, n_data_rows)
-        return res, jac
+        res[n_data_rows:] = base._soft_rows(pose)
 
+        duv = self._pixel_jacobian(pose, *geometry)
+        jac = np.zeros((self.n_rows, 6))
+        # Per line endpoint: line_grad . d(pixel)/d(pose), shape (nl, 2, 6).
+        rows = np.einsum("ni,nkij->nkj", self._line_grad,
+                         duv[:n_line_rows].reshape(nl, 2, 2, 6))
+        jac[:n_line_rows] = np.where(line_ok[:, None, None], rows,
+                                     0.0).reshape(-1, 6)
+        jac[n_line_rows:n_data_rows] = np.where(
+            point_ok[:, None, None], duv[n_line_rows:], 0.0).reshape(-1, 6)
+        jac[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch row
+        jac[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll row
+        if base.y_lane is not None:
+            jac[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
+        return res, jac

@@ -68,11 +68,13 @@ def _wrap_vector(v: np.ndarray) -> np.ndarray:
 def solve(objective, init: CameraPose) -> SolveResult:
     """Minimize the objective's squared residual norm starting from ``init``.
 
-    ``objective`` provides two methods. ``residual_and_jacobian(pose)``
-    returns the residual vector r, shape (n,), and its Jacobian, shape
-    (n, 6) over the parameters in ``POSE_PARAMS`` order. ``residual(pose)``
-    returns the same r alone. Both are float arrays and the cost is r @ r.
-    Deterministic: the same inputs produce the same iterate sequence.
+    ``objective`` provides one method, ``residual_and_jacobian(pose)``,
+    which returns the residual vector r, shape (n,), and its Jacobian,
+    shape (n, 6) over the parameters in ``POSE_PARAMS`` order, as float
+    arrays; the cost is r @ r. It is called once on ``init`` and once per
+    candidate step, and an accepted candidate's (r, J) carries into the
+    next iteration. Deterministic: the same inputs produce the same iterate
+    sequence.
     """
     x = init.as_vector()
     pose = init
@@ -82,8 +84,6 @@ def solve(objective, init: CameraPose) -> SolveResult:
     damping = INITIAL_DAMPING
 
     for iterations in range(1, MAX_ITERATIONS + 1):
-        if iterations > 1:  # the previous iteration accepted a new pose
-            r, jac = objective.residual_and_jacobian(pose)
         jtj = jac.T @ jac
         gradient = jac.T @ r
         diag = np.clip(np.diag(jtj), 1e-12, None)
@@ -105,11 +105,12 @@ def solve(objective, init: CameraPose) -> SolveResult:
                                    TerminationReason.STEP_TOLERANCE, trace)
             candidate_vec = _wrap_vector(x + step)
             candidate = CameraPose.from_vector(candidate_vec)
-            r_new = objective.residual(candidate)
+            r_new, jac_new = objective.residual_and_jacobian(candidate)
             new_cost = float(r_new @ r_new)
             if math.isfinite(new_cost) and new_cost < cost:
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
                 x, pose, cost = candidate_vec, candidate, new_cost
+                r, jac = r_new, jac_new
                 trace.append(cost)
                 damping = max(damping / DAMPING_FACTOR, 1e-15)
                 if relative_drop < COST_TOLERANCE:

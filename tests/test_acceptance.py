@@ -22,7 +22,7 @@ from semloc.mapmodel import (LanePolyline, LineLandmark, PointLandmark,
 from semloc.pipeline import (FrameStatus, evaluate, heading_from_pose,
                              run_sequence)
 from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
-                             ResidualConfig, line_distance,
+                             ResidualConfig, SolverObjective, line_distance,
                              nearest_lane_height, point_distance)
 from semloc.solver import cost_landscape
 from semloc.synthworld import (WorldConfig, generate_world, render_detections,
@@ -91,16 +91,17 @@ def test_criterion_1_noiseless_recovery():
 
 
 def test_criterion_2_gradient_check(intrinsics):
-    """Analytic Jacobian of the stacked residual against central finite
-    differences on 100 random configurations."""
-    from test_residual import toy_scene
+    """Analytic Jacobian of the stacked residual the solver minimizes
+    against central finite differences on 100 random configurations."""
+    from test_residual import solver_residual, toy_scene
 
     worst = 0.0
     for seed in range(100):
         sel, det_lines, det_points, corr, pose = toy_scene(
             intrinsics, n_lines=3, n_points=2, seed=seed)
-        obj = ReprojectionObjective(sel, det_lines, det_points, corr,
-                                    intrinsics, ResidualConfig(), 0.0)
+        obj = SolverObjective(ReprojectionObjective(
+            sel, det_lines, det_points, corr, intrinsics, ResidualConfig(),
+            0.0))
         jac = obj.residual_and_jacobian(pose)[1]
         vec = pose.as_vector()
         fd = np.empty_like(jac)
@@ -109,8 +110,9 @@ def test_criterion_2_gradient_check(intrinsics):
             vp, vm = vec.copy(), vec.copy()
             vp[k] += h
             vm[k] -= h
-            fd[:, k] = (obj.residual(CameraPose.from_vector(vp)) -
-                        obj.residual(CameraPose.from_vector(vm))) / (2 * h)
+            rp = solver_residual(obj, CameraPose.from_vector(vp))
+            rm = solver_residual(obj, CameraPose.from_vector(vm))
+            fd[:, k] = (rp - rm) / (2 * h)
         rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
         worst = max(worst, float(rel.max()))
     assert worst < 1e-5

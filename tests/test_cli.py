@@ -393,6 +393,9 @@ class TestManifest:
         ({"out": 7}, "out"),
         ({"association": 5}, "association"),
         ({"residual": [1.6]}, "residual"),
+        # Well-typed but out of range.
+        ({"residual": {"camera_height_m": 0.0}}, "camera_height_m"),
+        ({"residual": {"camera_height_m": -1.6}}, "camera_height_m"),
     ])
     def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
                                   key):

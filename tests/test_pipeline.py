@@ -216,6 +216,15 @@ class TestFileFormats:
                            match=r"^detections line 3: .*finite"):
             parse_detections(text)
 
+    @pytest.mark.parametrize("record, shape", [
+        ("DL SIGN 1 2 3 4", "line"), ("DP LANE 1 2", "point"),
+        ("DP POLE 1 2", "point"), ("DP MILESTONE 1 2", "point")])
+    def test_wrong_shape_detection(self, record, shape):
+        text = f"F 0 0\nDL POLE 1 2 3 4\n{record}\n"
+        with pytest.raises(ValueError, match=rf"^detections line 3: "
+                                             rf".*not a {shape}-shaped class"):
+            parse_detections(text)
+
     def test_ground_truth_roundtrip(self):
         poses = {0: CameraPose(1, 2, 3, 0.1, -0.2, 0.3),
                  5: CameraPose(-1, 0.5, 2, 1.0, 0.0, -1.0)}

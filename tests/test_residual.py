@@ -9,9 +9,9 @@ from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
 from semloc.residual import (BEHIND_CAMERA_PENALTY_PX, LAMBDA_N,
-                             CorrespondenceSet, DegenerateDetection,
-                             EmptyCorrespondence, ReprojectionObjective,
-                             ResidualConfig, SolverObjective, line_distance,
+                             CorrespondenceSet, EmptyCorrespondence,
+                             ReprojectionObjective, ResidualConfig,
+                             SolverObjective, line_distance,
                              nearest_lane_height, point_distance,
                              soft_constraint)
 
@@ -93,15 +93,13 @@ class TestLineDistance:
             assert stretched == pytest.approx(base, abs=1e-9 * max(1, base))
             assert shifted == pytest.approx(base, abs=1e-9 * max(1, base))
 
-    def test_degenerate_detection(self):
+    def test_shortest_accepted_detection(self):
+        # math.hypot puts this length at or above DetectedLine's 1e-6 bound
+        # while np.linalg.norm rounds it below: any detection the
+        # constructor accepts has a finite distance.
+        det = det_line([0, 0], [-9.96788472972579e-07, -8.007958634379946e-08])
         proj = ProjectedLine(np.zeros(2), np.ones(2))
-        bad = DetectedLine.__new__(DetectedLine)
-        object.__setattr__(bad, "m1", np.array([5.0, 5.0]))
-        object.__setattr__(bad, "m2", np.array([5.0, 5.0]))
-        object.__setattr__(bad, "semantic", POLE)
-        object.__setattr__(bad, "support", 0)
-        with pytest.raises(DegenerateDetection):
-            line_distance(proj, bad)
+        assert math.isfinite(line_distance(proj, det))
 
 
 class TestPointDistance:
@@ -239,8 +237,11 @@ class TestTotalResidual:
                                     None)
         vec = obj.residual(CameraPose(0, 1.6, 0))
         assert vec[0] == BEHIND_CAMERA_PENALTY_PX
-        jac = obj.residual_and_jacobian(CameraPose(0, 1.6, 0))[1]
-        assert np.all(jac[0] == 0.0)
+        # the split rows carry the penalty with zero gradient
+        vec, jac = SolverObjective(obj).residual_and_jacobian(
+            CameraPose(0, 1.6, 0))
+        assert np.all(vec[:2] == BEHIND_CAMERA_PENALTY_PX * math.sqrt(0.5))
+        assert np.all(jac[:2] == 0.0)
 
     def test_dropping_pair_never_increases_data_term(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=5)
@@ -291,7 +292,13 @@ class TestTotalResidual:
         assert vec[-1] == pytest.approx(0.0)
 
 
+def solver_residual(obj, pose):
+    return obj.residual_and_jacobian(pose)[0]
+
+
 class TestJacobian:
+    """The SolverObjective Jacobian, the package's only one."""
+
     def finite_difference(self, obj, pose, h=1e-6):
         v = pose.as_vector()
         rows = []
@@ -299,17 +306,17 @@ class TestJacobian:
             vp, vm = v.copy(), v.copy()
             vp[k] += h
             vm[k] -= h
-            rp = obj.residual(CameraPose.from_vector(vp))
-            rm = obj.residual(CameraPose.from_vector(vm))
+            rp = solver_residual(obj, CameraPose.from_vector(vp))
+            rm = solver_residual(obj, CameraPose.from_vector(vm))
             rows.append((rp - rm) / (2 * h))
         return np.array(rows).T
 
     def test_soft_rows_analytic(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=2)
         config = ResidualConfig()
-        jac = ReprojectionObjective(sel, det_lines, det_points, corr,
-                                    intrinsics, config,
-                                    0.0).residual_and_jacobian(pose)[1]
+        jac = SolverObjective(ReprojectionObjective(
+            sel, det_lines, det_points, corr, intrinsics, config,
+            0.0)).residual_and_jacobian(pose)[1]
         lam = LAMBDA_N
         pitch_row = jac[-3]
         assert pitch_row[4] == pytest.approx(lam * 180.0 / math.pi)
@@ -326,28 +333,16 @@ class TestJacobian:
         sel = PreselectedSet([], [PointLandmark(p, SIGN, 0.7, 0, 0)])
         det = DetectedPoint(uv + np.array([2.0, 1.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
-        jac = ReprojectionObjective(sel, [], [det], corr, intrinsics,
-                                    ResidualConfig(),
-                                    None).residual_and_jacobian(pose)[1]
+        jac = SolverObjective(ReprojectionObjective(
+            sel, [], [det], corr, intrinsics, ResidualConfig(),
+            None)).residual_and_jacobian(pose)[1]
+        # neither pixel error row moves under roll
         assert jac[0][5] == pytest.approx(0.0, abs=1e-9)
-
-    def test_gradient_check_100_random_configurations(self, intrinsics):
-        worst = {}
-        for (n_lines, n_points), seed in product(SET_SHAPES, range(100)):
-            sel, det_lines, det_points, corr, pose = toy_scene(
-                intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
-            obj = ReprojectionObjective(sel, det_lines, det_points, corr,
-                                        intrinsics, ResidualConfig(), 0.0)
-            jac = obj.residual_and_jacobian(pose)[1]
-            fd = self.finite_difference(obj, pose)
-            rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
-            shape = (n_lines, n_points)
-            worst[shape] = max(worst.get(shape, 0.0), float(rel.max()))
-        assert max(worst.values()) < 1e-5, worst
+        assert jac[1][5] == pytest.approx(0.0, abs=1e-9)
 
     def test_solver_objective_gradient(self, intrinsics):
         worst = {}
-        for (n_lines, n_points), seed in product(SET_SHAPES, range(30)):
+        for (n_lines, n_points), seed in product(SET_SHAPES, range(100)):
             sel, det_lines, det_points, corr, pose = toy_scene(
                 intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
             obj = SolverObjective(ReprojectionObjective(
@@ -369,12 +364,14 @@ class TestJacobian:
         # data rows vanish together at the rendering pose (soft rows are the
         # same small flat-ground terms in both)
         assert float(np.sum(base.residual(truth)[:-2] ** 2)) < 1e-12
-        assert float(np.sum(smooth.residual(truth)[:-2] ** 2)) < 1e-12
+        assert float(np.sum(solver_residual(smooth, truth)[:-2] ** 2)) < 1e-12
         off = CameraPose(truth.x + 0.5, truth.y, truth.z, truth.yaw,
                          truth.pitch, truth.roll)
+        r = solver_residual(smooth, off)
+        smooth_cost = float(r @ r)
         # costs bound each other within a factor of two on the line terms
-        assert smooth.cost(off) <= 2.0 * base.cost(off) + 1e-9
-        assert base.cost(off) <= 2.0 * smooth.cost(off) + 1e-9
+        assert smooth_cost <= 2.0 * base.cost(off) + 1e-9
+        assert base.cost(off) <= 2.0 * smooth_cost + 1e-9
 
 
 class TestCorrespondenceSet:

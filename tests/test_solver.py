@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semloc import solver
 from semloc.camera import CameraPose
 from semloc.mapmodel import RoughPose, preselect
 from semloc.pipeline import heading_from_pose
@@ -102,7 +103,7 @@ class TestSolve:
     def test_cost_never_worse_than_init(self):
         base, init, _ = synthetic_objective(seed=3)
         obj = SolverObjective(base)
-        r0 = obj.residual(init)
+        r0 = obj.residual_and_jacobian(init)[0]
         result = solve(obj, init)
         assert result.final_cost <= float(r0 @ r0)
 
@@ -126,9 +127,6 @@ class TestSolve:
             def __init__(self, inner, k):
                 self.inner, self.k = inner, k
 
-            def residual(self, pose):
-                return self.k * self.inner.residual(pose)
-
             def residual_and_jacobian(self, pose):
                 r, jac = self.inner.residual_and_jacobian(pose)
                 return self.k * r, self.k * jac
@@ -137,6 +135,53 @@ class TestSolve:
         a = solve(obj, init)
         b = solve(Scaled(obj, 7.5), init)
         assert np.linalg.norm(a.pose.as_vector() - b.pose.as_vector()) < 1e-6
+
+    def test_one_evaluation_per_pose(self, monkeypatch):
+        class Recording:
+            """Only the one method of the objective contract; records
+            every pose it is asked to evaluate."""
+
+            def __init__(self, inner):
+                self.inner, self.poses = inner, []
+
+            def residual_and_jacobian(self, pose):
+                self.poses.append(pose.as_vector().tobytes())
+                return self.inner.residual_and_jacobian(pose)
+
+        class Rosenbrock:
+            """r = (10 (y - x^2), 1 - x): from (-1.2, 1) the curved valley
+            makes the solver reject some of its steps."""
+
+            def residual_and_jacobian(self, pose):
+                jac = np.zeros((2, 6))
+                jac[0, 0], jac[0, 1], jac[1, 0] = -20.0 * pose.x, 10.0, -1.0
+                return np.array([10.0 * (pose.y - pose.x ** 2),
+                                 1.0 - pose.x]), jac
+
+        candidates = []
+
+        class CountingPose(CameraPose):
+            """solve builds each candidate step with from_vector."""
+
+            @classmethod
+            def from_vector(cls, v):
+                candidates.append(v)
+                return super().from_vector(v)
+
+        monkeypatch.setattr(solver, "CameraPose", CountingPose)
+        base, init, _ = synthetic_objective(seed=9, displace=(2.0, 4.0))
+        for inner, start, rejects in (
+                (Rosenbrock(), CameraPose(-1.2, 1.0, 0), True),
+                (SolverObjective(base), init, False)):
+            candidates.clear()
+            obj = Recording(inner)
+            result = solve(obj, start)
+            assert result.converged
+            accepted = len(result.cost_trace) - 1
+            assert (len(candidates) > accepted) is rejects
+            assert obj.poses[0] == start.as_vector().tobytes()
+            assert len(obj.poses) == 1 + len(candidates)
+            assert len(set(obj.poses)) == len(obj.poses)
 
     def test_singular_geometry_raises(self):
         class Degenerate:
