@@ -19,8 +19,8 @@ import numpy as np
 from .camera import CameraPose, Intrinsics, project_line, project_point, wrap_angle
 from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, ReprojectionObjective,
-                       ResidualConfig, SolverObjective, line_distance,
-                       nearest_lane_height, point_distance)
+                       ResidualConfig, SolverObjective, line_frame, line_gap,
+                       nearest_lane_height, point_distance, projected_endpoints)
 from .solver import SingularNormalEquations, solve
 
 
@@ -86,11 +86,18 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     corr = CorrespondenceSet()
     # The projections name the module globals at call time, so a wrapper
     # installed on this module sees every call.
+    def line_endpoints(lm):
+        proj = project_line(lm, pose, intrinsics)
+        return None if proj is None else projected_endpoints(proj)
+
+    # Each detection's geometry is computed once; a line gap is then a few
+    # float operations per (landmark, detection) pair.
     for pairs, landmarks, detections, project, distance, gate in (
-            (corr.line_pairs, preselected.lines, det_lines,
-             lambda lm: project_line(lm, pose, intrinsics), line_distance,
-             gate_line_px),
-            (corr.point_pairs, preselected.points, det_points,
+            (corr.line_pairs, preselected.lines,
+             [(det.semantic, line_frame(det)) for det in det_lines],
+             line_endpoints, line_gap, gate_line_px),
+            (corr.point_pairs, preselected.points,
+             [(det.semantic, det) for det in det_points],
              lambda lm: project_point(lm.p, pose, intrinsics), point_distance,
              gate_point_px)):
         for lm_idx, lm in enumerate(landmarks):
@@ -98,8 +105,8 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
             if proj is None:
                 continue
             best, best_idx = math.inf, -1
-            for det_idx, det in enumerate(detections):
-                if det.semantic is not lm.semantic:
+            for det_idx, (semantic, det) in enumerate(detections):
+                if semantic is not lm.semantic:
                     continue
                 dist = distance(proj, det)
                 if dist < best:
@@ -184,12 +191,12 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         """Optimize over a correspondence set; the returned result reports
         the gate cost (sqrt of the stacked-distance residual), while the
         minimization itself runs on the smooth split-row formulation."""
-        reported = ReprojectionObjective(
+        objective = SolverObjective(ReprojectionObjective(
             preselected, det_lines, det_points, corr, intrinsics,
-            residual_config, y_lane)
-        fit = solve(SolverObjective(reported), start)
-        gate_cost = reported.cost(fit.pose)
-        return replace(fit, final_cost=gate_cost)
+            residual_config, y_lane))
+        fit = solve(objective, start)
+        gate = objective.gate_residual(fit.pose)
+        return replace(fit, final_cost=float(gate @ gate))
 
     for hypothesis in _iter_hypotheses(base, rng):
         try:

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -277,8 +278,11 @@ def cmd_synth(args) -> int:
         for k, pose in enumerate(trajectory):
             mask, _, _ = render_masks(semantic_map, pose, config)
             write_mask_files(masks_dir, k, mask)
+    classes = Counter(lm.semantic for lm in semantic_map.lines)
     print(f"synthesized {len(trajectory)} frames, "
-          f"{len(semantic_map.lines)} poles, {len(semantic_map.points)} signs, "
+          f"{classes[SemanticClass.POLE_LIKE]} poles, "
+          f"{classes[SemanticClass.MILESTONE]} milestones, "
+          f"{len(semantic_map.points)} signs, "
           f"{len(semantic_map.lanes)} lanes -> {out}")
     return 0
 

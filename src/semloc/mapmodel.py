@@ -108,6 +108,8 @@ class LanePolyline:
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0):
             raise ValueError("consecutive polyline points must be distinct")
         object.__setattr__(self, "points", pts)
+        # preselect's last (vertex indices, lane landmark); see _lane_landmark.
+        object.__setattr__(self, "_window_fit", ((), None))
 
 
 @dataclass(eq=False)
@@ -211,11 +213,40 @@ def principal_axis(pts: np.ndarray):
     return centroid, axis
 
 
-def resolvable(size_m: float, anchor, position) -> bool:
-    """The size/distance rule: true when ``size_m`` over the 3D distance
-    from ``position`` to ``anchor`` strictly exceeds ``MIN_SIZE_RATIO``."""
-    dist = float(np.linalg.norm(position - anchor))
-    return dist > 0 and size_m / dist > MIN_SIZE_RATIO
+def resolvable(sizes, anchors, position) -> np.ndarray:
+    """The size/distance rule, one entry per landmark: true where the size
+    over the 3D distance from ``position`` to the landmark's anchor (a row
+    of the (n, 3) ``anchors``) strictly exceeds ``MIN_SIZE_RATIO``."""
+    d = position - np.asarray(anchors, dtype=float).reshape(-1, 3)
+    # A stacked 1x3 @ 3x1 product is the BLAS dot np.linalg.norm takes for
+    # one vector, so each distance equals that of the single-vector norm;
+    # norm(axis=1), einsum and (d * d).sum(1) round differently.
+    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    positive = dist > 0
+    # A zero distance divides by inf instead, so it warns of nothing.
+    ratio = np.asarray(sizes, dtype=float) / np.where(positive, dist, np.inf)
+    return positive & (ratio > MIN_SIZE_RATIO)
+
+
+def _lane_landmark(lane: LanePolyline, vertices: tuple) -> LineLandmark | None:
+    """The lane landmark fitted to the given vertices of a polyline, or None
+    when they are degenerate.
+
+    Frames are about 1.4 m apart and lane vertices 7.5 m, so a lane's window
+    keeps its vertices for several frames: each polyline remembers its last
+    fit. The pair is read and replaced as one tuple, so concurrent callers
+    never see one window's fit under another's indices.
+    """
+    last_vertices, landmark = lane._window_fit
+    if last_vertices != vertices:
+        try:
+            landmark = fit_line_landmark(lane.points[list(vertices)],
+                                         SemanticClass.LANE_LINE,
+                                         lane.road_index, landmark_id=lane.id)
+        except DegenerateCluster:
+            landmark = None
+        object.__setattr__(lane, "_window_fit", (vertices, landmark))
+    return landmark
 
 
 def preselect(semantic_map: SemanticMap, rough: RoughPose) -> PreselectedSet:
@@ -226,30 +257,27 @@ def preselect(semantic_map: SemanticMap, rough: RoughPose) -> PreselectedSet:
     road contribute a synthetic straight lane landmark fitted to their
     points ``LANE_WINDOW_M`` ahead along the rough heading.
     """
-    out = PreselectedSet()
+    road = rough.road_index
     pos = rough.position
-    for lm in semantic_map.lines:
-        if lm.road_index == rough.road_index and \
-                resolvable(lm.size_m, lm.p1, pos):
-            out.lines.append(lm)
-    for lm in semantic_map.points:
-        if lm.road_index == rough.road_index and \
-                resolvable(lm.size_m, lm.p, pos):
-            out.points.append(lm)
+    lines = [lm for lm in semantic_map.lines if lm.road_index == road]
+    points = [lm for lm in semantic_map.points if lm.road_index == road]
+    keep = resolvable([lm.size_m for lm in lines] + [lm.size_m for lm in points],
+                      [lm.p1 for lm in lines] + [lm.p for lm in points],
+                      pos).tolist()
+    out = PreselectedSet(
+        [lm for lm, kept in zip(lines, keep) if kept],
+        [lm for lm, kept in zip(points, keep[len(lines):]) if kept])
     near, far = LANE_WINDOW_M
     for lane in semantic_map.lanes:
-        if lane.road_index != rough.road_index:
+        if lane.road_index != road:
             continue
-        ground_delta = lane.points[:, [0, 2]] - pos[[0, 2]]
+        ground_delta = lane.points[:, ::2] - pos[::2]  # (x, z)
         along = ground_delta @ rough.heading
-        window = lane.points[(along >= near) & (along <= far)]
+        window = np.flatnonzero((along >= near) & (along <= far))
         if window.shape[0] >= 2:
-            try:
-                out.lines.append(fit_line_landmark(
-                    window, SemanticClass.LANE_LINE, lane.road_index,
-                    landmark_id=lane.id))
-            except DegenerateCluster:
-                pass
+            landmark = _lane_landmark(lane, tuple(window.tolist()))
+            if landmark is not None:
+                out.lines.append(landmark)
     return out
 
 

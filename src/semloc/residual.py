@@ -96,12 +96,35 @@ def _detected_line(det):
     return m1, d, float(np.linalg.norm(d))
 
 
+def line_frame(det) -> tuple:
+    """A detected line as Python floats: anchor x, y, direction x, y and
+    twice the length."""
+    m1, d, length = _detected_line(det)
+    return (*m1.tolist(), *d.tolist(), 2.0 * length)
+
+
+def line_gap(endpoints, frame) -> float:
+    """``line_distance`` from the projected endpoints as four Python floats
+    (u1 x, y, u2 x, y) and a ``line_frame``. Python floats round each
+    operation as numpy's elementwise ones do, so in this order the result
+    is bit-identical to the array form of the same cross products."""
+    u1x, u1y, u2x, u2y = endpoints
+    ax, ay, dx, dy, twice_length = frame
+    c1 = dx * (u1y - ay) - dy * (u1x - ax)
+    c2 = dx * (u2y - ay) - dy * (u2x - ax)
+    return (abs(c1) + abs(c2)) / twice_length
+
+
+def projected_endpoints(proj: ProjectedLine) -> tuple:
+    """A projected line's endpoints as the four floats ``line_gap`` takes."""
+    return (*np.asarray(proj.u1, dtype=float).tolist(),
+            *np.asarray(proj.u2, dtype=float).tolist())
+
+
 def line_distance(proj: ProjectedLine, det) -> float:
     """Mean perpendicular distance of the two projected control points to
     the infinite line through the detected endpoints (pixels)."""
-    m1, d, length = _detected_line(det)
-    c1, c2 = float(_cross2(d, proj.u1 - m1)), float(_cross2(d, proj.u2 - m1))
-    return (abs(c1) + abs(c2)) / (2.0 * length)
+    return line_gap(projected_endpoints(proj), line_frame(det))
 
 
 def point_distance(proj, det) -> float:
@@ -217,7 +240,11 @@ class ReprojectionObjective:
         return LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
 
     def residual(self, pose: CameraPose) -> np.ndarray:
-        cross, err, line_ok, point_ok, _ = self._kernel(pose)
+        return self._gate_rows(pose, *self._kernel(pose)[:4])
+
+    def _gate_rows(self, pose: CameraPose, cross, err, line_ok,
+                   point_ok) -> np.ndarray:
+        """The gate-form residual from the kernel outputs at ``pose``."""
         nl, npt = self.n_lines, self.n_points
         res = np.empty(self.n_rows)
         dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
@@ -249,6 +276,10 @@ class SolverObjective:
 
     def __init__(self, base: ReprojectionObjective):
         self.base = base
+        # Kernel outputs per evaluated pose object, so that the gate
+        # residual at the pose a solve returns needs no second projection.
+        # Each entry holds its pose, so no live pose can reuse its id.
+        self._kernels = {}
         # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
         self._line_grad = np.stack([-base._line_dir[:, 1], base._line_dir[:, 0]],
                                    axis=1) * (HALF_SQRT2 / base._line_len)[:, None]
@@ -258,6 +289,14 @@ class SolverObjective:
         base = self.base
         return 2 * base.n_lines + 2 * base.n_points + base.n_soft
 
+    def gate_residual(self, pose: CameraPose) -> np.ndarray:
+        """``base.residual(pose)``, reduced from this objective's own
+        projection when it has evaluated ``pose``."""
+        kernel = self._kernels.get(id(pose))
+        if kernel is None:
+            return self.base.residual(pose)
+        return self.base._gate_rows(*kernel)
+
     def _pixel_jacobian(self, pose: CameraPose, rot, rel, cam, zs) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
         # d(camera point)/d(pose): translation block is -R, one column per
@@ -266,8 +305,7 @@ class SolverObjective:
         dcam = np.empty((n, 3, 6))
         dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
         d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
-        for col, dr in enumerate(d_rot, start=3):
-            dcam[:, :, col] = rel @ dr.T
+        dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
         k = self.base.intrinsics
         inv_z = 1.0 / zs
         # Pixel derivative rows stacked per projected point: (n, 2, 3).
@@ -284,6 +322,7 @@ class SolverObjective:
         pose parameters, shape (n_rows, 6)."""
         base = self.base
         cross, err, line_ok, point_ok, geometry = base._kernel(pose)
+        self._kernels[id(pose)] = (pose, cross, err, line_ok, point_ok)
         nl = base.n_lines
         n_line_rows = 2 * nl
         n_data_rows = n_line_rows + 2 * base.n_points

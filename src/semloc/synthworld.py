@@ -248,8 +248,10 @@ def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
     intr = config.intrinsics
     position = pose.position
     out = []
-    for lm in semantic_map.lines:
-        if not resolvable(lm.size_m, lm.p1, position):
+    keep = resolvable([lm.size_m for lm in semantic_map.lines],
+                      [lm.p1 for lm in semantic_map.lines], position)
+    for lm, kept in zip(semantic_map.lines, keep.tolist()):
+        if not kept:
             continue
         proj = project_line(lm, pose, intr)
         if proj is None:
@@ -271,8 +273,10 @@ def _true_point_projections(semantic_map: SemanticMap, pose: CameraPose,
     intr = config.intrinsics
     position = pose.position
     out = []
-    for lm in semantic_map.points:
-        if not resolvable(lm.size_m, lm.p, position):
+    keep = resolvable([lm.size_m for lm in semantic_map.points],
+                      [lm.p for lm in semantic_map.points], position)
+    for lm, kept in zip(semantic_map.points, keep.tolist()):
+        if not kept:
             continue
         uv = project_point(lm.p, pose, intr)
         if uv is None or not _in_image(uv, intr):

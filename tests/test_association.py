@@ -7,9 +7,11 @@ from semloc.association import (AssociationConfig, NoValidAssociation,
                                 associate_and_localize, closest_correspond,
                                 pose_distance)
 from semloc.camera import CameraPose, project_line, project_point
-from semloc.mapmodel import RoughPose, preselect
+from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
-from semloc.residual import line_distance, point_distance
+from semloc.residual import (ReprojectionObjective, ResidualConfig,
+                             line_distance, nearest_lane_height,
+                             point_distance)
 from semloc.synthworld import generate_world, render_detections
 
 from conftest import clutter_world, paper_scale_world, perturbed
@@ -144,7 +146,86 @@ class TestClosestCorrespond:
         assert len(corr) == 0
 
 
+def nested_loop_matches(selected, det_lines, det_points, pose, intrinsics,
+                        gate_line, gate_point):
+    """Oracle: every (landmark, same-class detection) distance from
+    line_distance / point_distance; the lowest wins, the first index on a
+    tie, kept when within the gate."""
+    out = []
+    for landmarks, dets, project, distance, gate in (
+            (selected.lines, det_lines,
+             lambda lm: project_line(lm, pose, intrinsics), line_distance,
+             gate_line),
+            (selected.points, det_points,
+             lambda lm: project_point(lm.p, pose, intrinsics), point_distance,
+             gate_point)):
+        pairs = []
+        for lm_idx, lm in enumerate(landmarks):
+            proj = project(lm)
+            if proj is None:
+                continue
+            scored = [(distance(proj, det), det_idx)
+                      for det_idx, det in enumerate(dets)
+                      if det.semantic is lm.semantic]
+            if scored and min(scored)[0] <= gate:
+                pairs.append((lm_idx, min(scored)[1]))
+        out.append(pairs)
+    return out
+
+
+class TestMatcherOracle:
+    def test_equals_nested_loop(self):
+        rng = np.random.default_rng(31)
+        checked = 0
+        for seed in range(4):
+            cfg = paper_scale_world(seed, pixel_noise_sigma=1.0,
+                                    outlier_rate=0.3)
+            semantic_map, trajectory = generate_world(cfg)
+            for frame_idx in range(5, len(trajectory), 23):
+                truth = trajectory[frame_idx]
+                rendered = render_detections(semantic_map, truth, cfg,
+                                             frame_id=frame_idx)
+                selected = preselect(semantic_map, RoughPose(
+                    truth.position, heading_from_pose(truth), 0))
+                lines = list(rendered.frame.det_lines)
+                points = list(rendered.frame.det_points)
+                # Repeated detections tie exactly; the first must win.
+                lines += [lines[i] for i in rng.permutation(len(lines))[:3]]
+                points += points[:1]
+                # A class with no detection at all leaves its landmarks
+                # unpaired.
+                variants = [(lines, points),
+                            ([d for d in lines if d.semantic is not
+                              SemanticClass.MILESTONE], [])]
+                for det_lines, det_points in variants:
+                    pose = perturbed(truth, rng, 1.0, math.radians(2.0))
+                    for gate in (300.0, 10.0):
+                        corr = closest_correspond(
+                            selected, det_lines, det_points, pose,
+                            cfg.intrinsics, gate, gate)
+                        want = nested_loop_matches(
+                            selected, det_lines, det_points, pose,
+                            cfg.intrinsics, gate, gate)
+                        assert [corr.line_pairs, corr.point_pairs] == want
+                        checked += len(corr)
+        assert checked > 200
+
+
 class TestAssociateAndLocalize:
+    def test_final_cost_is_gate_cost_of_refined_set(self):
+        cfg = paper_scale_world(4)
+        _, truth, rendered, selected = frame_at(cfg, 45)
+        init = perturbed(truth, np.random.default_rng(1), 0.8,
+                         math.radians(2.0))
+        fit, refined = associate_and_localize(
+            selected, rendered.frame.det_lines, rendered.frame.det_points,
+            init, cfg.intrinsics)
+        y_lane = nearest_lane_height(selected.lines, init.position)
+        gate = ReprojectionObjective(
+            selected, rendered.frame.det_lines, rendered.frame.det_points,
+            refined, cfg.intrinsics, ResidualConfig(), y_lane)
+        assert fit.final_cost == gate.cost(fit.pose)
+
     def test_noiseless_recovery(self):
         cfg = paper_scale_world(3)
         _, truth, rendered, selected = frame_at(cfg, 60)

@@ -173,6 +173,20 @@ class TestSynth:
         for name in ("map.txt", "detections.txt", "groundtruth.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_summary_counts_each_class(self, tmp_path, capsys):
+        out = tmp_path / "world"
+        assert run_cli("synth", "--out", out, "--length", "60",
+                       "--seed", "3", "--no-masks") == 0
+        semantic_map = load_map(out / "map.txt")
+        classes = [lm.semantic for lm in semantic_map.lines]
+        poles = classes.count(SemanticClass.POLE_LIKE)
+        milestones = classes.count(SemanticClass.MILESTONE)
+        assert poles and milestones and poles + milestones == len(classes)
+        assert (f"{poles} poles, {milestones} milestones, "
+                f"{len(semantic_map.points)} signs, "
+                f"{len(semantic_map.lanes)} lanes -> {out}"
+                in capsys.readouterr().out)
+
     def test_full_dropout_empty_frames(self, tmp_path):
         out = tmp_path / "world"
         assert run_cli("synth", "--out", out, "--length", "50",

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from semloc.mapmodel import (DegenerateCluster, LanePolyline, LineLandmark,
-                             ParseError, PointLandmark, RoughPose,
-                             SemanticClass, SemanticMap, fit_line_landmark,
+from semloc import mapmodel
+from semloc.mapmodel import (LANE_WINDOW_M, MIN_SIZE_RATIO, DegenerateCluster,
+                             LanePolyline, LineLandmark, ParseError,
+                             PointLandmark, RoughPose, SemanticClass,
+                             SemanticMap, fit_line_landmark,
                              fit_point_landmark, parse_map, preselect,
-                             serialize_map)
+                             resolvable, serialize_map)
+from semloc.pipeline import heading_from_pose
 from semloc.synthworld import WorldConfig, generate_world
 
 
@@ -166,6 +171,96 @@ class TestPreselect:
         rough = RoughPose([0, 0, 0], [1, 0], 0)
         # only one polyline point falls in the 5..20 m window
         assert len(preselect(m, rough).lines) == 0
+
+
+def scalar_resolvable(size_m, anchor, position):
+    """The rule one landmark at a time, as a single-vector norm."""
+    dist = float(np.linalg.norm(position - anchor))
+    return dist > 0 and size_m / dist > MIN_SIZE_RATIO
+
+
+class TestResolvable:
+    def test_matches_scalar_rule(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            position = rng.normal(size=3) * 10.0 ** rng.uniform(-1, 3)
+            anchors = position + rng.normal(size=(n, 3)) * rng.uniform(1, 200)
+            sizes = rng.uniform(0.05, 4.0, n)
+            got = resolvable(sizes, anchors, position).tolist()
+            want = [scalar_resolvable(s, a, position)
+                    for s, a in zip(sizes, anchors)]
+            assert got == want
+
+    def test_ratio_exactly_at_threshold_and_zero_distance(self):
+        # 64 is a power of two, so the size is exact and size / distance
+        # equals MIN_SIZE_RATIO bit for bit.
+        position = np.array([1.0, 2.0, 3.0])
+        anchors = [position + [64.0, 0, 0], position + [0, 0, 64.0],
+                   position, position + [10.0, 0, 0]]
+        sizes = [MIN_SIZE_RATIO * 64.0, np.nextafter(MIN_SIZE_RATIO * 64.0, np.inf),
+                 5.0, 2.0]
+        assert sizes[0] / 64.0 == MIN_SIZE_RATIO
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = resolvable(sizes, anchors, position).tolist()
+        assert got == [False, True, False, True]
+        assert got == [scalar_resolvable(s, np.asarray(a), position)
+                       for s, a in zip(sizes, anchors)]
+
+    def test_empty(self):
+        assert resolvable([], [], np.zeros(3)).shape == (0,)
+
+
+def lane_window_fit(lane, rough):
+    """The lane landmark preselect should give, fitted afresh."""
+    along = (lane.points[:, [0, 2]] - rough.position[[0, 2]]) @ rough.heading
+    near, far = LANE_WINDOW_M
+    window = lane.points[(along >= near) & (along <= far)]
+    if window.shape[0] < 2:
+        return None
+    return fit_line_landmark(window, SemanticClass.LANE_LINE, lane.road_index,
+                             landmark_id=lane.id)
+
+
+class TestLaneMemo:
+    def test_same_lane_id_different_points(self):
+        xs = np.arange(0.0, 31.0, 1.0)
+        flat = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
+        raised = flat + [0.0, 0.5, 0.0]
+        rough = RoughPose([0, 0, 0], [1, 0], 0)
+        a = preselect(SemanticMap([], [], [LanePolyline(flat, 0, 4)]), rough)
+        b = preselect(SemanticMap([], [], [LanePolyline(raised, 0, 4)]), rough)
+        assert a.lines[0].id == b.lines[0].id == 4
+        assert a.lines[0].p1[1] == 0.0 and b.lines[0].p1[1] == 0.5
+
+    def test_bounded_and_exact_over_a_run(self, monkeypatch):
+        # Four 270 m worlds at 1.4 m frame spacing: 660 frames, as in the
+        # det-nominal benchmark.
+        fits = []
+        fit = mapmodel.fit_line_landmark
+        monkeypatch.setattr(mapmodel, "fit_line_landmark",
+                            lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        frames = 0
+        for seed in range(4):
+            semantic_map, trajectory = generate_world(
+                WorldConfig(rng_seed=seed, corridor_length_m=270.0))
+            for pose in trajectory:
+                frames += 1
+                rough = RoughPose(pose.position, heading_from_pose(pose), 0)
+                lanes = [lm for lm in preselect(semantic_map, rough).lines
+                         if lm.semantic is SemanticClass.LANE_LINE]
+                fresh = [lane_window_fit(lane, rough)
+                         for lane in semantic_map.lanes]
+                fresh = [lm for lm in fresh if lm is not None]
+                assert len(lanes) == len(fresh)
+                for got, want in zip(lanes, fresh):
+                    assert np.array_equal(got.p1, want.p1)
+                    assert np.array_equal(got.p2, want.p2)
+                    assert (got.size_m, got.id) == (want.size_m, want.id)
+        assert frames == 660
+        # Windows repeat across frames, so most lookups need no fit.
+        assert 0 < len(fits) < frames / 2
 
 
 class TestSerialization:

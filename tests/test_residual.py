@@ -93,6 +93,26 @@ class TestLineDistance:
             assert stretched == pytest.approx(base, abs=1e-9 * max(1, base))
             assert shifted == pytest.approx(base, abs=1e-9 * max(1, base))
 
+    def test_float_form_equals_array_form(self):
+        # line_distance runs on Python floats; each operation rounds as its
+        # numpy elementwise counterpart does, so the results are equal.
+        rng = np.random.default_rng(29)
+        for _ in range(5000):
+            scale = 10.0 ** rng.uniform(-3, 4)
+            m1, m2, q1, q2 = (rng.normal(size=(4, 2)) * scale).tolist()
+            det = det_line(m1, m2)
+            a, b = det.m1, det.m2
+            if tuple(b) < tuple(a):
+                a, b = b, a
+            d = b - a
+            e1, e2 = np.asarray(q1) - a, np.asarray(q2) - a
+            c1 = float(d[0] * e1[1] - d[1] * e1[0])
+            c2 = float(d[0] * e2[1] - d[1] * e2[0])
+            want = (abs(c1) + abs(c2)) / (2.0 * float(np.linalg.norm(d)))
+            got = line_distance(ProjectedLine(np.asarray(q1), np.asarray(q2)),
+                                det)
+            assert got == want
+
     def test_shortest_accepted_detection(self):
         # math.hypot puts this length at or above DetectedLine's 1e-6 bound
         # while np.linalg.norm rounds it below: any detection the

@@ -183,6 +183,45 @@ class TestSolve:
             assert len(obj.poses) == 1 + len(candidates)
             assert len(set(obj.poses)) == len(obj.poses)
 
+    @pytest.mark.parametrize("settings, reason", [
+        ({}, TerminationReason.STEP_TOLERANCE),
+        ({"STEP_TOLERANCE": 0.0}, TerminationReason.COST_TOLERANCE),
+        ({"MAX_ITERATIONS": 2}, TerminationReason.MAX_ITERATIONS),
+        # Without tolerances the solve ends only when rejected steps drive
+        # the damping past its cap, so the last pose evaluated is a
+        # rejected candidate, not the returned pose.
+        ({"STEP_TOLERANCE": 0.0, "COST_TOLERANCE": 0.0},
+         TerminationReason.MAX_DAMPING),
+    ])
+    def test_gate_residual_reuses_final_projection(self, monkeypatch,
+                                                    settings, reason):
+        for name, value in settings.items():
+            monkeypatch.setattr(solver, name, value)
+        base, init, _ = synthetic_objective(seed=0, displace=(2.0, 4.0))
+        objective = SolverObjective(base)
+        evaluated = []
+
+        class Recording:
+            def residual_and_jacobian(self, pose):
+                evaluated.append(pose)
+                return objective.residual_and_jacobian(pose)
+
+        fit = solve(Recording(), init)
+        assert fit.termination_reason is reason
+        assert (evaluated[-1] is fit.pose) is (
+            reason is not TerminationReason.MAX_DAMPING)
+        kernel_calls = []
+        kernel = base._kernel
+        monkeypatch.setattr(base, "_kernel",
+                            lambda pose: kernel_calls.append(pose) or kernel(pose))
+        got = objective.gate_residual(fit.pose)
+        assert kernel_calls == []
+        assert np.array_equal(got, base.residual(fit.pose))
+        # A pose the solve never evaluated is projected afresh.
+        other = CameraPose.from_vector(fit.pose.as_vector())
+        assert np.array_equal(objective.gate_residual(other), got)
+        assert len(kernel_calls) == 2
+
     def test_singular_geometry_raises(self):
         class Degenerate:
             def residual(self, pose):
