@@ -16,7 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .camera import CameraPose, Intrinsics, project_line, project_point, wrap_angle
+from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
+                     project_point, wrap_angle)
 from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, ReprojectionObjective,
                        ResidualConfig, SolverObjective, line_frame, line_gap,
@@ -84,10 +85,11 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     hypothesis validation stage is the defense against such conflicts.
     """
     corr = CorrespondenceSet()
+    view = PoseTransform.of(pose)
     # The projections name the module globals at call time, so a wrapper
     # installed on this module sees every call.
     def line_endpoints(lm):
-        proj = project_line(lm, pose, intrinsics)
+        proj = project_line(lm, view, intrinsics)
         return None if proj is None else projected_endpoints(proj)
 
     # Each detection's geometry is computed once; a line gap is then a few
@@ -98,7 +100,7 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
              line_endpoints, line_gap, gate_line_px),
             (corr.point_pairs, preselected.points,
              [(det.semantic, det) for det in det_points],
-             lambda lm: project_point(lm.p, pose, intrinsics), point_distance,
+             lambda lm: project_point(lm.p, view, intrinsics), point_distance,
              gate_point_px)):
         for lm_idx, lm in enumerate(landmarks):
             proj = project(lm)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +84,19 @@ class CameraPose:
         if v.shape != (6,):
             raise ValueError(f"pose vector must have 6 entries, got shape {v.shape}")
         return cls(*v)
+
+
+class PoseTransform(NamedTuple):
+    """Map-to-camera rotation and camera centre of one pose. The projection
+    functions take it in place of the pose, so that many projections at one
+    pose build the rotation once."""
+
+    rotation: np.ndarray
+    center: np.ndarray
+
+    @classmethod
+    def of(cls, pose: CameraPose) -> "PoseTransform":
+        return cls(pose.rotation(), pose.position)
 
 
 @dataclass(frozen=True)
@@ -163,14 +177,20 @@ def angles_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
     return yaw, pitch, roll
 
 
-def project_point(point, pose: CameraPose, intrinsics: Intrinsics) -> np.ndarray | None:
+def _transform(pose: CameraPose | PoseTransform) -> PoseTransform:
+    return pose if isinstance(pose, PoseTransform) else PoseTransform.of(pose)
+
+
+def project_point(point, pose: CameraPose | PoseTransform,
+                  intrinsics: Intrinsics) -> np.ndarray | None:
     """Project a 3D map point to pixels; None if it fails the cheirality guard.
 
     No image-bounds clipping is applied: association gates off-image
     projections by distance instead.
     """
-    p_cam = pose.rotation() @ (np.asarray(point, dtype=float) - pose.position)
-    return _pixel_from_camera(p_cam, intrinsics)
+    rot, c = _transform(pose)
+    return _pixel_from_camera(rot @ (np.asarray(point, dtype=float) - c),
+                              intrinsics)
 
 
 def pinhole(x, y, z, intrinsics: Intrinsics):
@@ -186,11 +206,11 @@ def _pixel_from_camera(p_cam: np.ndarray, intrinsics: Intrinsics) -> np.ndarray 
     return np.array(pinhole(p_cam[0], p_cam[1], p_cam[2], intrinsics))
 
 
-def project_line(landmark, pose: CameraPose, intrinsics: Intrinsics) -> ProjectedLine | None:
+def project_line(landmark, pose: CameraPose | PoseTransform,
+                 intrinsics: Intrinsics) -> ProjectedLine | None:
     """Project both control points of a line landmark; None if either is
     behind the camera."""
-    rot = pose.rotation()
-    c = pose.position
+    rot, c = _transform(pose)
     u1 = _pixel_from_camera(rot @ (np.asarray(landmark.p1, dtype=float) - c), intrinsics)
     if u1 is None:
         return None

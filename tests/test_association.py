@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semloc import association
 from semloc.association import (AssociationConfig, NoValidAssociation,
                                 associate_and_localize, closest_correspond,
                                 pose_distance)
@@ -209,6 +210,35 @@ class TestMatcherOracle:
                         assert [corr.line_pairs, corr.point_pairs] == want
                         checked += len(corr)
         assert checked > 200
+
+    def test_one_rotation_per_call(self, monkeypatch):
+        # The pose's rotation is built once per call, while every landmark
+        # is still projected through the module globals, one call each.
+        cfg = paper_scale_world(0)
+        _, truth, rendered, selected = frame_at(cfg, 40)
+        calls = {"rotation": 0, "project": 0}
+        rotation = CameraPose.rotation
+
+        def counted_rotation(pose):
+            calls["rotation"] += 1
+            return rotation(pose)
+
+        def counted(project):
+            def wrapper(*args):
+                calls["project"] += 1
+                return project(*args)
+            return wrapper
+
+        monkeypatch.setattr(CameraPose, "rotation", counted_rotation)
+        for name in ("project_line", "project_point"):
+            monkeypatch.setattr(association, name,
+                                counted(getattr(association, name)))
+        corr = closest_correspond(selected, rendered.frame.det_lines,
+                                  rendered.frame.det_points, truth,
+                                  cfg.intrinsics, 300.0, 300.0)
+        assert len(corr) >= 4
+        assert calls == {"rotation": 1, "project": len(selected.lines)
+                         + len(selected.points)}
 
 
 class TestAssociateAndLocalize:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from semloc.camera import (AXIS_SWAP, CameraPose, Intrinsics, ProjectedLine,
-                           angles_from_rotation, parse_intrinsics,
+from semloc.camera import (AXIS_SWAP, CameraPose, Intrinsics, PoseTransform,
+                           ProjectedLine, angles_from_rotation, parse_intrinsics,
                            project_line, project_point, rotation_derivatives,
                            rotation_from_angles, serialize_intrinsics,
                            wrap_angle)
@@ -167,6 +167,26 @@ class TestProjection:
             assert proj is not None
             assert np.allclose(proj.u1, project_point(p1, pose, intrinsics))
             assert np.allclose(proj.u2, project_point(p2, pose, intrinsics))
+
+    def test_pose_transform_gives_identical_pixels(self, intrinsics):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            pose = CameraPose(*rng.uniform(-3, 3, 3), *rng.uniform(-0.4, 0.4, 3))
+            view = PoseTransform.of(pose)
+            p1 = pose.position + rng.uniform(-20, 20, 3)
+            p2 = p1 + rng.uniform(-2, 2, 3)
+            lm = LineLandmark(p1, p2, SemanticClass.POLE_LIKE,
+                              float(np.linalg.norm(p2 - p1)), 0, 0)
+            for got, want in ((project_point(p1, view, intrinsics),
+                               project_point(p1, pose, intrinsics)),
+                              (project_line(lm, view, intrinsics),
+                               project_line(lm, pose, intrinsics))):
+                assert (got is None) == (want is None)
+                if isinstance(want, ProjectedLine):
+                    assert got.u1.tobytes() == want.u1.tobytes()
+                    assert got.u2.tobytes() == want.u2.tobytes()
+                elif want is not None:
+                    assert got.tobytes() == want.tobytes()
 
     def test_rigid_invariance(self, intrinsics):
         # moving the world and the camera together leaves pixels unchanged

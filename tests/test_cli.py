@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -108,6 +109,49 @@ def test_detection_commands_leave_out_scipy(tmp_path):
               f"assert [main(list(c)) for c in {commands!r}] == "
               f"{[0] * len(commands)!r}")
     assert _scipy_modules_after(tmp_path, script) == "[]"
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # Every command, masks included, in one fresh interpreter: the scipy
+    # modules loaded after the CLI import and after each command must be
+    # none, so a run-time import on any code path fails here.
+    (tmp_path / "clusters.txt").write_text(CLUSTERS)
+    world = ("--map", "w/map.txt", "--intrinsics", "w/intrinsics.txt")
+    commands = [
+        ("synth", "--out", "w", "--length", "50"),
+        ("localize", *world, "--detections", "w/detections.txt",
+         "--bootstrap", "w/groundtruth.txt", "--out", "result.csv"),
+        ("localize", *world, "--masks", "w/masks",
+         "--bootstrap", "w/groundtruth.txt", "--out", "masks_result.csv"),
+        ("eval", "--result", "result.csv",
+         "--ground-truth", "w/groundtruth.txt"),
+        ("landscape", *world, "--detections", "w/detections.txt",
+         "--ground-truth", "w/groundtruth.txt", "--frame", "4", "--grid", "3",
+         "--out", "landscape.csv"),
+        ("compile-map", "clusters.txt", "--out", "compiled.txt"),
+    ]
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')\n"
+        "import semloc, semloc.cli\n"
+        "seen = [('import', 0, scipy_modules())]\n"
+        f"for command in {commands!r}:\n"
+        "    code = semloc.cli.main(list(command))\n"
+        "    seen.append((command[0], code, scipy_modules()))\n"
+        "print(repr(seen))")
+    src = str(Path(semloc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path)
+    seen = ast.literal_eval(out.stdout.strip().splitlines()[-1])
+    assert [name for name, _, _ in seen] == \
+        ["import"] + [command[0] for command in commands]
+    assert seen == [(name, 0, []) for name, _, _ in seen]
+    assert (tmp_path / "masks_result.csv").read_text().count("\n") > 2
 
 
 class TestCompileMap:

@@ -17,14 +17,16 @@ SIGN = SemanticClass.TRAFFIC_SIGN
 
 
 def reference_region_grow(binary, min_region_px=30):
-    """Full-raster labeling with one full-raster pass per region."""
+    """Full-raster ndimage labeling; each label's pixels are gathered by a
+    stable sort of the raster-order foreground on its label."""
     labels, count = ndimage.label(np.asarray(binary) != 0,
                                   structure=np.ones((3, 3), dtype=bool))
-    regions = []
-    for index in range(1, count + 1):
-        pixels = np.argwhere(labels == index)
-        if pixels.shape[0] >= min_region_px:
-            regions.append(pixels)
+    owner = labels[labels != 0]
+    order = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(np.bincount(owner, minlength=count + 1)[1:])[:-1]
+    regions = [pixels for pixels in np.split(np.argwhere(labels)[order],
+                                             bounds)
+               if pixels.shape[0] >= min_region_px]
     regions.sort(key=lambda px: (int(px[0, 0]), int(px[0, 1])))
     return regions
 
@@ -239,6 +241,154 @@ class TestRegionGrowOracle:
         binary[12:18, 12:18] = 1
         assert_same_regions(region_grow(binary, 1),
                             reference_region_grow(binary, 1))
+
+
+# Full-size rasters (the 370 x 1226 image) built to stress the labeler:
+# long chains of runs in one row after another, many merges, and regions
+# that touch only diagonally.
+HEIGHT, WIDTH = 370, 1226
+
+
+def comb(teeth_up):
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    raster[:, ::2] = 1
+    raster[-1 if teeth_up else 0] = 1
+    return raster
+
+
+def serpentine(vertical):
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    if vertical:
+        raster[:, ::2] = 1
+        raster[-1, 1::4] = 1
+        raster[0, 3::4] = 1
+    else:
+        raster[::2] = 1
+        raster[1::4, -1] = 1
+        raster[3::4, 0] = 1
+    return raster
+
+
+def square_spiral():
+    # One path winding inwards, rings two pixels apart.
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    top, left, bottom, right = 0, 0, HEIGHT - 1, WIDTH - 1
+    while top + 2 <= bottom and left + 2 <= right:
+        raster[top, left:right + 1] = 1
+        raster[top:bottom + 1, right] = 1
+        raster[bottom, left:right + 1] = 1
+        raster[top + 2:bottom + 1, left] = 1
+        raster[top + 2, left:left + 3] = 1
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    return raster
+
+
+def checkerboard():
+    rows, cols = np.indices((HEIGHT, WIDTH))
+    return ((rows + cols) % 2 == 0).astype(np.uint8)
+
+
+def diagonal_x():
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    cols = np.arange(WIDTH)
+    rows = cols * (HEIGHT - 1) // (WIDTH - 1)
+    raster[rows, cols] = 1
+    raster[HEIGHT - 1 - rows, cols] = 1
+    return raster
+
+
+def random_fill(fraction):
+    rng = np.random.default_rng(int(fraction * 100))
+    return (rng.random((HEIGHT, WIDTH)) < fraction).astype(np.uint8)
+
+
+def box_edges():
+    # A plus that touches all four edges of the raster, a blob on each
+    # edge, and a ring whose hole holds an island.
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    raster[180:190] = 1
+    raster[:, 600:610] = 1
+    raster[0:4, 100:300] = raster[-3:, 900:1100] = 1
+    raster[20:80, 0:2] = raster[300:350, -5:] = 1
+    raster[40:140, 700:900] = 1
+    raster[50:130, 710:890] = 0
+    raster[80:100, 780:800] = 1
+    return raster
+
+
+def diagonal_chains():
+    # Staircases in both directions, touching only at corners.
+    rows, cols = np.indices((HEIGHT, WIDTH))
+    return (((rows + cols) % 7 == 0) | ((cols - rows) % 11 == 0)
+            ).astype(np.uint8)
+
+
+def single_pixels():
+    raster = np.zeros((HEIGHT, WIDTH), dtype=np.uint8)
+    raster[::2, ::2] = 1
+    return raster
+
+
+ADVERSARIAL = {
+    "comb_teeth_down": lambda: comb(False),
+    "comb_teeth_up": lambda: comb(True),
+    "serpentine_rows": lambda: serpentine(False),
+    "serpentine_columns": lambda: serpentine(True),
+    "square_spiral": square_spiral,
+    "checkerboard": checkerboard,
+    "diagonal_x": diagonal_x,
+    "random_fill_0.3": lambda: random_fill(0.3),
+    "random_fill_0.55": lambda: random_fill(0.55),
+    "box_edges": box_edges,
+    "diagonal_chains": diagonal_chains,
+    "single_pixels": single_pixels,
+}
+
+
+class TestRegionGrowFullRasters:
+    """region_grow labels runs of pixels; on full-size rasters it must give
+    exactly the regions of ndimage's pixel labeling."""
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+    @pytest.mark.parametrize("min_px", [1, 30])
+    def test_matches_ndimage(self, name, min_px):
+        binary = ADVERSARIAL[name]()
+        regions = region_grow(binary, min_px)
+        assert_same_regions(regions, reference_region_grow(binary, min_px))
+        assert all(r.dtype == np.intp for r in regions)
+
+    def test_single_pixel_regions(self):
+        binary = single_pixels()
+        regions = region_grow(binary, 1)
+        assert len(regions) == np.count_nonzero(binary)
+        assert all(r.shape == (1, 2) for r in regions)
+        assert region_grow(binary, 2) == []
+
+    def test_spiral_is_one_region(self):
+        binary = square_spiral()
+        regions = region_grow(binary, 1)
+        assert len(regions) == 1
+        assert regions[0].shape[0] == np.count_nonzero(binary)
+
+    @pytest.mark.parametrize("level", [1, 26, 128, 255])
+    def test_levels_either_side(self, level):
+        rng = np.random.default_rng(level)
+        values = np.array([max(level - 1, 0), level, min(level + 1, 255)],
+                          dtype=np.uint8)
+        raster = values[rng.integers(0, 3, (HEIGHT, WIDTH))]
+        raster[rng.random((HEIGHT, WIDTH)) < 0.4] = 0
+        for min_px in (1, 30):
+            regions = region_grow(raster, min_px, level)
+            assert_same_regions(regions,
+                                reference_region_grow(raster >= level, min_px))
+            assert all(r.dtype == np.intp for r in regions)
+
+    def test_bool_raster(self):
+        binary = random_fill(0.45).astype(bool)
+        for min_px in (1, 30):
+            regions = region_grow(binary, min_px)
+            assert_same_regions(regions, reference_region_grow(binary, min_px))
+            assert all(r.dtype == np.intp for r in regions)
 
 
 class TestFitRegionLineOracle:
