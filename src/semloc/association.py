@@ -132,15 +132,17 @@ def _hypothesis_sizes(n_lines: int, n_points: int):
     return k_lines, k_points
 
 
-def _iter_hypotheses(base: CorrespondenceSet, rng):
+def _iter_hypotheses(base: CorrespondenceSet, seed: int):
     """Yield distinct (line pair subset, point pair subset) hypotheses in a
-    seeded random order, at most ``MAX_HYPOTHESES`` of them."""
+    seeded random order, at most ``MAX_HYPOTHESES`` of them. A base that
+    admits one hypothesis only is yielded as it is, and draws nothing."""
     n_lines, n_points = len(base.line_pairs), len(base.point_pairs)
-    if len(base) < 3:
-        yield base
-        return
     k_lines, k_points = _hypothesis_sizes(n_lines, n_points)
     n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
+    if n_combos == 1:
+        yield base
+        return
+    rng = np.random.default_rng(seed)
     if n_combos <= MAX_HYPOTHESES:
         pool = [(lc, pc)
                 for lc in combinations(range(n_lines), k_lines)
@@ -187,22 +189,25 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
     # Lane height for the flat-ground term, pinned at the initial position
     # so the objective stays smooth across the whole solve.
     y_lane = nearest_lane_height(preselected.lines, init.position)
-    rng = np.random.default_rng(seed)
 
-    def _solve_pairs(corr, start):
-        """Optimize over a correspondence set; the returned result reports
-        the gate cost (sqrt of the stacked-distance residual), while the
-        minimization itself runs on the smooth split-row formulation."""
-        objective = SolverObjective(ReprojectionObjective(
+    def _objective(corr):
+        return SolverObjective(ReprojectionObjective(
             preselected, det_lines, det_points, corr, intrinsics,
             residual_config, y_lane))
+
+    def _solve(objective, start):
+        """Optimize over the objective's correspondence set; the returned
+        result reports the gate cost (sqrt of the stacked-distance
+        residual), while the minimization itself runs on the smooth
+        split-row formulation."""
         fit = solve(objective, start)
         gate = objective.gate_residual(fit.pose)
         return replace(fit, final_cost=float(gate @ gate))
 
-    for hypothesis in _iter_hypotheses(base, rng):
+    for hypothesis in _iter_hypotheses(base, seed):
+        objective = _objective(hypothesis)
         try:
-            fit = _solve_pairs(hypothesis, init)
+            fit = _solve(objective, init)
         except SingularNormalEquations:
             continue
         if fit.residual_rms > assoc_config.max_hypothesis_rms:
@@ -215,8 +220,14 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             assoc_config.gate_line_refine_px, assoc_config.gate_point_refine_px)
         if len(refined) == 0:
             continue
+        # Re-matching often returns the hypothesis's own pairs. Its
+        # objective then already holds (r, J) at fit.pose, where the refine
+        # solve starts, so that first evaluation projects nothing.
+        if (refined.line_pairs, refined.point_pairs) != \
+                (hypothesis.line_pairs, hypothesis.point_pairs):
+            objective = _objective(refined)
         try:
-            final = _solve_pairs(refined, fit.pose)
+            final = _solve(objective, fit.pose)
         except SingularNormalEquations:
             continue
         if final.residual_rms > assoc_config.max_final_rms_per_pair * len(refined):

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +52,17 @@ class SemanticMask:
                     f"({self.height}, {self.width})")
 
 
+class LineGeometry(NamedTuple):
+    """A detected line in canonical endpoint order: the anchor endpoint,
+    the direction to the other endpoint, the length, and the same as
+    Python floats (anchor x, y, direction x, y, twice the length)."""
+
+    anchor: np.ndarray
+    direction: np.ndarray
+    length: float
+    frame: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class DetectedLine:
     """2D line feature with its semantic class and inlier support."""
@@ -71,6 +84,18 @@ class DetectedLine:
         if not 1e-6 <= math.hypot(x2 - x1, y2 - y1) < math.inf:
             raise ValueError("detected line endpoints must be finite and "
                              "distinct")
+
+    @cached_property
+    def geometry(self) -> LineGeometry:
+        """The line's canonical geometry, computed on first use. Canonical
+        endpoint order makes every distance bit-identical under endpoint
+        swaps."""
+        m1, m2 = self.m1, self.m2
+        if tuple(m2) < tuple(m1):
+            m1, m2 = m2, m1
+        d = m2 - m1
+        length = float(np.linalg.norm(d))
+        return LineGeometry(m1, d, length, (*m1.tolist(), *d.tolist(), 2.0 * length))
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,22 +85,10 @@ def _cross2(a: np.ndarray, b: np.ndarray):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _detected_line(det):
-    """Anchor, direction and length of a detected line, whose endpoints
-    ``DetectedLine`` guarantees distinct. Canonical endpoint order makes
-    every distance bit-identical under endpoint swaps."""
-    m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
-    if tuple(m2) < tuple(m1):
-        m1, m2 = m2, m1
-    d = m2 - m1
-    return m1, d, float(np.linalg.norm(d))
-
-
 def line_frame(det) -> tuple:
     """A detected line as Python floats: anchor x, y, direction x, y and
     twice the length."""
-    m1, d, length = _detected_line(det)
-    return (*m1.tolist(), *d.tolist(), 2.0 * length)
+    return det.geometry.frame
 
 
 def line_gap(endpoints, frame) -> float:
@@ -189,7 +177,7 @@ class ReprojectionObjective:
         dirs, anchors, lengths = [], [], []
         for lm_idx, det_idx in corr.line_pairs:
             lm = preselected.lines[lm_idx]
-            m1, d, length = _detected_line(det_lines[det_idx])
+            m1, d, length, _ = det_lines[det_idx].geometry
             pts.extend((lm.p1, lm.p2))
             dirs.append(d)
             anchors.append(m1)
@@ -276,13 +264,22 @@ class SolverObjective:
 
     def __init__(self, base: ReprojectionObjective):
         self.base = base
-        # Kernel outputs per evaluated pose object, so that the gate
-        # residual at the pose a solve returns needs no second projection.
-        # Each entry holds its pose, so no live pose can reuse its id.
-        self._kernels = {}
+        # One _Evaluation per evaluated pose object. A second evaluation of
+        # the same pose object, and the gate residual at the pose a solve
+        # returns, then project nothing. Each entry holds its pose, so no
+        # live pose can reuse its id.
+        self._evaluated = {}
         # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
         self._line_grad = np.stack([-base._line_dir[:, 1], base._line_dir[:, 0]],
                                    axis=1) * (HALF_SQRT2 / base._line_len)[:, None]
+        # The flat-ground rows' Jacobian is constant; every evaluation
+        # starts from a copy of this template and fills the data rows.
+        n_data_rows = 2 * base.n_lines + 2 * base.n_points
+        self._jac_template = np.zeros((self.n_rows, 6))
+        self._jac_template[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch
+        self._jac_template[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll
+        if base.y_lane is not None:
+            self._jac_template[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
 
     @property
     def n_rows(self) -> int:
@@ -291,11 +288,14 @@ class SolverObjective:
 
     def gate_residual(self, pose: CameraPose) -> np.ndarray:
         """``base.residual(pose)``, reduced from this objective's own
-        projection when it has evaluated ``pose``."""
-        kernel = self._kernels.get(id(pose))
-        if kernel is None:
+        projection when it has evaluated ``pose``, and then kept, so that
+        asking again for the same pose object returns the same array."""
+        entry = self._evaluated.get(id(pose))
+        if entry is None:
             return self.base.residual(pose)
-        return self.base._gate_rows(*kernel)
+        if entry.gate is None:
+            entry.gate = self.base._gate_rows(pose, *entry.kernel)
+        return entry.gate
 
     def _pixel_jacobian(self, pose: CameraPose, rot, rel, cam, zs) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
@@ -319,32 +319,53 @@ class SolverObjective:
 
     def residual_and_jacobian(self, pose: CameraPose):
         """The residual vector, shape (n_rows,), and its Jacobian over the
-        pose parameters, shape (n_rows, 6)."""
+        pose parameters, shape (n_rows, 6). A pose object evaluated before
+        gets the same two arrays back, so callers must not write to them."""
+        entry = self._evaluated.get(id(pose))
+        if entry is not None:
+            return entry.r, entry.jac
         base = self.base
         cross, err, line_ok, point_ok, geometry = base._kernel(pose)
-        self._kernels[id(pose)] = (pose, cross, err, line_ok, point_ok)
+        all_ok = line_ok.all() and point_ok.all()
         nl = base.n_lines
         n_line_rows = 2 * nl
         n_data_rows = n_line_rows + 2 * base.n_points
         res = np.empty(self.n_rows)
-        c = cross / base._line_len[:, None]
-        res[:n_line_rows] = np.where(line_ok[:, None], HALF_SQRT2 * c,
-                                     BEHIND_CAMERA_PENALTY_PX).ravel()
-        res[n_line_rows:n_data_rows] = np.where(
-            point_ok[:, None], err, BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2).ravel()
+        line_res = HALF_SQRT2 * (cross / base._line_len[:, None])
+        point_res = err
+        if not all_ok:
+            line_res = np.where(line_ok[:, None], line_res,
+                                BEHIND_CAMERA_PENALTY_PX)
+            point_res = np.where(point_ok[:, None], err,
+                                 BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2)
+        res[:n_line_rows] = line_res.ravel()
+        res[n_line_rows:n_data_rows] = point_res.ravel()
         res[n_data_rows:] = base._soft_rows(pose)
 
         duv = self._pixel_jacobian(pose, *geometry)
-        jac = np.zeros((self.n_rows, 6))
+        jac = self._jac_template.copy()
         # Per line endpoint: line_grad . d(pixel)/d(pose), shape (nl, 2, 6).
         rows = np.einsum("ni,nkij->nkj", self._line_grad,
                          duv[:n_line_rows].reshape(nl, 2, 2, 6))
-        jac[:n_line_rows] = np.where(line_ok[:, None, None], rows,
-                                     0.0).reshape(-1, 6)
-        jac[n_line_rows:n_data_rows] = np.where(
-            point_ok[:, None, None], duv[n_line_rows:], 0.0).reshape(-1, 6)
-        jac[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch row
-        jac[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll row
-        if base.y_lane is not None:
-            jac[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
+        point_rows = duv[n_line_rows:]
+        if not all_ok:
+            rows = np.where(line_ok[:, None, None], rows, 0.0)
+            point_rows = np.where(point_ok[:, None, None], point_rows, 0.0)
+        jac[:n_line_rows] = rows.reshape(-1, 6)
+        jac[n_line_rows:n_data_rows] = point_rows.reshape(-1, 6)
+        self._evaluated[id(pose)] = _Evaluation(
+            pose, (cross, err, line_ok, point_ok), res, jac)
         return res, jac
+
+
+class _Evaluation:
+    """What a ``SolverObjective`` computed at one pose object: the kernel
+    outputs the gate residual reduces, the (r, J) pair, and the gate
+    residual once it has been asked for."""
+
+    __slots__ = ("pose", "kernel", "r", "jac", "gate")
+
+    def __init__(self, pose: CameraPose, kernel: tuple, r: np.ndarray,
+                 jac: np.ndarray):
+        self.pose, self.kernel, self.r, self.jac = pose, kernel, r, jac
+        self.gate = None

@@ -73,7 +73,9 @@ def solve(objective, init: CameraPose) -> SolveResult:
     shape (n, 6) over the parameters in ``POSE_PARAMS`` order, as float
     arrays; the cost is r @ r. It is called once on ``init`` and once per
     candidate step, and an accepted candidate's (r, J) carries into the
-    next iteration. Deterministic: the same inputs produce the same iterate
+    next iteration. The objective may return the same stored arrays again
+    for a pose object it has already evaluated, so ``solve`` treats r and
+    J as read-only. Deterministic: the same inputs produce the same iterate
     sequence.
     """
     x = init.as_vector()
@@ -86,12 +88,14 @@ def solve(objective, init: CameraPose) -> SolveResult:
     for iterations in range(1, MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
         gradient = jac.T @ r
-        diag = np.clip(np.diag(jtj), 1e-12, None)
+        diag = np.maximum(jtj.diagonal(), 1e-12)
 
         while True:
+            damped = jtj.copy()
+            damped.flat[::damped.shape[0] + 1] += damping * diag
             try:
-                step = np.linalg.solve(jtj + damping * np.diag(diag), -gradient)
-                solvable = bool(np.all(np.isfinite(step)))
+                step = np.linalg.solve(damped, -gradient)
+                solvable = bool(np.isfinite(step).all())
             except np.linalg.LinAlgError:
                 solvable = False
             if not solvable:
@@ -100,7 +104,7 @@ def solve(objective, init: CameraPose) -> SolveResult:
                     raise SingularNormalEquations(
                         "normal equations unsolvable at maximum damping")
                 continue
-            if float(np.linalg.norm(step)) < STEP_TOLERANCE:
+            if math.sqrt(step @ step) < STEP_TOLERANCE:
                 return SolveResult(pose, cost, iterations,
                                    TerminationReason.STEP_TOLERANCE, trace)
             candidate_vec = _wrap_vector(x + step)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .camera import CameraPose, Intrinsics, project_line, project_point
+from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
+                     project_point)
 from .features import DetectedLine, DetectedPoint, SemanticMask
 from .mapmodel import (LANE_WINDOW_M, LanePolyline, LineLandmark,
                        PointLandmark, SemanticClass, SemanticMap, resolvable)
@@ -208,10 +209,10 @@ def _in_image(uv: np.ndarray, intrinsics: Intrinsics) -> bool:
 
 
 def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
-                         intrinsics: Intrinsics):
+                         view: PoseTransform, intrinsics: Intrinsics):
     """Projected endpoints of the lane stretch ``LANE_WINDOW_M`` ahead
-    (sampled every 0.5 m) that lands inside the image. Returns (m1, m2) or
-    None."""
+    (sampled every 0.5 m) that lands inside the image, seen through
+    ``view``, the pose's transform. Returns (m1, m2) or None."""
     heading = heading_from_pose(pose)
     near, far = LANE_WINDOW_M
     pieces = []
@@ -221,12 +222,12 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
         pieces.append(a + t * (b - a))
     pieces.append(lane.points[-1:])
     samples = np.concatenate(pieces)
-    along = (samples[:, 0] - pose.position[0]) * heading[0] + \
-        (samples[:, 2] - pose.position[2]) * heading[1]
+    along = (samples[:, 0] - view.center[0]) * heading[0] + \
+        (samples[:, 2] - view.center[2]) * heading[1]
     inside = (near <= along) & (along <= far)
     kept = []
     for q, dist in zip(samples[inside], along[inside]):
-        uv = project_point(q, pose, intrinsics)
+        uv = project_point(q, view, intrinsics)
         if uv is None or not _in_image(uv, intrinsics):
             continue
         kept.append((dist, uv))
@@ -240,45 +241,46 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
 
 
 def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
-                           config: WorldConfig):
+                           view: PoseTransform, config: WorldConfig):
     """(landmark id, class, m1, m2) for every line landmark and lane window
-    fully visible from the pose. A landmark must also pass preselection's
-    size/distance rule from the pose, so every preselectable landmark has
-    its own rendering and no un-preselectable bait detections exist."""
+    fully visible from the pose, whose transform is ``view``. A landmark
+    must also pass preselection's size/distance rule from the pose, so
+    every preselectable landmark has its own rendering and no
+    un-preselectable bait detections exist."""
     intr = config.intrinsics
-    position = pose.position
+    position = view.center
     out = []
     keep = resolvable([lm.size_m for lm in semantic_map.lines],
                       [lm.p1 for lm in semantic_map.lines], position)
     for lm, kept in zip(semantic_map.lines, keep.tolist()):
         if not kept:
             continue
-        proj = project_line(lm, pose, intr)
+        proj = project_line(lm, view, intr)
         if proj is None:
             continue
         if not (_in_image(proj.u1, intr) and _in_image(proj.u2, intr)):
             continue
         out.append((lm.id, lm.semantic, proj.u1, proj.u2))
     for lane in semantic_map.lanes:
-        window = _visible_lane_window(lane, pose, intr)
+        window = _visible_lane_window(lane, pose, view, intr)
         if window is not None:
             out.append((lane.id, SemanticClass.LANE_LINE, window[0], window[1]))
     return out
 
 
-def _true_point_projections(semantic_map: SemanticMap, pose: CameraPose,
+def _true_point_projections(semantic_map: SemanticMap, view: PoseTransform,
                             config: WorldConfig):
     """(landmark, pixel) for every point landmark visible and resolvable
-    from the pose."""
+    from the pose whose transform is ``view``."""
     intr = config.intrinsics
-    position = pose.position
+    position = view.center
     out = []
     keep = resolvable([lm.size_m for lm in semantic_map.points],
                       [lm.p for lm in semantic_map.points], position)
     for lm, kept in zip(semantic_map.points, keep.tolist()):
         if not kept:
             continue
-        uv = project_point(lm.p, pose, intr)
+        uv = project_point(lm.p, view, intr)
         if uv is None or not _in_image(uv, intr):
             continue
         out.append((lm, uv))
@@ -299,8 +301,9 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
     frame = FrameInput(frame_id, road_index=config.road_index)
     rendered = RenderedFrame(frame)
 
-    true_lines = _true_line_projections(semantic_map, pose, config)
-    true_points = _true_point_projections(semantic_map, pose, config)
+    view = PoseTransform.of(pose)
+    true_lines = _true_line_projections(semantic_map, pose, view, config)
+    true_points = _true_point_projections(semantic_map, view, config)
 
     sigma = config.pixel_noise_sigma
 
@@ -419,12 +422,14 @@ def render_masks(semantic_map: SemanticMap, pose: CameraPose,
             channels[semantic] = np.zeros((intr.height, intr.width), np.uint8)
         return channels[semantic]
 
+    view = PoseTransform.of(pose)
     exact_lines, exact_points = [], []
-    for lm_id, semantic, m1, m2 in _true_line_projections(semantic_map, pose, config):
+    for lm_id, semantic, m1, m2 in _true_line_projections(semantic_map, pose,
+                                                          view, config):
         _stroke(channel(semantic), m1, m2)
         exact_lines.append(DetectedLine(m1, m2, semantic))
-    for lm, uv in _true_point_projections(semantic_map, pose, config):
-        depth = float((pose.rotation() @ (lm.p - pose.position))[2])
+    for lm, uv in _true_point_projections(semantic_map, view, config):
+        depth = float((view.rotation @ (lm.p - view.center))[2])
         radius = max(4.0, intr.fx * lm.size_m / 2.0 / max(depth, 1.0))
         _disc(channel(lm.semantic), uv, min(radius, 20.0))
         exact_points.append(DetectedPoint(uv, lm.semantic))

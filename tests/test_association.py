@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from semloc.association import (AssociationConfig, NoValidAssociation,
 from semloc.camera import CameraPose, project_line, project_point
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
-from semloc.residual import (ReprojectionObjective, ResidualConfig,
-                             line_distance, nearest_lane_height,
-                             point_distance)
+from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
+                             ResidualConfig, SolverObjective, line_distance,
+                             nearest_lane_height, point_distance)
+from semloc.solver import solve
 from semloc.synthworld import generate_world, render_detections
 
 from conftest import clutter_world, paper_scale_world, perturbed
@@ -339,6 +341,134 @@ class TestAssociateAndLocalize:
         _, truth, _, selected = frame_at(cfg, 30)
         with pytest.raises(NoValidAssociation):
             associate_and_localize(selected, [], [], truth, cfg.intrinsics)
+
+
+def pair_base(n_lines, n_points):
+    """A correspondence set with distinct, recognizable pairs."""
+    return CorrespondenceSet([(i, 10 + i) for i in range(n_lines)],
+                             [(i, 20 + i) for i in range(n_points)])
+
+
+class TestIterHypotheses:
+    @pytest.mark.parametrize("n_lines, n_points", [
+        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1), (4, 1),
+        (5, 0), (3, 2), (2, 3), (0, 5)])
+    def test_single_hypothesis_draws_nothing(self, monkeypatch, n_lines,
+                                             n_points):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a one-hypothesis base built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        base = pair_base(n_lines, n_points)
+        got = list(association._iter_hypotheses(base, 0))
+        assert len(got) == 1
+        assert got[0].line_pairs == base.line_pairs
+        assert got[0].point_pairs == base.point_pairs
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("n_lines, n_points", [
+        (5, 1), (4, 2), (6, 0), (0, 6), (8, 3), (10, 2)])
+    def test_pool_order(self, n_lines, n_points, seed):
+        base = pair_base(n_lines, n_points)
+        k_lines, k_points = association._hypothesis_sizes(n_lines, n_points)
+        pool = [(lc, pc)
+                for lc in combinations(range(n_lines), k_lines)
+                for pc in combinations(range(n_points), k_points)]
+        assert 1 < len(pool) <= association.MAX_HYPOTHESES
+        order = np.random.default_rng(seed).permutation(len(pool))
+        expected = [([base.line_pairs[i] for i in pool[j][0]],
+                     [base.point_pairs[i] for i in pool[j][1]])
+                    for j in order]
+        got = [(h.line_pairs, h.point_pairs)
+               for h in association._iter_hypotheses(base, seed)]
+        assert got == expected
+
+
+class TestRefineReuse:
+    """When re-matching returns the hypothesis's own pairs, the refine
+    solve runs on the hypothesis's objective, which already holds (r, J)
+    at the pose where that solve starts."""
+
+    @staticmethod
+    def hypothesis_frame():
+        cfg = paper_scale_world(0)
+        _, truth, rendered, selected = frame_at(cfg, 40)
+        init = perturbed(truth, np.random.default_rng(3), 0.5,
+                         math.radians(1.0))
+        det_lines, det_points = rendered.frame.det_lines, rendered.frame.det_points
+        y_lane = nearest_lane_height(selected.lines, init.position)
+
+        def objective(corr):
+            return SolverObjective(ReprojectionObjective(
+                selected, det_lines, det_points, corr, cfg.intrinsics,
+                ResidualConfig(), y_lane))
+
+        assoc = AssociationConfig()
+        base = closest_correspond(selected, det_lines, det_points, init,
+                                  cfg.intrinsics, assoc.gate_line_init_px,
+                                  assoc.gate_point_init_px)
+        hypotheses = list(association._iter_hypotheses(base, 0))
+        assert len(hypotheses) == 1
+        return cfg, selected, rendered, init, objective, hypotheses[0]
+
+    def test_reused_objective_solves_as_fresh(self, monkeypatch):
+        cfg, selected, rendered, init, objective, hypothesis = \
+            self.hypothesis_frame()
+        assoc = AssociationConfig()
+        reused = objective(hypothesis)
+        fit = solve(reused, init)
+        refined = closest_correspond(
+            selected, rendered.frame.det_lines, rendered.frame.det_points,
+            fit.pose, cfg.intrinsics, assoc.gate_line_refine_px,
+            assoc.gate_point_refine_px)
+        assert (refined.line_pairs, refined.point_pairs) == \
+            (hypothesis.line_pairs, hypothesis.point_pairs)
+        fresh = objective(refined)
+        expected = solve(fresh, fit.pose)
+
+        kernel_calls = []
+        kernel = reused.base._kernel
+        monkeypatch.setattr(reused.base, "_kernel",
+                            lambda pose: kernel_calls.append(pose) or kernel(pose))
+        projections = []
+
+        class Recording:
+            def residual_and_jacobian(self, pose):
+                before = len(kernel_calls)
+                out = reused.residual_and_jacobian(pose)
+                projections.append(len(kernel_calls) - before)
+                return out
+
+        got = solve(Recording(), fit.pose)
+        # The first evaluation is the stored one; each candidate after it
+        # is projected once.
+        assert projections[0] == 0
+        assert projections[1:] == [1] * (len(projections) - 1)
+        assert got.pose.as_vector().tobytes() == \
+            expected.pose.as_vector().tobytes()
+        assert got.final_cost == expected.final_cost
+        assert got.iterations == expected.iterations
+        assert got.termination_reason is expected.termination_reason
+        assert got.cost_trace == expected.cost_trace
+        assert np.array_equal(reused.gate_residual(got.pose),
+                              fresh.gate_residual(expected.pose))
+
+    def test_associate_builds_one_objective(self, monkeypatch):
+        cfg, selected, rendered, init, _, _ = self.hypothesis_frame()
+        built = []
+        objective = association.ReprojectionObjective
+
+        def counted(*args):
+            built.append(args[3])
+            return objective(*args)
+
+        monkeypatch.setattr(association, "ReprojectionObjective", counted)
+        _, refined = associate_and_localize(
+            selected, rendered.frame.det_lines, rendered.frame.det_points,
+            init, cfg.intrinsics)
+        assert len(built) == 1
+        assert (built[0].line_pairs, built[0].point_pairs) == \
+            (refined.line_pairs, refined.point_pairs)
 
 
 class TestConfig:

@@ -737,3 +737,51 @@ class TestDetectionTypes:
             SemanticMask(10, 10, {POLE: np.zeros((5, 5), dtype=np.uint8)})
         with pytest.raises(ValueError):
             SemanticMask(5, 5, {POLE: np.zeros((5, 5))})
+
+
+def reference_line_geometry(det):
+    """Canonical anchor, direction and length with the expressions the
+    residual module used before lines cached their geometry."""
+    m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
+    if tuple(m2) < tuple(m1):
+        m1, m2 = m2, m1
+    d = m2 - m1
+    length = float(np.linalg.norm(d))
+    return m1, d, length, (*m1.tolist(), *d.tolist(), 2.0 * length)
+
+
+def geometry_bytes(geometry):
+    anchor, direction, length, frame = geometry
+    return (np.asarray(anchor).tobytes(), np.asarray(direction).tobytes(),
+            np.float64(length).tobytes(), np.array(frame).tobytes())
+
+
+class TestLineGeometry:
+    def endpoint_pairs(self):
+        rng = np.random.default_rng(5)
+        pairs = [rng.uniform(-50.0, 1300.0, (2, 2)) for _ in range(200)]
+        # Equal x makes the y coordinate decide the canonical order.
+        pairs += [np.array([[7.25, 3.0], [7.25, -1.5]]),
+                  np.array([[0.1, 0.2], [0.3, 0.2]])]
+        return pairs
+
+    def test_equals_reference_bit_for_bit(self):
+        for m1, m2 in self.endpoint_pairs():
+            det = DetectedLine(m1, m2, POLE)
+            assert geometry_bytes(det.geometry) == \
+                geometry_bytes(reference_line_geometry(det))
+
+    def test_endpoint_swap_invariant(self):
+        for m1, m2 in self.endpoint_pairs():
+            assert geometry_bytes(DetectedLine(m1, m2, POLE).geometry) == \
+                geometry_bytes(DetectedLine(m2, m1, POLE).geometry)
+
+    def test_computed_once_and_lazily(self):
+        from semloc.pipeline import parse_detections
+        frames = parse_detections("F 0 0\nDL POLE 1.5 2.5 3.5 40.5\n"
+                                  "DL LANE 9 8 7 6\n")
+        lines = frames[0].det_lines
+        assert all("geometry" not in vars(det) for det in lines)
+        first = lines[0].geometry
+        assert lines[0].geometry is first
+        assert "geometry" not in vars(lines[1])

@@ -224,6 +224,28 @@ class TestRenderMasks:
         assert len(exact_points) == len(rendered.frame.det_points)
 
 
+    def test_one_rotation_per_frame(self, monkeypatch):
+        # Both renderers build the pose's rotation once per frame, however
+        # many landmarks and lane samples they project.
+        cfg = paper_scale_world(0)
+        semantic_map, trajectory = generate_world(cfg)
+        builds = []
+        rotation = CameraPose.rotation
+        monkeypatch.setattr(CameraPose, "rotation",
+                            lambda pose: builds.append(pose) or rotation(pose))
+        for k in (0, 40, 80, 120):
+            del builds[:]
+            rendered = render_detections(semantic_map, trajectory[k], cfg,
+                                         frame_id=k)
+            assert len(rendered.frame.det_lines) >= 4
+            assert builds == [trajectory[k]]
+            del builds[:]
+            _, exact_lines, exact_points = render_masks(
+                semantic_map, trajectory[k], cfg)
+            assert exact_lines and exact_points
+            assert builds == [trajectory[k]]
+
+
 def reference_stroke(raster, p0, p1):
     """Two-branch stroke: a y-major walk painting row slabs and an x-major
     walk painting column slabs."""
