@@ -20,7 +20,7 @@ from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
                      project_point, wrap_angle)
 from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, ReprojectionObjective,
-                       ResidualConfig, SolverObjective, line_frame, line_gap,
+                       ResidualConfig, SolverObjective, line_gap,
                        nearest_lane_height, point_distance, projected_endpoints)
 from .solver import SingularNormalEquations, solve
 
@@ -96,7 +96,7 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     # float operations per (landmark, detection) pair.
     for pairs, landmarks, detections, project, distance, gate in (
             (corr.line_pairs, preselected.lines,
-             [(det.semantic, line_frame(det)) for det in det_lines],
+             [(det.semantic, det.geometry.frame) for det in det_lines],
              line_endpoints, line_gap, gate_line_px),
             (corr.point_pairs, preselected.points,
              [(det.semantic, det) for det in det_points],

@@ -85,17 +85,12 @@ def _cross2(a: np.ndarray, b: np.ndarray):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def line_frame(det) -> tuple:
-    """A detected line as Python floats: anchor x, y, direction x, y and
-    twice the length."""
-    return det.geometry.frame
-
-
 def line_gap(endpoints, frame) -> float:
     """``line_distance`` from the projected endpoints as four Python floats
-    (u1 x, y, u2 x, y) and a ``line_frame``. Python floats round each
-    operation as numpy's elementwise ones do, so in this order the result
-    is bit-identical to the array form of the same cross products."""
+    (u1 x, y, u2 x, y) and a detected line's ``geometry.frame``. Python
+    floats round each operation as numpy's elementwise ones do, so in this
+    order the result is bit-identical to the array form of the same cross
+    products."""
     u1x, u1y, u2x, u2y = endpoints
     ax, ay, dx, dy, twice_length = frame
     c1 = dx * (u1y - ay) - dy * (u1x - ax)
@@ -112,7 +107,7 @@ def projected_endpoints(proj: ProjectedLine) -> tuple:
 def line_distance(proj: ProjectedLine, det) -> float:
     """Mean perpendicular distance of the two projected control points to
     the infinite line through the detected endpoints (pixels)."""
-    return line_gap(projected_endpoints(proj), line_frame(det))
+    return line_gap(projected_endpoints(proj), det.geometry.frame)
 
 
 def point_distance(proj, det) -> float:
