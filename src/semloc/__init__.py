@@ -3,7 +3,7 @@
 from .association import (AssociationConfig, NoValidAssociation,
                           associate_and_localize, closest_correspond,
                           pose_distance)
-from .camera import (CameraPose, Intrinsics, PoseTransform, ProjectedLine,
+from .camera import (CameraPose, Intrinsics, PoseTransform,
                      angles_from_rotation, project_line, project_point,
                      rotation_from_angles)
 from .features import (DetectedLine, DetectedPoint, SemanticMask,

@@ -20,8 +20,8 @@ from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
                      project_point, wrap_angle)
 from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, ReprojectionObjective,
-                       ResidualConfig, SolverObjective, line_gap,
-                       nearest_lane_height, point_distance, projected_endpoints)
+                       ResidualConfig, SolverObjective, line_distance,
+                       nearest_lane_height, point_distance)
 from .solver import SingularNormalEquations, solve
 
 
@@ -57,11 +57,13 @@ class AssociationConfig:
         if self.gate_line_refine_px > self.gate_line_init_px or \
                 self.gate_point_refine_px > self.gate_point_init_px:
             raise ValueError("refinement gates must not exceed initial gates")
-        if min(self.gate_line_init_px, self.gate_point_init_px,
-               self.gate_line_refine_px, self.gate_point_refine_px,
-               self.max_pose_shift, self.max_hypothesis_rms,
-               self.max_final_rms_per_pair) <= 0:
-            raise ValueError("gates must be positive")
+        # NaN fails every comparison, so it passes none of these bounds.
+        if not all(0 < gate < math.inf for gate in (
+                self.gate_line_init_px, self.gate_point_init_px,
+                self.gate_line_refine_px, self.gate_point_refine_px,
+                self.max_pose_shift, self.max_hypothesis_rms,
+                self.max_final_rms_per_pair)):
+            raise ValueError("gates must be positive and finite")
 
 
 def pose_distance(a: CameraPose, b: CameraPose) -> float:
@@ -86,24 +88,21 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     """
     corr = CorrespondenceSet()
     view = PoseTransform.of(pose)
-    # The projections name the module globals at call time, so a wrapper
-    # installed on this module sees every call.
-    def line_endpoints(lm):
-        proj = project_line(lm, view, intrinsics)
-        return None if proj is None else projected_endpoints(proj)
-
-    # Each detection's geometry is computed once; a line gap is then a few
-    # float operations per (landmark, detection) pair.
-    for pairs, landmarks, detections, project, distance, gate in (
+    # One projection per landmark through the module globals, so a wrapper
+    # installed on this module sees every call. Each detection's geometry
+    # is taken once; a line distance is then a few float operations per
+    # (landmark, detection) pair.
+    for pairs, landmarks, projections, detections, distance, gate in (
             (corr.line_pairs, preselected.lines,
-             [(det.semantic, det.geometry.frame) for det in det_lines],
-             line_endpoints, line_gap, gate_line_px),
+             [project_line(lm, view, intrinsics) for lm in preselected.lines],
+             [(det.semantic, det.geometry) for det in det_lines],
+             line_distance, gate_line_px),
             (corr.point_pairs, preselected.points,
+             [project_point(lm.p, view, intrinsics)
+              for lm in preselected.points],
              [(det.semantic, det) for det in det_points],
-             lambda lm: project_point(lm.p, view, intrinsics), point_distance,
-             gate_point_px)):
-        for lm_idx, lm in enumerate(landmarks):
-            proj = project(lm)
+             point_distance, gate_point_px)):
+        for lm_idx, (lm, proj) in enumerate(zip(landmarks, projections)):
             if proj is None:
                 continue
             best, best_idx = math.inf, -1

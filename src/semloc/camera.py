@@ -87,9 +87,9 @@ class CameraPose:
 
 
 class PoseTransform(NamedTuple):
-    """Map-to-camera rotation and camera centre of one pose. The projection
-    functions take it in place of the pose, so that many projections at one
-    pose build the rotation once."""
+    """Map-to-camera rotation and camera centre of one pose, the ``view``
+    the projection functions take, so that many projections at one pose
+    build the rotation once."""
 
     rotation: np.ndarray
     center: np.ndarray
@@ -112,18 +112,13 @@ class Intrinsics:
     height: int = 370
 
     def __post_init__(self):
+        values = (self.fx, self.fy, self.cx, self.cy, self.skew)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite intrinsics: {values}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedLine:
-    """Image projections of a line landmark's two control points."""
-
-    u1: np.ndarray
-    u2: np.ndarray
 
 
 def rotation_from_angles(yaw: float, pitch: float, roll: float) -> np.ndarray:
@@ -177,20 +172,19 @@ def angles_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
     return yaw, pitch, roll
 
 
-def _transform(pose: CameraPose | PoseTransform) -> PoseTransform:
-    return pose if isinstance(pose, PoseTransform) else PoseTransform.of(pose)
-
-
-def project_point(point, pose: CameraPose | PoseTransform,
+def project_point(point, view: PoseTransform,
                   intrinsics: Intrinsics) -> np.ndarray | None:
-    """Project a 3D map point to pixels; None if it fails the cheirality guard.
+    """Project a 3D map point to pixels through a pose's ``view``; None if
+    it fails the cheirality guard.
 
     No image-bounds clipping is applied: association gates off-image
     projections by distance instead.
     """
-    rot, c = _transform(pose)
-    return _pixel_from_camera(rot @ (np.asarray(point, dtype=float) - c),
-                              intrinsics)
+    rot, c = view
+    x, y, z = rot @ (np.asarray(point, dtype=float) - c)
+    if z <= MIN_DEPTH_M:
+        return None
+    return np.array(pinhole(x, y, z, intrinsics))
 
 
 def pinhole(x, y, z, intrinsics: Intrinsics):
@@ -200,24 +194,20 @@ def pinhole(x, y, z, intrinsics: Intrinsics):
     return k.fx * x / z + k.skew * y / z + k.cx, k.fy * y / z + k.cy
 
 
-def _pixel_from_camera(p_cam: np.ndarray, intrinsics: Intrinsics) -> np.ndarray | None:
-    if p_cam[2] <= MIN_DEPTH_M:
+def project_line(landmark, view: PoseTransform,
+                 intrinsics: Intrinsics) -> tuple | None:
+    """Both control points of a line landmark projected through a pose's
+    ``view``, as the Python floats (u1 x, y, u2 x, y); None if either is
+    behind the camera. Python floats round each operation as numpy's
+    scalars do, so these equal ``project_point``'s pixels bit for bit."""
+    rot, c = view
+    x1, y1, z1 = (rot @ (np.asarray(landmark.p1, dtype=float) - c)).tolist()
+    if z1 <= MIN_DEPTH_M:
         return None
-    return np.array(pinhole(p_cam[0], p_cam[1], p_cam[2], intrinsics))
-
-
-def project_line(landmark, pose: CameraPose | PoseTransform,
-                 intrinsics: Intrinsics) -> ProjectedLine | None:
-    """Project both control points of a line landmark; None if either is
-    behind the camera."""
-    rot, c = _transform(pose)
-    u1 = _pixel_from_camera(rot @ (np.asarray(landmark.p1, dtype=float) - c), intrinsics)
-    if u1 is None:
+    x2, y2, z2 = (rot @ (np.asarray(landmark.p2, dtype=float) - c)).tolist()
+    if z2 <= MIN_DEPTH_M:
         return None
-    u2 = _pixel_from_camera(rot @ (np.asarray(landmark.p2, dtype=float) - c), intrinsics)
-    if u2 is None:
-        return None
-    return ProjectedLine(u1, u2)
+    return (*pinhole(x1, y1, z1, intrinsics), *pinhole(x2, y2, z2, intrinsics))
 
 
 def serialize_intrinsics(intrinsics: Intrinsics) -> str:

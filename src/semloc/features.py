@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,17 +51,6 @@ class SemanticMask:
                     f"({self.height}, {self.width})")
 
 
-class LineGeometry(NamedTuple):
-    """A detected line in canonical endpoint order: the anchor endpoint,
-    the direction to the other endpoint, the length, and the same as
-    Python floats (anchor x, y, direction x, y, twice the length)."""
-
-    anchor: np.ndarray
-    direction: np.ndarray
-    length: float
-    frame: tuple
-
-
 @dataclass(frozen=True, eq=False)
 class DetectedLine:
     """2D line feature with its semantic class and inlier support."""
@@ -86,16 +74,17 @@ class DetectedLine:
                              "distinct")
 
     @cached_property
-    def geometry(self) -> LineGeometry:
-        """The line's canonical geometry, computed on first use. Canonical
-        endpoint order makes every distance bit-identical under endpoint
-        swaps."""
+    def geometry(self) -> tuple:
+        """The line's canonical frame as Python floats, computed on first
+        use: (anchor x, y, direction x, y, twice the length), where the
+        anchor is the lexicographically smaller endpoint and the direction
+        runs to the other. Canonical endpoint order makes every distance
+        bit-identical under endpoint swaps."""
         m1, m2 = self.m1, self.m2
         if tuple(m2) < tuple(m1):
             m1, m2 = m2, m1
         d = m2 - m1
-        length = float(np.linalg.norm(d))
-        return LineGeometry(m1, d, length, (*m1.tolist(), *d.tolist(), 2.0 * length))
+        return (*m1.tolist(), *d.tolist(), 2.0 * float(np.linalg.norm(d)))
 
 
 @dataclass(frozen=True, eq=False)

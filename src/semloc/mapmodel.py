@@ -8,6 +8,7 @@ extracts the subset likely visible from a rough pose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,6 +69,12 @@ class LineLandmark:
         object.__setattr__(self, "p2", np.asarray(self.p2, dtype=float))
         if not self.semantic.is_line_shaped:
             raise ValueError(f"{self.semantic} is not a line-shaped class")
+        # Python floats: np.isfinite costs several times more on 3-vectors.
+        # Preselection divides the size by a distance, so an infinite size
+        # would keep the landmark from anywhere, a NaN size never.
+        if not all(map(math.isfinite, (*self.p1.tolist(), *self.p2.tolist(),
+                                       self.size_m))):
+            raise ValueError("control points and size_m must be finite")
         if float(np.linalg.norm(self.p2 - self.p1)) <= _MIN_SEGMENT_M:
             raise ValueError("control points coincide")
         if self.size_m <= 0:
@@ -88,6 +95,8 @@ class PointLandmark:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.semantic.is_line_shaped:
             raise ValueError(f"{self.semantic} is not a point-shaped class")
+        if not all(map(math.isfinite, (*self.p.tolist(), self.size_m))):
+            raise ValueError("point and size_m must be finite")
         if self.size_m <= 0:
             raise ValueError("size_m must be positive")
 
@@ -105,6 +114,8 @@ class LanePolyline:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise ValueError("polyline needs at least 2 points of shape (n, 3)")
+        if not np.isfinite(pts).all():
+            raise ValueError("polyline points must be finite")
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0):
             raise ValueError("consecutive polyline points must be distinct")
         object.__setattr__(self, "points", pts)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import (MIN_DEPTH_M, CameraPose, Intrinsics, ProjectedLine,
-                     pinhole, rotation_derivatives)
+from .camera import (MIN_DEPTH_M, CameraPose, Intrinsics, pinhole,
+                     rotation_derivatives)
 from .mapmodel import PreselectedSet, SemanticClass
 
 DEG_PER_RAD = 180.0 / math.pi
@@ -85,29 +85,18 @@ def _cross2(a: np.ndarray, b: np.ndarray):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def line_gap(endpoints, frame) -> float:
-    """``line_distance`` from the projected endpoints as four Python floats
-    (u1 x, y, u2 x, y) and a detected line's ``geometry.frame``. Python
-    floats round each operation as numpy's elementwise ones do, so in this
-    order the result is bit-identical to the array form of the same cross
-    products."""
+def line_distance(endpoints, frame) -> float:
+    """Mean perpendicular distance (pixels) of a landmark's projected
+    endpoints, ``project_line``'s four floats, to the infinite line
+    through a detection, given as its ``DetectedLine.geometry`` frame.
+    Python floats round each operation as numpy's elementwise ones do, so
+    in this order the result is bit-identical to the residual kernel's
+    cross products."""
     u1x, u1y, u2x, u2y = endpoints
     ax, ay, dx, dy, twice_length = frame
     c1 = dx * (u1y - ay) - dy * (u1x - ax)
     c2 = dx * (u2y - ay) - dy * (u2x - ax)
     return (abs(c1) + abs(c2)) / twice_length
-
-
-def projected_endpoints(proj: ProjectedLine) -> tuple:
-    """A projected line's endpoints as the four floats ``line_gap`` takes."""
-    return (*np.asarray(proj.u1, dtype=float).tolist(),
-            *np.asarray(proj.u2, dtype=float).tolist())
-
-
-def line_distance(proj: ProjectedLine, det) -> float:
-    """Mean perpendicular distance of the two projected control points to
-    the infinite line through the detected endpoints (pixels)."""
-    return line_gap(projected_endpoints(proj), det.geometry.frame)
 
 
 def point_distance(proj, det) -> float:
@@ -168,24 +157,23 @@ class ReprojectionObjective:
         self.n_points = len(corr.point_pairs)
         self.n_soft = 2 if y_lane is None else 3
 
-        pts = []
-        dirs, anchors, lengths = [], [], []
+        pts, frames = [], []
         for lm_idx, det_idx in corr.line_pairs:
             lm = preselected.lines[lm_idx]
-            m1, d, length, _ = det_lines[det_idx].geometry
             pts.extend((lm.p1, lm.p2))
-            dirs.append(d)
-            anchors.append(m1)
-            lengths.append(length)
+            frames.append(det_lines[det_idx].geometry)
         det_pts = []
         for lm_idx, det_idx in corr.point_pairs:
             pts.append(preselected.points[lm_idx].p)
             det_pts.append(np.asarray(det_points[det_idx].m, dtype=float))
 
         self._world = np.array(pts, dtype=float).reshape(-1, 3)
-        self._line_dir = np.array(dirs, dtype=float).reshape(-1, 2)
-        self._line_anchor = np.array(anchors, dtype=float).reshape(-1, 2)
-        self._line_len = np.array(lengths, dtype=float)
+        # Each frame is (anchor x, y, direction x, y, twice the length);
+        # halving is exact.
+        frames = np.array(frames, dtype=float).reshape(-1, 5)
+        self._line_anchor = frames[:, 0:2]
+        self._line_dir = frames[:, 2:4]
+        self._line_len = frames[:, 4] / 2.0
         self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
 
     @property

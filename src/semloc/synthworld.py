@@ -258,9 +258,10 @@ def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
         proj = project_line(lm, view, intr)
         if proj is None:
             continue
-        if not (_in_image(proj.u1, intr) and _in_image(proj.u2, intr)):
+        m1, m2 = np.array(proj[:2]), np.array(proj[2:])
+        if not (_in_image(m1, intr) and _in_image(m2, intr)):
             continue
-        out.append((lm.id, lm.semantic, proj.u1, proj.u2))
+        out.append((lm.id, lm.semantic, m1, m2))
     for lane in semantic_map.lanes:
         window = _visible_lane_window(lane, pose, view, intr)
         if window is not None:

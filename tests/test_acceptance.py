@@ -122,7 +122,6 @@ def test_criterion_2_gradient_check(intrinsics):
 def test_criterion_3_distance_oracles():
     """Line/point distances against brute-force recomputation, plus the
     endpoint-swap and segment-extension invariances."""
-    from semloc.camera import ProjectedLine
     from semloc.features import DetectedLine, DetectedPoint
 
     rng = np.random.default_rng(99)
@@ -133,8 +132,8 @@ def test_criterion_3_distance_oracles():
             continue
         q1, q2 = rng.uniform(0, 1200, 2), rng.uniform(0, 1200, 2)
         det = DetectedLine(m1, m2, SemanticClass.POLE_LIKE)
-        proj = ProjectedLine(q1, q2)
-        got = line_distance(proj, det)
+        proj = (*q1.tolist(), *q2.tolist())
+        got = line_distance(proj, det.geometry)
         # independent recomputation through the normalized line equation
         d = m2 - m1
         n = np.array([-d[1], d[0]]) / np.linalg.norm(d)
@@ -142,10 +141,12 @@ def test_criterion_3_distance_oracles():
         want = 0.5 * (abs(float(n @ q1) + c) + abs(float(n @ q2) + c))
         worst = max(worst, abs(got - want))
         # swap invariances are exact; extension matches to round-off
-        assert line_distance(proj, DetectedLine(m2, m1, det.semantic)) == got
-        assert line_distance(ProjectedLine(q2, q1), det) == got
+        assert line_distance(
+            proj, DetectedLine(m2, m1, det.semantic).geometry) == got
+        assert line_distance((*q2.tolist(), *q1.tolist()),
+                             det.geometry) == got
         longer = DetectedLine(m1 - 0.5 * d, m2 + 1.5 * d, det.semantic)
-        assert line_distance(proj, longer) == pytest.approx(
+        assert line_distance(proj, longer.geometry) == pytest.approx(
             got, abs=1e-9 * max(1.0, got))
 
         a, b = rng.uniform(0, 1200, 2), rng.uniform(0, 1200, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -8,7 +9,7 @@ from semloc import association
 from semloc.association import (AssociationConfig, NoValidAssociation,
                                 associate_and_localize, closest_correspond,
                                 pose_distance)
-from semloc.camera import CameraPose, project_line, project_point
+from semloc.camera import CameraPose, PoseTransform, project_line, project_point
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
 from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
@@ -78,15 +79,16 @@ class TestClosestCorrespond:
         pose = CameraPose(0, 1.6, 0)
         lm = LineLandmark([15, 0, 3], [15, 2, 3], SemanticClass.POLE_LIKE,
                           2.0, 0, 0)
-        proj = project_line(lm, pose, intrinsics)
+        proj = project_line(lm, PoseTransform.of(pose), intrinsics)
+        u1, u2 = np.array(proj[:2]), np.array(proj[2:])
         gate = 10.0
         offset = gate + 1.0
-        det = DetectedLine(proj.u1 + [offset, 0], proj.u2 + [offset, 0],
+        det = DetectedLine(u1 + [offset, 0], u2 + [offset, 0],
                            SemanticClass.POLE_LIKE)
         sel = PreselectedSet([lm], [])
         corr = closest_correspond(sel, [det], [], pose, intrinsics, gate, gate)
         assert len(corr) == 0
-        inside = DetectedLine(proj.u1 + [gate - 1, 0], proj.u2 + [gate - 1, 0],
+        inside = DetectedLine(u1 + [gate - 1, 0], u2 + [gate - 1, 0],
                               SemanticClass.POLE_LIKE)
         corr = closest_correspond(sel, [inside], [], pose, intrinsics, gate, gate)
         assert corr.line_pairs == [(0, 0)]
@@ -98,8 +100,8 @@ class TestClosestCorrespond:
         pose = CameraPose(0, 1.6, 0)
         lm = LineLandmark([15, 0, 3], [15, 2, 3], SemanticClass.POLE_LIKE,
                           2.0, 0, 0)
-        proj = project_line(lm, pose, intrinsics)
-        det = DetectedLine(proj.u1, proj.u2, SemanticClass.MILESTONE)
+        proj = project_line(lm, PoseTransform.of(pose), intrinsics)
+        det = DetectedLine(proj[:2], proj[2:], SemanticClass.MILESTONE)
         corr = closest_correspond(PreselectedSet([lm], []), [det], [], pose,
                                   intrinsics, 300.0, 300.0)
         assert len(corr) == 0
@@ -113,11 +115,13 @@ class TestClosestCorrespond:
         corr = closest_correspond(selected, rendered.frame.det_lines,
                                   rendered.frame.det_points, pose,
                                   cfg.intrinsics, gate_l, gate_p)
+        view = PoseTransform.of(pose)
         for li, di in corr.line_pairs:
-            proj = project_line(selected.lines[li], pose, cfg.intrinsics)
-            assert line_distance(proj, rendered.frame.det_lines[di]) <= gate_l
+            proj = project_line(selected.lines[li], view, cfg.intrinsics)
+            assert line_distance(
+                proj, rendered.frame.det_lines[di].geometry) <= gate_l
         for li, di in corr.point_pairs:
-            uv = project_point(selected.points[li].p, pose, cfg.intrinsics)
+            uv = project_point(selected.points[li].p, view, cfg.intrinsics)
             assert point_distance(uv, rendered.frame.det_points[di]) <= gate_p
 
     def test_shrinking_gate_never_adds_pairs(self):
@@ -155,12 +159,13 @@ def nested_loop_matches(selected, det_lines, det_points, pose, intrinsics,
     line_distance / point_distance; the lowest wins, the first index on a
     tie, kept when within the gate."""
     out = []
+    view = PoseTransform.of(pose)
     for landmarks, dets, project, distance, gate in (
             (selected.lines, det_lines,
-             lambda lm: project_line(lm, pose, intrinsics), line_distance,
-             gate_line),
+             lambda lm: project_line(lm, view, intrinsics),
+             lambda proj, det: line_distance(proj, det.geometry), gate_line),
             (selected.points, det_points,
-             lambda lm: project_point(lm.p, pose, intrinsics), point_distance,
+             lambda lm: project_point(lm.p, view, intrinsics), point_distance,
              gate_point)):
         pairs = []
         for lm_idx, lm in enumerate(landmarks):
@@ -241,6 +246,38 @@ class TestMatcherOracle:
         assert len(corr) >= 4
         assert calls == {"rotation": 1, "project": len(selected.lines)
                          + len(selected.points)}
+
+    def test_one_projection_per_landmark_of_each_kind(self, monkeypatch):
+        # bench/tracing.py counts camera.projections_per_frame by wrapping
+        # these two module globals: one project_line call per preselected
+        # line landmark and one project_point call per point landmark's
+        # centre, in preselection order.
+        cfg = paper_scale_world(0)
+        _, truth, rendered, selected = frame_at(cfg, 40)
+        assert selected.lines and selected.points
+        seen = {"project_line": [], "project_point": []}
+
+        def counted(name):
+            project = getattr(association, name)
+
+            def wrapper(target, view, intrinsics):
+                seen[name].append(target)
+                return project(target, view, intrinsics)
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(association, name, counted(name))
+        rng = np.random.default_rng(2)
+        for pose in (truth, perturbed(truth, rng, 1.0, math.radians(2.0))):
+            for name in seen:
+                seen[name].clear()
+            closest_correspond(selected, rendered.frame.det_lines,
+                               rendered.frame.det_points, pose,
+                               cfg.intrinsics, 300.0, 300.0)
+            assert [id(lm) for lm in seen["project_line"]] == \
+                [id(lm) for lm in selected.lines]
+            assert [id(p) for p in seen["project_point"]] == \
+                [id(lm.p) for lm in selected.points]
 
 
 class TestAssociateAndLocalize:
@@ -475,3 +512,12 @@ class TestConfig:
     def test_refine_gates_must_be_tighter(self):
         with pytest.raises(ValueError):
             AssociationConfig(gate_line_refine_px=400.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(AssociationConfig)])
+    def test_non_finite_gate_rejected(self, name, value):
+        # NaN fails every comparison and an infinite gate switches its
+        # check off; neither may reach the matcher.
+        with pytest.raises(ValueError, match="gates must"):
+            AssociationConfig(**{name: value})

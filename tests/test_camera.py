@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semloc.camera import (AXIS_SWAP, CameraPose, Intrinsics, PoseTransform,
-                           ProjectedLine, angles_from_rotation, parse_intrinsics,
+                           angles_from_rotation, parse_intrinsics,
                            project_line, project_point, rotation_derivatives,
                            rotation_from_angles, serialize_intrinsics,
                            wrap_angle)
@@ -120,42 +120,43 @@ class TestPose:
             assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
 
 
+# The zero pose's view.
+ORIGIN = PoseTransform.of(CameraPose(0, 0, 0))
+
+
 class TestProjection:
     def test_principal_point(self, intrinsics):
-        pose = CameraPose(0, 0, 0)
-        uv = project_point(map_point_for_camera_frame([0, 0, 10]), pose, intrinsics)
+        uv = project_point(map_point_for_camera_frame([0, 0, 10]), ORIGIN,
+                           intrinsics)
         assert np.allclose(uv, [600, 180])
 
     def test_unit_offset(self, intrinsics):
-        pose = CameraPose(0, 0, 0)
-        uv = project_point(map_point_for_camera_frame([1, 0, 10]), pose, intrinsics)
+        uv = project_point(map_point_for_camera_frame([1, 0, 10]), ORIGIN,
+                           intrinsics)
         assert np.allclose(uv, [670, 180])
 
     def test_cheirality_guard(self, intrinsics):
-        pose = CameraPose(0, 0, 0)
-        assert project_point(map_point_for_camera_frame([0, 0, 0.05]), pose,
+        assert project_point(map_point_for_camera_frame([0, 0, 0.05]), ORIGIN,
                              intrinsics) is None
 
     def test_vertical_pole_height(self, intrinsics):
-        pose = CameraPose(0, 0, 0)
         lm = LineLandmark(map_point_for_camera_frame([0, -1, 5]),
                           map_point_for_camera_frame([0, 1, 5]),
                           SemanticClass.POLE_LIKE, 2.0, 0, 0)
-        proj = project_line(lm, pose, intrinsics)
-        assert proj.u1[0] == pytest.approx(600)
-        assert proj.u2[0] == pytest.approx(600)
-        length = abs(proj.u2[1] - proj.u1[1])
+        u1x, u1y, u2x, u2y = project_line(lm, ORIGIN, intrinsics)
+        assert u1x == pytest.approx(600)
+        assert u2x == pytest.approx(600)
+        length = abs(u2y - u1y)
         assert length == pytest.approx(2 * intrinsics.fy / 5)
 
     def test_line_behind_camera(self, intrinsics):
-        pose = CameraPose(0, 0, 0)
         lm = LineLandmark([5, 0, 0], [-5, 1, 0], SemanticClass.POLE_LIKE,
                           10.0, 0, 0)
-        assert project_line(lm, pose, intrinsics) is None
+        assert project_line(lm, ORIGIN, intrinsics) is None
 
     def test_line_matches_pointwise_projection(self, intrinsics):
         rng = np.random.default_rng(3)
-        pose = CameraPose(0.5, 1.2, -0.3, 0.2, -0.05, 0.04)
+        view = PoseTransform.of(CameraPose(0.5, 1.2, -0.3, 0.2, -0.05, 0.04))
         for _ in range(50):
             p1 = np.array([rng.uniform(5, 40), rng.uniform(-2, 5), rng.uniform(-8, 8)])
             p2 = p1 + rng.uniform(-1, 1, 3)
@@ -163,12 +164,14 @@ class TestProjection:
                 continue
             lm = LineLandmark(p1, p2, SemanticClass.POLE_LIKE,
                               float(np.linalg.norm(p2 - p1)), 0, 0)
-            proj = project_line(lm, pose, intrinsics)
+            proj = project_line(lm, view, intrinsics)
             assert proj is not None
-            assert np.allclose(proj.u1, project_point(p1, pose, intrinsics))
-            assert np.allclose(proj.u2, project_point(p2, pose, intrinsics))
+            assert np.allclose(proj[:2], project_point(p1, view, intrinsics))
+            assert np.allclose(proj[2:], project_point(p2, view, intrinsics))
 
     def test_pose_transform_gives_identical_pixels(self, intrinsics):
+        # One view serves many projections, and a line's float pixels are
+        # its control points' array pixels bit for bit.
         rng = np.random.default_rng(17)
         for _ in range(200):
             pose = CameraPose(*rng.uniform(-3, 3, 3), *rng.uniform(-0.4, 0.4, 3))
@@ -177,16 +180,18 @@ class TestProjection:
             p2 = p1 + rng.uniform(-2, 2, 3)
             lm = LineLandmark(p1, p2, SemanticClass.POLE_LIKE,
                               float(np.linalg.norm(p2 - p1)), 0, 0)
-            for got, want in ((project_point(p1, view, intrinsics),
-                               project_point(p1, pose, intrinsics)),
-                              (project_line(lm, view, intrinsics),
-                               project_line(lm, pose, intrinsics))):
-                assert (got is None) == (want is None)
-                if isinstance(want, ProjectedLine):
-                    assert got.u1.tobytes() == want.u1.tobytes()
-                    assert got.u2.tobytes() == want.u2.tobytes()
-                elif want is not None:
-                    assert got.tobytes() == want.tobytes()
+            uv1, uv2 = (project_point(p, view, intrinsics) for p in (p1, p2))
+            fresh = project_point(p1, PoseTransform.of(pose), intrinsics)
+            assert (uv1 is None) == (fresh is None)
+            if uv1 is not None:
+                assert uv1.tobytes() == fresh.tobytes()
+            proj = project_line(lm, view, intrinsics)
+            if uv1 is None or uv2 is None:
+                assert proj is None
+            else:
+                assert all(type(v) is float for v in proj)
+                assert np.array(proj).tobytes() == \
+                    np.concatenate([uv1, uv2]).tobytes()
 
     def test_rigid_invariance(self, intrinsics):
         # moving the world and the camera together leaves pixels unchanged
@@ -197,21 +202,22 @@ class TestProjection:
         rot_new = pose.rotation() @ r_g.T
         yaw, pitch, roll = angles_from_rotation(rot_new)
         c_new = r_g @ pose.position + t_g
-        pose_new = CameraPose(*c_new, yaw, pitch, roll)
+        view = PoseTransform.of(pose)
+        view_new = PoseTransform.of(CameraPose(*c_new, yaw, pitch, roll))
         for _ in range(30):
             p = np.array([rng.uniform(5, 30), rng.uniform(-2, 4), rng.uniform(-6, 6)])
-            before = project_point(p, pose, intrinsics)
-            after = project_point(r_g @ p + t_g, pose_new, intrinsics)
+            before = project_point(p, view, intrinsics)
+            after = project_point(r_g @ p + t_g, view_new, intrinsics)
             assert np.allclose(before, after, atol=1e-8)
 
     def test_collinearity_preserved(self, intrinsics):
         rng = np.random.default_rng(21)
-        pose = CameraPose(0, 1.6, 0, 0.1, -0.02, 0.03)
+        view = PoseTransform.of(CameraPose(0, 1.6, 0, 0.1, -0.02, 0.03))
         for _ in range(50):
             a = np.array([rng.uniform(6, 30), rng.uniform(-1, 4), rng.uniform(-6, 6)])
             d = rng.uniform(-1, 1, 3)
             pts = [a, a + 0.3 * d, a + 0.8 * d]
-            uvs = [project_point(p, pose, intrinsics) for p in pts]
+            uvs = [project_point(p, view, intrinsics) for p in pts]
             if any(uv is None for uv in uvs):
                 continue
             v1 = uvs[1] - uvs[0]
@@ -236,3 +242,16 @@ class TestIntrinsicsIO:
     def test_invariants(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=-1, fy=700, cx=0, cy=0, width=10, height=10)
+
+    @pytest.mark.parametrize("text", [
+        "K nan 700 613 185 0 1226 370\n",
+        "K 700 nan 613 185 0 1226 370\n",
+        "K 700 700 inf 185 0 1226 370\n",
+        "K 700 700 613 -inf 0 1226 370\n",
+        "K 700 700 613 185 nan 1226 370\n",
+    ])
+    def test_rejects_non_finite(self, text):
+        # NaN passes the focal-length sign check, and an infinite principal
+        # point puts every projection off the image.
+        with pytest.raises(ValueError, match="non-finite intrinsics"):
+            parse_intrinsics(text)

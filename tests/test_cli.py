@@ -327,6 +327,36 @@ class TestLocalize:
             "finite" in err
         assert not (tmp_path / "result.csv").exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("intrinsics.txt", "K nan 700 613 185 0 1226 370\n",
+         "error: non-finite intrinsics"),
+        ("intrinsics.txt", "K 700 700 inf 185 0 1226 370\n",
+         "error: non-finite intrinsics"),
+        ("map.txt", None, "error: line "),
+    ])
+    def test_non_finite_input_fails(self, synth_dir, tmp_path, capsys, name,
+                                    text, message):
+        # Each of these ran to exit 0 with every frame after the bootstrap
+        # coasted, or with a landmark that preselection always or never
+        # keeps.
+        if text is None:
+            text = (synth_dir / name).read_text() + \
+                "L 99999 POLE 0 nan 0 3 10 2 3 2.0\n"
+        (tmp_path / name).write_text(text)
+        inputs = {key: synth_dir / key for key in ("map.txt",
+                                                    "intrinsics.txt")}
+        inputs[name] = tmp_path / name
+        code = run_cli("localize",
+                       "--map", inputs["map.txt"],
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", inputs["intrinsics.txt"],
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "finite" in err
+        assert not (tmp_path / "result.csv").exists()
+
     def test_unpadded_mask_names_fail(self, synth_dir, tmp_path, capsys):
         masks = tmp_path / "masks"
         masks.mkdir()
@@ -474,6 +504,19 @@ class TestManifest:
         for line in lines:
             assert line.startswith("error: manifest number") and \
                 "not finite" in line
+
+    @pytest.mark.parametrize("key", ["max_pose_shift", "gate_line_init_px"])
+    def test_overflowing_gate_fails(self, synth_dir, tmp_path, capsys, key):
+        # json.loads reads 1e999 as inf without calling parse_constant, so
+        # the gate check itself has to refuse it.
+        manifest = self.write(tmp_path, synth_dir, association={key: 12.5})
+        text = manifest.read_text()
+        manifest.write_text(text.replace("12.5", "1e999"))
+        assert json.loads(manifest.read_text())["association"][key] == \
+            float("inf")
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: gates must be positive and finite"] * 2
 
     @pytest.mark.parametrize("blocks, flags", [
         ({"seed": -3}, ()),

@@ -741,19 +741,19 @@ class TestDetectionTypes:
 
 def reference_line_geometry(det):
     """Canonical anchor, direction and length with the expressions the
-    residual module used before lines cached their geometry."""
+    residual module used before lines cached their geometry, as the frame
+    (anchor x, y, direction x, y, twice the length)."""
     m1, m2 = np.asarray(det.m1, dtype=float), np.asarray(det.m2, dtype=float)
     if tuple(m2) < tuple(m1):
         m1, m2 = m2, m1
     d = m2 - m1
     length = float(np.linalg.norm(d))
-    return m1, d, length, (*m1.tolist(), *d.tolist(), 2.0 * length)
+    return (*m1.tolist(), *d.tolist(), 2.0 * length)
 
 
-def geometry_bytes(geometry):
-    anchor, direction, length, frame = geometry
-    return (np.asarray(anchor).tobytes(), np.asarray(direction).tobytes(),
-            np.float64(length).tobytes(), np.array(frame).tobytes())
+def geometry_bytes(frame):
+    assert len(frame) == 5 and all(type(v) is float for v in frame)
+    return np.array(frame).tobytes()
 
 
 class TestLineGeometry:

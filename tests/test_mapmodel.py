@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -284,6 +285,22 @@ class TestSerialization:
             parse_map(text)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("record", [
+        "L 7 POLE 0 nan 0 3 10 2 3 2.0",
+        "L 7 POLE 0 10 0 3 10 inf 3 2.0",
+        "L 7 POLE 0 10 0 3 10 2 3 inf",
+        "P 7 SIGN 0 20 nan -3 0.5",
+        "P 7 SIGN 0 20 2 -3 inf",
+        "P 7 SIGN 0 20 2 -3 nan",
+        "LANE 7 0 2 0 0 0 10 0 -inf",
+    ])
+    def test_non_finite_record_line_number(self, record):
+        # A NaN size or control point never passes preselection and an
+        # infinite size always does; either is a malformed map.
+        with pytest.raises(ParseError, match="finite") as err:
+            parse_map(f"SEMMAP 1\nP 1 SIGN 0 20 2 -3 0.5\n{record}\n")
+        assert err.value.line_no == 3
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_map("NOPE 1\n")
@@ -359,6 +376,19 @@ class TestInvariants:
     def test_line_landmark_rejects_coincident(self):
         with pytest.raises(ValueError):
             LineLandmark([0, 0, 0], [0, 0, 0], SemanticClass.POLE_LIKE, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        pole, sign = SemanticClass.POLE_LIKE, SemanticClass.TRAFFIC_SIGN
+        for make in (
+                lambda: LineLandmark([bad, 0, 0], [0, 1, 0], pole, 1.0, 0, 0),
+                lambda: LineLandmark([0, 0, 0], [0, 1, bad], pole, 1.0, 0, 0),
+                lambda: LineLandmark([0, 0, 0], [0, 1, 0], pole, bad, 0, 0),
+                lambda: PointLandmark([0, bad, 0], sign, 1.0, 0, 0),
+                lambda: PointLandmark([0, 0, 0], sign, bad, 0, 0),
+                lambda: LanePolyline([[0, 0, 0], [1, 0, bad]], 0, 0)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
 
     def test_point_class_shape_checked(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from semloc.camera import CameraPose, Intrinsics, ProjectedLine
+from semloc.camera import CameraPose, Intrinsics, PoseTransform
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
@@ -26,6 +26,11 @@ def det_line(m1, m2, semantic=POLE):
     return DetectedLine(np.asarray(m1, float), np.asarray(m2, float), semantic)
 
 
+def endpoints(q1, q2):
+    """Two projected endpoints in project_line's float form."""
+    return (*np.asarray(q1, float).tolist(), *np.asarray(q2, float).tolist())
+
+
 def brute_force_line_distance(m1, m2, q1, q2):
     """Independent recomputation: mean point-to-infinite-line distance via
     the normalized line equation a*x + b*y + c = 0."""
@@ -39,12 +44,14 @@ def brute_force_line_distance(m1, m2, q1, q2):
 
 class TestLineDistance:
     def test_zero_when_on_line(self):
-        proj = ProjectedLine(np.array([2.0, 0.0]), np.array([7.0, 0.0]))
-        assert line_distance(proj, det_line([0, 0], [10, 0])) == pytest.approx(0.0)
+        proj = endpoints([2.0, 0.0], [7.0, 0.0])
+        assert line_distance(proj, det_line([0, 0], [10, 0]).geometry) == \
+            pytest.approx(0.0)
 
     def test_forced_perpendicular_distances(self):
-        proj = ProjectedLine(np.array([3.0, 2.0]), np.array([7.0, 4.0]))
-        assert line_distance(proj, det_line([0, 0], [10, 0])) == pytest.approx(3.0)
+        proj = endpoints([3.0, 2.0], [7.0, 4.0])
+        assert line_distance(proj, det_line([0, 0], [10, 0]).geometry) == \
+            pytest.approx(3.0)
 
     def test_matches_brute_force_on_random_cases(self):
         rng = np.random.default_rng(13)
@@ -53,7 +60,7 @@ class TestLineDistance:
             if np.linalg.norm(m2 - m1) < 1.0:
                 continue
             q1, q2 = rng.uniform(0, 1000, 2), rng.uniform(0, 1000, 2)
-            got = line_distance(ProjectedLine(q1, q2), det_line(m1, m2))
+            got = line_distance(endpoints(q1, q2), det_line(m1, m2).geometry)
             want = brute_force_line_distance(m1, m2, q1, q2)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -64,9 +71,9 @@ class TestLineDistance:
             q1, q2 = rng.uniform(0, 1000, 2), rng.uniform(0, 1000, 2)
             if np.linalg.norm(m2 - m1) < 1.0:
                 continue
-            proj = ProjectedLine(q1, q2)
-            assert line_distance(proj, det_line(m1, m2)) == \
-                line_distance(proj, det_line(m2, m1))
+            proj = endpoints(q1, q2)
+            assert line_distance(proj, det_line(m1, m2).geometry) == \
+                line_distance(proj, det_line(m2, m1).geometry)
 
     def test_projected_endpoint_swap_exact(self):
         rng = np.random.default_rng(15)
@@ -76,8 +83,8 @@ class TestLineDistance:
             if np.linalg.norm(m2 - m1) < 1.0:
                 continue
             det = det_line(m1, m2)
-            assert line_distance(ProjectedLine(q1, q2), det) == \
-                line_distance(ProjectedLine(q2, q1), det)
+            assert line_distance(endpoints(q1, q2), det.geometry) == \
+                line_distance(endpoints(q2, q1), det.geometry)
 
     def test_segment_extension_invariant(self):
         rng = np.random.default_rng(16)
@@ -86,10 +93,12 @@ class TestLineDistance:
             if np.linalg.norm(m2 - m1) < 1.0:
                 continue
             q1, q2 = rng.uniform(0, 1000, 2), rng.uniform(0, 1000, 2)
-            proj = ProjectedLine(q1, q2)
-            base = line_distance(proj, det_line(m1, m2))
-            stretched = line_distance(proj, det_line(m1, m1 + 2.0 * (m2 - m1)))
-            shifted = line_distance(proj, det_line(m1 - 0.7 * (m2 - m1), m2))
+            proj = endpoints(q1, q2)
+            base = line_distance(proj, det_line(m1, m2).geometry)
+            stretched = line_distance(
+                proj, det_line(m1, m1 + 2.0 * (m2 - m1)).geometry)
+            shifted = line_distance(
+                proj, det_line(m1 - 0.7 * (m2 - m1), m2).geometry)
             assert stretched == pytest.approx(base, abs=1e-9 * max(1, base))
             assert shifted == pytest.approx(base, abs=1e-9 * max(1, base))
 
@@ -109,8 +118,7 @@ class TestLineDistance:
             c1 = float(d[0] * e1[1] - d[1] * e1[0])
             c2 = float(d[0] * e2[1] - d[1] * e2[0])
             want = (abs(c1) + abs(c2)) / (2.0 * float(np.linalg.norm(d)))
-            got = line_distance(ProjectedLine(np.asarray(q1), np.asarray(q2)),
-                                det)
+            got = line_distance(endpoints(q1, q2), det.geometry)
             assert got == want
 
     def test_shortest_accepted_detection(self):
@@ -118,8 +126,8 @@ class TestLineDistance:
         # while np.linalg.norm rounds it below: any detection the
         # constructor accepts has a finite distance.
         det = det_line([0, 0], [-9.96788472972579e-07, -8.007958634379946e-08])
-        proj = ProjectedLine(np.zeros(2), np.ones(2))
-        assert math.isfinite(line_distance(proj, det))
+        proj = endpoints(np.zeros(2), np.ones(2))
+        assert math.isfinite(line_distance(proj, det.geometry))
 
 
 class TestPointDistance:
@@ -178,6 +186,7 @@ def toy_scene(intrinsics, n_lines=3, n_points=2, seed=0,
     truth = CameraPose(0, 1.6, 0, 0.05, -0.02, 0.01)
     render = CameraPose(0.3, 1.75, -0.2, 0.08, -0.04, 0.03) \
         if displace_detections else truth
+    view = PoseTransform.of(render)
     from semloc.camera import project_line, project_point
     lines, det_lines = [], []
     while len(lines) < n_lines:
@@ -185,15 +194,15 @@ def toy_scene(intrinsics, n_lines=3, n_points=2, seed=0,
         z = rng.uniform(-8, 8)
         h = rng.uniform(1.0, 4.0)
         lm = LineLandmark([x, 0, z], [x, h, z], POLE, h, 0, 100 + len(lines))
-        proj = project_line(lm, render, intrinsics)
+        proj = project_line(lm, view, intrinsics)
         if proj is None:
             continue
         lines.append(lm)
-        det_lines.append(det_line(proj.u1, proj.u2))
+        det_lines.append(det_line(proj[:2], proj[2:]))
     points, det_points = [], []
     while len(points) < n_points:
         p = np.array([rng.uniform(8, 35), rng.uniform(0.5, 4), rng.uniform(-8, 8)])
-        uv = project_point(p, render, intrinsics)
+        uv = project_point(p, view, intrinsics)
         if uv is None:
             continue
         points.append(PointLandmark(p, SIGN, 0.7, 0, 200 + len(points)))
@@ -211,7 +220,7 @@ class TestTotalResidual:
         from semloc.camera import project_point
         pose = CameraPose(0, 1.6, 0)
         p = np.array([20.0, 2.0, 3.0])
-        uv = project_point(p, pose, intrinsics)
+        uv = project_point(p, PoseTransform.of(pose), intrinsics)
         sel = PreselectedSet([], [PointLandmark(p, SIGN, 0.7, 0, 0)])
         det = DetectedPoint(uv + np.array([3.0, 4.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
@@ -231,11 +240,12 @@ class TestTotalResidual:
                                     intrinsics, config, 0.0).residual(pose)
         cost = float(vec @ vec)
         want = 0.0
+        view = PoseTransform.of(pose)
         for lm_idx, d_idx in corr.line_pairs:
-            proj = project_line(sel.lines[lm_idx], pose, intrinsics)
-            want += line_distance(proj, det_lines[d_idx]) ** 2
+            proj = project_line(sel.lines[lm_idx], view, intrinsics)
+            want += line_distance(proj, det_lines[d_idx].geometry) ** 2
         for lm_idx, d_idx in corr.point_pairs:
-            uv = project_point(sel.points[lm_idx].p, pose, intrinsics)
+            uv = project_point(sel.points[lm_idx].p, view, intrinsics)
             want += point_distance(uv, det_points[d_idx]) ** 2
         soft = soft_constraint(pose, 0.0, config)
         want += LAMBDA_N ** 2 * float(soft @ soft)
@@ -301,7 +311,7 @@ class TestTotalResidual:
         sel = PreselectedSet([lane], [PointLandmark([15, 2, 1], SIGN, 0.7, 0, 0)])
         from semloc.camera import project_point
         pose = CameraPose(0, 2.1, 0)
-        uv = project_point(sel.points[0].p, pose, intrinsics)
+        uv = project_point(sel.points[0].p, PoseTransform.of(pose), intrinsics)
         corr = CorrespondenceSet([], [(0, 0)])
         vec = ReprojectionObjective(
             sel, [], [DetectedPoint(uv, SIGN)], corr, intrinsics,
@@ -349,7 +359,7 @@ class TestJacobian:
         from semloc.camera import project_point
         pose = CameraPose(0, 0, 0)
         p = np.array([15.0, 0.0, 0.0])
-        uv = project_point(p, pose, intrinsics)
+        uv = project_point(p, PoseTransform.of(pose), intrinsics)
         sel = PreselectedSet([], [PointLandmark(p, SIGN, 0.7, 0, 0)])
         det = DetectedPoint(uv + np.array([2.0, 1.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])

@@ -277,13 +277,13 @@ class TestCostLandscape:
         assert b_vals[2] == pytest.approx(truth.z)
 
     def test_single_point_constant_along_bearing(self, intrinsics):
-        from semloc.camera import project_point
+        from semloc.camera import PoseTransform, project_point
         from semloc.features import DetectedPoint
         from semloc.mapmodel import PointLandmark, PreselectedSet, SemanticClass
 
         pose = CameraPose(0, 1.6, 0)
         p = np.array([15.0, 1.6, 0.0])  # straight down the travel axis
-        uv = project_point(p, pose, intrinsics)
+        uv = project_point(p, PoseTransform.of(pose), intrinsics)
         sel = PreselectedSet([], [PointLandmark(p, SemanticClass.TRAFFIC_SIGN,
                                                 0.7, 0, 0)])
         det = [DetectedPoint(uv, SemanticClass.TRAFFIC_SIGN)]
