@@ -40,8 +40,11 @@ POSE_PARAMS = ("x", "y", "z", "yaw", "pitch", "roll")
 
 
 def wrap_angle(a: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    return math.pi - (math.pi - a) % (2.0 * math.pi)
+    """Normalize an angle to (-pi, pi]. Idempotent: a wrapped angle wraps
+    to itself."""
+    w = math.pi - (math.pi - a) % (2.0 * math.pi)
+    # Just above pi the modulo rounds up to 2 pi, which would give -pi.
+    return math.pi if w == -math.pi else w
 
 
 @dataclass(frozen=True)
@@ -173,18 +176,19 @@ def angles_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
 
 
 def project_point(point, view: PoseTransform,
-                  intrinsics: Intrinsics) -> np.ndarray | None:
-    """Project a 3D map point to pixels through a pose's ``view``; None if
-    it fails the cheirality guard.
+                  intrinsics: Intrinsics) -> tuple | None:
+    """Project a 3D map point through a pose's ``view`` to the pixel
+    (u, v) as Python floats; None if it fails the cheirality guard. Python
+    floats round each operation as numpy's scalars do.
 
     No image-bounds clipping is applied: association gates off-image
     projections by distance instead.
     """
     rot, c = view
-    x, y, z = rot @ (np.asarray(point, dtype=float) - c)
+    x, y, z = (rot @ (np.asarray(point, dtype=float) - c)).tolist()
     if z <= MIN_DEPTH_M:
         return None
-    return np.array(pinhole(x, y, z, intrinsics))
+    return pinhole(x, y, z, intrinsics)
 
 
 def pinhole(x, y, z, intrinsics: Intrinsics):
@@ -198,16 +202,14 @@ def project_line(landmark, view: PoseTransform,
                  intrinsics: Intrinsics) -> tuple | None:
     """Both control points of a line landmark projected through a pose's
     ``view``, as the Python floats (u1 x, y, u2 x, y); None if either is
-    behind the camera. Python floats round each operation as numpy's
-    scalars do, so these equal ``project_point``'s pixels bit for bit."""
-    rot, c = view
-    x1, y1, z1 = (rot @ (np.asarray(landmark.p1, dtype=float) - c)).tolist()
-    if z1 <= MIN_DEPTH_M:
+    behind the camera."""
+    uv1 = project_point(landmark.p1, view, intrinsics)
+    if uv1 is None:
         return None
-    x2, y2, z2 = (rot @ (np.asarray(landmark.p2, dtype=float) - c)).tolist()
-    if z2 <= MIN_DEPTH_M:
+    uv2 = project_point(landmark.p2, view, intrinsics)
+    if uv2 is None:
         return None
-    return (*pinhole(x1, y1, z1, intrinsics), *pinhole(x2, y2, z2, intrinsics))
+    return (*uv1, *uv2)
 
 
 def serialize_intrinsics(intrinsics: Intrinsics) -> str:
@@ -218,9 +220,15 @@ def serialize_intrinsics(intrinsics: Intrinsics) -> str:
 
 
 def parse_intrinsics(text: str) -> Intrinsics:
-    for line_no, fields in text_records(text):
-        if fields[0] != "K" or len(fields) != 8:
-            raise ValueError(f"intrinsics line {line_no}: malformed record")
-        fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
-        return Intrinsics(fx, fy, cx, cy, skew, int(fields[6]), int(fields[7]))
-    raise ValueError("no intrinsics record found")
+    """The intrinsics file's one K record."""
+    records = list(text_records(text))
+    if not records:
+        raise ValueError("no intrinsics record found")
+    line_no, fields = records[0]
+    if fields[0] != "K" or len(fields) != 8:
+        raise ValueError(f"intrinsics line {line_no}: malformed record")
+    if len(records) > 1:
+        raise ValueError(f"intrinsics line {records[1][0]}: "
+                         f"a file holds one K record only")
+    fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
+    return Intrinsics(fx, fy, cx, cy, skew, int(fields[6]), int(fields[7]))

@@ -125,11 +125,12 @@ def region_grow(raster: np.ndarray, min_region_px: int = 30,
     labeled a run at a time (He, Chao & Suzuki, "A run-based two-scan
     labeling algorithm", IEEE TIP 2008): runs are numbered in raster
     order, and each run first joins the leftmost run it touches in the row
-    above. Its other upper neighbours are joined in rounds that hook each
-    root to the smaller root and then jump pointers until nothing changes
-    (Shiloach & Vishkin, J. Algorithms 1982). A region's root is then its
-    first run, so sorting the runs stably by root lists every region's
-    pixels in raster order, regions in top-left order.
+    above. Its other upper neighbours are joined in rounds that jump every
+    run to its root and then hook the larger root of each split pair onto
+    the smaller, until no pair is split (Shiloach & Vishkin, J. Algorithms
+    1982). A region's root is then its first run, so sorting the runs
+    stably by root lists every region's pixels in raster order, regions in
+    top-left order.
     """
     raster = np.asarray(raster)
     rows = np.flatnonzero(raster.max(axis=1, initial=0) >= level)
@@ -160,28 +161,17 @@ def region_grow(raster: np.ndarray, min_region_px: int = 30,
     parent = np.where(up_last > up_first, up_first, index)
     joined = _concatenated_ranges(up_first,
                                   np.maximum(up_last - up_first - 1, 0))
-    grand = parent[parent]
-    while not np.array_equal(grand, parent):
-        parent, grand = grand, grand[grand]
-    roots = index[parent == index]
     while True:
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
         left_root, right_root = parent[joined], parent[joined + 1]
-        differ = left_root != right_root
-        if not differ.any():
+        split = left_root != right_root
+        if not split.any():
             break
-        joined = joined[differ]
-        np.minimum.at(parent, np.maximum(left_root, right_root)[differ],
-                      np.minimum(left_root, right_root)[differ])
-        # Only roots moved, each onto a root of the round before: jump
-        # among them, and every run is then one step from its root.
-        stayed = parent[roots] == roots
-        hooked, roots = roots[~stayed], roots[stayed]
-        up = parent[hooked]
-        grand = parent[up]
-        while not np.array_equal(grand, up):
-            parent[hooked] = up = grand
-            grand = parent[up]
-        parent = parent[parent]
+        joined = joined[split]
+        np.minimum.at(parent, np.maximum(left_root, right_root)[split],
+                      np.minimum(left_root, right_root)[split])
 
     order = np.argsort(parent, kind="stable")
     first = np.flatnonzero(np.diff(parent[order], prepend=-1))

@@ -78,8 +78,7 @@ def predict_pose(prev: CameraPose, prev2: CameraPose) -> CameraPose:
     """Constant-velocity extrapolation: 2*prev - prev2, with angle
     differences taken on the shortest arc before extrapolating."""
     position = 2.0 * prev.position - prev2.position
-    angles = [wrap_angle(a + wrap_angle(a - b))
-              for a, b in zip(prev.angles, prev2.angles)]
+    angles = [a + wrap_angle(a - b) for a, b in zip(prev.angles, prev2.angles)]
     return CameraPose(*position, *angles)
 
 
@@ -104,15 +103,13 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
         raise InsufficientBootstrap("need two bootstrap poses")
 
     result = TrajectoryResult()
-    estimates: list[CameraPose] = []
+    records = result.records
     for k, frame in enumerate(frames):
         if k < 2:
-            pose = bootstrap[k]
-            estimates.append(pose)
-            result.records.append(FrameRecord(
-                frame.frame_id, FrameStatus.BOOTSTRAPPED, pose))
+            records.append(FrameRecord(
+                frame.frame_id, FrameStatus.BOOTSTRAPPED, bootstrap[k]))
             continue
-        init = predict_pose(estimates[-1], estimates[-2])
+        init = predict_pose(records[-1].pose, records[-2].pose)
         rough = RoughPose(init.position, heading_from_pose(init),
                           frame.road_index)
         selected = preselect(semantic_map, rough)
@@ -120,13 +117,11 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
             fit, refined = associate_and_localize(
                 selected, frame.det_lines, frame.det_points, init, intrinsics,
                 assoc_config, residual_config, seed)
-            estimates.append(fit.pose)
-            result.records.append(FrameRecord(
+            records.append(FrameRecord(
                 frame.frame_id, FrameStatus.LOCALIZED, fit.pose,
                 fit.residual_rms, len(refined)))
         except NoValidAssociation:
-            estimates.append(init)
-            result.records.append(FrameRecord(
+            records.append(FrameRecord(
                 frame.frame_id, FrameStatus.COASTED, init))
     return result
 
@@ -242,7 +237,10 @@ def parse_ground_truth(text: str) -> dict:
         if fields[0] != "GT" or len(fields) != 8:
             raise ValueError(f"ground truth line {line_no}: malformed record")
         try:
-            poses[int(fields[1])] = CameraPose(*(float(f) for f in fields[2:]))
+            frame_id = int(fields[1])
+            if frame_id in poses:
+                raise ValueError(f"frame {frame_id} repeated")
+            poses[frame_id] = CameraPose(*(float(f) for f in fields[2:]))
         except ValueError as exc:
             raise ValueError(f"ground truth line {line_no}: {exc}") from None
     return poses
@@ -260,16 +258,24 @@ def serialize_result(result: TrajectoryResult) -> str:
 
 
 def parse_result(text: str) -> TrajectoryResult:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("frame,"):
+    """A result CSV; frame ids must be strictly increasing."""
+    rows = [(line_no, raw) for line_no, raw
+            in enumerate(text.splitlines(), start=1) if raw.strip()]
+    if not rows or not rows[0][1].startswith("frame,"):
         raise ValueError("result CSV missing header")
     result = TrajectoryResult()
-    for raw in lines[1:]:
+    for line_no, raw in rows[1:]:
         fields = raw.split(",")
-        if len(fields) != 10:
-            raise ValueError(f"result CSV row has {len(fields)} fields: {raw!r}")
-        pose = CameraPose(*(float(f) for f in fields[2:8]))
-        result.records.append(FrameRecord(
-            int(fields[0]), FrameStatus(fields[1]), pose,
-            float(fields[8]), int(fields[9])))
+        try:
+            if len(fields) != 10:
+                raise ValueError(f"row has {len(fields)} fields: {raw!r}")
+            frame_id = int(fields[0])
+            if result.records and frame_id <= result.records[-1].frame_id:
+                raise ValueError("frame ids must be strictly increasing")
+            pose = CameraPose(*(float(f) for f in fields[2:8]))
+            result.records.append(FrameRecord(
+                frame_id, FrameStatus(fields[1]), pose,
+                float(fields[8]), int(fields[9])))
+        except ValueError as exc:
+            raise ValueError(f"result CSV line {line_no}: {exc}") from None
     return result

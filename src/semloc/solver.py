@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .camera import POSE_PARAMS, CameraPose, wrap_angle
+from .camera import POSE_PARAMS, CameraPose
 
 
 class SingularNormalEquations(RuntimeError):
@@ -58,13 +58,6 @@ class SolveResult:
                                            TerminationReason.COST_TOLERANCE)
 
 
-def _wrap_vector(v: np.ndarray) -> np.ndarray:
-    out = v.copy()
-    for i in (3, 4, 5):
-        out[i] = wrap_angle(out[i])
-    return out
-
-
 def solve(objective, init: CameraPose) -> SolveResult:
     """Minimize the objective's squared residual norm starting from ``init``.
 
@@ -78,7 +71,6 @@ def solve(objective, init: CameraPose) -> SolveResult:
     J as read-only. Deterministic: the same inputs produce the same iterate
     sequence.
     """
-    x = init.as_vector()
     pose = init
     r, jac = objective.residual_and_jacobian(pose)
     cost = float(r @ r)
@@ -107,13 +99,12 @@ def solve(objective, init: CameraPose) -> SolveResult:
             if math.sqrt(step @ step) < STEP_TOLERANCE:
                 return SolveResult(pose, cost, iterations,
                                    TerminationReason.STEP_TOLERANCE, trace)
-            candidate_vec = _wrap_vector(x + step)
-            candidate = CameraPose.from_vector(candidate_vec)
+            candidate = CameraPose.from_vector(pose.as_vector() + step)
             r_new, jac_new = objective.residual_and_jacobian(candidate)
             new_cost = float(r_new @ r_new)
             if math.isfinite(new_cost) and new_cost < cost:
                 relative_drop = (cost - new_cost) / max(cost, 1e-300)
-                x, pose, cost = candidate_vec, candidate, new_cost
+                pose, cost = candidate, new_cost
                 r, jac = r_new, jac_new
                 trace.append(cost)
                 damping = max(damping / DAMPING_FACTOR, 1e-15)

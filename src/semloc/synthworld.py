@@ -203,7 +203,7 @@ def generate_world(config: WorldConfig):
     return SemanticMap(lines, points, lanes), trajectory
 
 
-def _in_image(uv: np.ndarray, intrinsics: Intrinsics) -> bool:
+def _in_image(uv, intrinsics: Intrinsics) -> bool:
     return bool(0.0 <= uv[0] <= intrinsics.width - 1 and
                 0.0 <= uv[1] <= intrinsics.height - 1)
 
@@ -234,7 +234,7 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
     if len(kept) < 2:
         return None
     kept.sort(key=lambda item: item[0])
-    m1, m2 = kept[0][1], kept[-1][1]
+    m1, m2 = np.array(kept[0][1]), np.array(kept[-1][1])
     if float(np.linalg.norm(m2 - m1)) < 2.0:
         return None
     return m1, m2
@@ -284,7 +284,7 @@ def _true_point_projections(semantic_map: SemanticMap, view: PoseTransform,
         uv = project_point(lm.p, view, intr)
         if uv is None or not _in_image(uv, intr):
             continue
-        out.append((lm, uv))
+        out.append((lm, np.array(uv)))
     return out
 
 

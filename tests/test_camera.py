@@ -113,11 +113,29 @@ class TestPose:
                            pose.as_vector())
 
     def test_wrap_angle_range(self):
-        for a in np.linspace(-20, 20, 400):
-            w = wrap_angle(float(a))
+        # Within a few ulps of an odd multiple of pi the modulo can round
+        # up to a whole turn; the result must still land in (-pi, pi] and
+        # wrap to itself.
+        edges = [edge
+                 for centre in (math.pi, 3 * math.pi, 5 * math.pi)
+                 for sign in (1.0, -1.0)
+                 for edge in _ulp_neighbours(sign * centre, 8)]
+        for a in [*np.linspace(-20, 20, 400).tolist(), *edges]:
+            w = wrap_angle(a)
             assert -math.pi < w <= math.pi
+            assert wrap_angle(w) == w
             assert math.cos(w) == pytest.approx(math.cos(a), abs=1e-9)
             assert math.sin(w) == pytest.approx(math.sin(a), abs=1e-9)
+        assert wrap_angle(math.nextafter(math.pi, 4.0)) == math.pi
+
+
+def _ulp_neighbours(x, n):
+    """x and the n floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
 
 
 # The zero pose's view.
@@ -169,6 +187,27 @@ class TestProjection:
             assert np.allclose(proj[:2], project_point(p1, view, intrinsics))
             assert np.allclose(proj[2:], project_point(p2, view, intrinsics))
 
+    def test_point_is_two_python_floats(self, intrinsics):
+        uv = project_point(map_point_for_camera_frame([1, -2, 10]), ORIGIN,
+                           intrinsics)
+        assert type(uv) is tuple and len(uv) == 2
+        assert all(type(v) is float for v in uv)
+
+    def test_line_is_its_two_points(self, intrinsics):
+        view = PoseTransform.of(CameraPose(0.5, 1.2, -0.3, 0.2, -0.05, 0.04))
+        near, far, behind = [9.0, -1.1, -2.0], [30.0, 2.5, 4.0], [-12.0, 1.0, 0.5]
+        assert project_point(behind, view, intrinsics) is None
+        for p1, p2 in ((near, far), (far, near), (near, behind),
+                       (behind, near)):
+            lm = LineLandmark(p1, p2, SemanticClass.POLE_LIKE, 1.0, 0, 0)
+            uv1, uv2 = (project_point(p, view, intrinsics) for p in (p1, p2))
+            proj = project_line(lm, view, intrinsics)
+            if uv1 is None or uv2 is None:
+                assert proj is None
+            else:
+                assert np.array(proj).tobytes() == \
+                    np.array((*uv1, *uv2)).tobytes()
+
     def test_pose_transform_gives_identical_pixels(self, intrinsics):
         # One view serves many projections, and a line's float pixels are
         # its control points' array pixels bit for bit.
@@ -184,7 +223,7 @@ class TestProjection:
             fresh = project_point(p1, PoseTransform.of(pose), intrinsics)
             assert (uv1 is None) == (fresh is None)
             if uv1 is not None:
-                assert uv1.tobytes() == fresh.tobytes()
+                assert np.array(uv1).tobytes() == np.array(fresh).tobytes()
             proj = project_line(lm, view, intrinsics)
             if uv1 is None or uv2 is None:
                 assert proj is None
@@ -220,8 +259,8 @@ class TestProjection:
             uvs = [project_point(p, view, intrinsics) for p in pts]
             if any(uv is None for uv in uvs):
                 continue
-            v1 = uvs[1] - uvs[0]
-            v2 = uvs[2] - uvs[0]
+            v1 = np.subtract(uvs[1], uvs[0])
+            v2 = np.subtract(uvs[2], uvs[0])
             cross = abs(v1[0] * v2[1] - v1[1] * v2[0])
             scale = max(1.0, np.linalg.norm(v1) * np.linalg.norm(v2))
             assert cross / scale < 1e-6
@@ -238,6 +277,14 @@ class TestIntrinsicsIO:
             parse_intrinsics("K 1 2 3\n")
         with pytest.raises(ValueError):
             parse_intrinsics("# only comments\n")
+
+    @pytest.mark.parametrize("text", [
+        "K 700 700 613 185 0 1226 370\ngarbage\n",
+        "K 700 700 613 185 0 1226 370\nK 700 700 613 185 0 1226 370\n",
+    ])
+    def test_rejects_records_after_the_first(self, text):
+        with pytest.raises(ValueError, match="^intrinsics line 2: "):
+            parse_intrinsics(text)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -412,6 +412,39 @@ class TestLocalize:
         assert run_cli(*args, "--bootstrap", partial) == 1
         assert "frame 11" in capsys.readouterr().err
 
+    def test_repeated_bootstrap_frame_fails(self, synth_dir, tmp_path,
+                                            capsys):
+        # A later record for a frame used to replace the first silently.
+        gt_text = (synth_dir / "groundtruth.txt").read_text()
+        first = gt_text.splitlines()[0].split()
+        first[2] = "5.0"
+        bootstrap = tmp_path / "bootstrap.txt"
+        bootstrap.write_text(gt_text + " ".join(first) + "\n")
+        code = run_cli("localize", "--map", synth_dir / "map.txt",
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", bootstrap,
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ground truth line ") and \
+            "repeated" in err
+        assert not (tmp_path / "result.csv").exists()
+
+    def test_trailing_intrinsics_record_fails(self, synth_dir, tmp_path,
+                                              capsys):
+        intrinsics = tmp_path / "intrinsics.txt"
+        intrinsics.write_text(
+            (synth_dir / "intrinsics.txt").read_text() + "garbage\n")
+        code = run_cli("localize", "--map", synth_dir / "map.txt",
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", intrinsics,
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: intrinsics line 2: ")
+        assert not (tmp_path / "result.csv").exists()
+
     def test_unknown_config_key_fails(self, synth_dir, tmp_path, capsys):
         manifest = tmp_path / "run.json"
         manifest.write_text(json.dumps({
@@ -620,6 +653,25 @@ class TestEval:
         out = capsys.readouterr().out
         assert "rms position error    0.000000 m" in out
         assert "below 0.5 m           100.00%" in out
+
+
+    def test_repeated_result_row_fails(self, synth_dir, tmp_path, capsys):
+        # A repeated row used to count twice in the summary.
+        result_csv = tmp_path / "result.csv"
+        assert run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", result_csv) == 0
+        rows = result_csv.read_text().splitlines()
+        result_csv.write_text("\n".join(rows + rows[-1:]) + "\n")
+        capsys.readouterr()
+        assert run_cli("eval", "--result", result_csv,
+                       "--ground-truth", synth_dir / "groundtruth.txt") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: result CSV line {len(rows) + 1}: frame ids must be "
+            f"strictly increasing")
 
 
 class TestLandscape:

@@ -238,6 +238,12 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             parse_ground_truth("GT 0 1 2 3\n")
 
+    def test_ground_truth_rejects_repeated_frame(self):
+        text = "GT 1 1 0 0 0 0 0\nGT 2 2 0 0 0 0 0\nGT 1 5 0 0 0 0 0\n"
+        with pytest.raises(ValueError,
+                           match="^ground truth line 3: frame 1 repeated"):
+            parse_ground_truth(text)
+
     def test_result_roundtrip(self):
         from semloc.pipeline import FrameRecord
         result = TrajectoryResult()
@@ -258,3 +264,12 @@ class TestFileFormats:
     def test_result_rejects_bad_header(self):
         with pytest.raises(ValueError):
             parse_result("not,a,result\n0,Localized,0,0,0,0,0,0,0,0\n")
+
+    @pytest.mark.parametrize("second", [3, 2])
+    def test_result_rejects_unordered_frames(self, second):
+        row = "{},Localized,0,1.6,0,0,0,0,0.5,6"
+        text = "\n".join(["frame,status,Cx,Cy,Cz,yaw,pitch,roll,sqrtR,n_corr",
+                          row.format(3), "", row.format(second)]) + "\n"
+        with pytest.raises(ValueError, match="^result CSV line 4: frame ids "
+                                             "must be strictly increasing"):
+            parse_result(text)
