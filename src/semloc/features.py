@@ -11,9 +11,13 @@ centers.
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +25,20 @@ import numpy as np
 from .mapmodel import SemanticClass, principal_axis
 
 # RANSAC models are scored in blocks of at most this many model-pixel
-# distances, so a large region cannot raise peak memory. Each float64
-# temporary of a block is then at most 64 KiB. Larger temporaries get
-# fresh pages from the kernel block after block: over 52 masks frames,
+# distances, so a large region cannot raise peak memory: each of the two
+# float64 buffers a fit scores in is then at most 64 KiB. When every block
+# allocated its own temporaries, larger ones got fresh pages from the
+# kernel block after block: over 52 masks frames,
 # getrusage(RUSAGE_SELF).ru_minflt counted about 560 minor faults per
 # frame at 1 << 16 and 450 at 1 << 15, none at 1 << 14 or below, and
 # extract_features took about 28 % less time at 1 << 13 or 1 << 14 than
 # at 1 << 16. Blocks smaller than 1 << 13 pay more per-block overhead.
 _SCORE_BLOCK_ELEMENTS = 1 << 13
+# Seeds whose bit-generator words _draw_words keeps, 2.4 KB an entry at
+# 100 iterations. extract_features seeds a region (0, class index, region
+# index); the frames of a default `semloc synth` world hold at most two
+# regions per line-shaped class, so a frame uses at most six seeds.
+_DRAW_CACHE_ENTRIES = 64
 # Probability cutoff of the mask channels; see threshold_level.
 THRESHOLD = 0.1
 
@@ -112,44 +122,63 @@ def threshold_level(threshold: float) -> int:
     return int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
 
 
-def region_grow(raster: np.ndarray, min_region_px: int = 30,
-                level: int = 1) -> list:
-    """8-connected components of the pixels at or above ``level``, small
-    ones discarded. With the default level a 0/1 or bool raster gives its
-    nonzero pixels.
+def region_grow(rasters, min_region_px: int = 30, level: int = 1) -> list:
+    """8-connected components of the pixels at or above ``level`` in each
+    of ``rasters``, small ones discarded. With the default level a 0/1 or
+    bool raster gives its nonzero pixels.
 
-    Returns (n, 2) intp arrays of (row, col) pixels in raster-scan order;
-    regions are ordered by their top-left-most pixel.
+    Returns (raster index, pixels) pairs, rasters in the order given and
+    each raster's regions ordered by their top-left-most pixel; pixels is
+    an (n, 2) intp array of (row, col) pixels in raster-scan order.
 
-    Only the bounding box of the foreground is thresholded. Its pixels are
-    labeled a run at a time (He, Chao & Suzuki, "A run-based two-scan
-    labeling algorithm", IEEE TIP 2008): runs are numbered in raster
-    order, and each run first joins the leftmost run it touches in the row
-    above. Its other upper neighbours are joined in rounds that jump every
-    run to its root and then hook the larger root of each split pair onto
-    the smaller, until no pair is split (Shiloach & Vishkin, J. Algorithms
-    1982). A region's root is then its first run, so sorting the runs
-    stably by root lists every region's pixels in raster order, regions in
-    top-left order.
+    All rasters are labeled in one pass over one buffer. Only the bounding
+    box of each raster's foreground is thresholded; each box keeps its own
+    row stride, so the padding is paid per box, not for the union of their
+    column spans. Pixels are labeled a run at a time (He, Chao & Suzuki, "A
+    run-based two-scan labeling algorithm", IEEE TIP 2008): runs are
+    numbered in buffer order, and each run first joins the leftmost run it
+    touches in the row above. Its other upper neighbours are joined in
+    rounds that jump every run to its root and then hook the larger root
+    of each split pair onto the smaller, until no pair is split (Shiloach &
+    Vishkin, J. Algorithms 1982). A region's root is then its first run,
+    so sorting the runs stably by root lists every region's pixels in
+    raster order, regions in raster order and then in top-left order.
     """
-    raster = np.asarray(raster)
-    rows = np.flatnonzero(raster.max(axis=1, initial=0) >= level)
-    if rows.size == 0:
+    owners, tops, lefts, boxes = [], [], [], []
+    for index, raster in enumerate(rasters):
+        raster = np.asarray(raster)
+        rows = np.flatnonzero(raster.max(axis=1, initial=0) >= level)
+        if rows.size == 0:
+            continue
+        top, bottom = int(rows[0]), int(rows[-1]) + 1
+        cols = np.flatnonzero(raster[top:bottom].max(axis=0) >= level)
+        left, right = int(cols[0]), int(cols[-1]) + 1
+        owners.append(index)
+        tops.append(top)
+        lefts.append(left)
+        boxes.append(raster[top:bottom, left:right])
+    if not boxes:
         return []
-    top, bottom = int(rows[0]), int(rows[-1]) + 1
-    cols = np.flatnonzero(raster[top:bottom].max(axis=0) >= level)
-    left, right = int(cols[0]), int(cols[-1]) + 1
-    # Runs are found in the box padded with one background pixel at the end
-    # of each row, so that none wraps into the next row. flat holds one more
-    # background pixel in front, and step[p] is then +1 where a run starts
-    # at padded position p and -1 where one ends just before it.
-    stride = right - left + 1
-    flat = np.zeros((bottom - top) * stride + 1, dtype=np.int8)
-    flat[1:].reshape(bottom - top, stride)[:, :-1] = \
-        raster[top:bottom, left:right] >= level
-    step = np.diff(flat)
-    starts = np.flatnonzero(step > 0)
-    ends = np.flatnonzero(step < 0)
+    # Runs are found in boxes padded with one background pixel at the end of
+    # each row, so that none wraps into the next row. Each box follows one
+    # background row of its own stride, so that no run of a box's first row
+    # touches the box before it; its rows start at offsets[k]. flat holds
+    # one more background pixel in front, so flat[p + 1] and flat[p] differ
+    # where a run starts at padded position p or ends just before it; the
+    # starts and ends alternate.
+    heights = np.array([box.shape[0] for box in boxes])
+    strides = np.array([box.shape[1] + 1 for box in boxes])
+    offsets = np.cumsum((heights + 1) * strides) - heights * strides
+    flat = np.zeros(int(offsets[-1] + heights[-1] * strides[-1]) + 1,
+                    dtype=bool)
+    for box, offset, height, stride in zip(boxes, offsets.tolist(),
+                                           heights.tolist(), strides.tolist()):
+        flat[offset + 1:offset + 1 + height * stride].reshape(
+            height, stride)[:, :-1] = box >= level
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    run_box = np.searchsorted(offsets, starts, "right") - 1
+    stride = strides[run_box]
     # Runs up_first .. up_last - 1 of the row above touch a run, diagonally
     # included: those ending at or after its start and starting at or
     # before its end, in flat positions one stride back. A run hangs from
@@ -179,13 +208,17 @@ def region_grow(raster: np.ndarray, min_region_px: int = 30,
     sizes = np.add.reduceat(lengths, first)
     kept = sizes >= min_region_px
     keep = np.repeat(kept, np.diff(first, append=order.size))
-    run_rows, run_cols = np.divmod(starts[order[keep]], stride)
+    runs = order[keep]
+    box = run_box[runs]
+    run_rows, run_cols = np.divmod(starts[runs] - offsets[box], strides[box])
     lengths = lengths[keep]
     pixels = np.empty((int(lengths.sum()), 2), dtype=np.intp)
-    pixels[:, 0] = np.repeat(run_rows + top, lengths)
-    pixels[:, 1] = _concatenated_ranges(run_cols + left, lengths)
+    pixels[:, 0] = np.repeat(run_rows + np.array(tops)[box], lengths)
+    pixels[:, 1] = _concatenated_ranges(run_cols + np.array(lefts)[box],
+                                        lengths)
     bounds = np.cumsum(sizes[kept]).tolist()
-    return [pixels[a:b] for a, b in zip([0] + bounds, bounds)]
+    return [(owners[k], pixels[a:b]) for k, a, b in zip(
+        run_box[order[first[kept]]].tolist(), [0] + bounds, bounds)]
 
 
 def _concatenated_ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -208,7 +241,8 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     ``min_inlier_ratio`` (the region is a blob, not a line).
 
     Models are scored a block at a time as a (models, pixels) distance
-    array; the first model with the most inliers wins.
+    array, in two buffers reused from block to block; the first model with
+    the most inliers wins.
     """
     pts = np.asarray(region)[:, ::-1].astype(float)  # (x, y) per pixel
     n = pts.shape[0]
@@ -228,19 +262,25 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     first = first[valid]
     direction = direction[valid] / norm[valid, None]
     block = max(1, _SCORE_BLOCK_ELEMENTS // n)
+    xs, ys = np.ascontiguousarray(pts.T)
+    out = np.empty((min(block, first.size), n))
+    spare = np.empty_like(out)
     counts = np.concatenate([
         np.count_nonzero(
-            _line_distances(pts, pts[first[k:k + block]],
-                            direction[k:k + block]) <= inlier_tol, axis=1)
+            _line_distances(xs, ys, pts[first[k:k + block]],
+                            direction[k:k + block], out, spare) <= inlier_tol,
+            axis=1)
         for k in range(0, first.size, block)])
     best = int(np.argmax(counts))
     best_mask = _line_distances(
-        pts, pts[first[best:best + 1]], direction[best:best + 1])[0] <= inlier_tol
+        xs, ys, pts[first[best:best + 1]], direction[best:best + 1],
+        out, spare)[0] <= inlier_tol
 
     # Least-squares refit on the winning inliers, then one re-gating pass
     # against the refit line so support and endpoints are consistent.
     centroid, direction = principal_axis(pts[best_mask])
-    dist = _line_distances(pts, centroid[None], direction[None])[0]
+    dist = _line_distances(xs, ys, centroid[None], direction[None],
+                           out, spare)[0]
     inliers = pts[dist <= inlier_tol]
     support = inliers.shape[0]
     if support < 2 or support / n < min_inlier_ratio:
@@ -257,8 +297,8 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
 def _sample_pairs(n: int, iterations: int, seed) -> tuple:
     """(first, second) index arrays of the pairs that ``iterations`` calls
     of ``rng.choice(n, 2, replace=False)`` give, ``rng`` being
-    ``np.random.default_rng(seed)``, drawn with one call to the bit
-    generator.
+    ``np.random.default_rng(seed)``; ``seed`` is an int or a tuple of ints.
+    The bit generator's words come from ``_draw_words``.
 
     Each ``choice`` call runs Floyd's algorithm and shuffles the pair,
     taking three 32-bit words w0, w1, w2 (a 64-bit word gives its low half,
@@ -270,13 +310,8 @@ def _sample_pairs(n: int, iterations: int, seed) -> tuple:
     ``choice`` calls themselves.
     """
     if iterations > 0 and 3 <= n < 1 << 32:
-        raw = np.random.default_rng(seed).bit_generator.random_raw(
-            -(-3 * iterations // 2))
-        words = np.column_stack([raw & np.uint64(0xFFFFFFFF),
-                                 raw >> np.uint64(32)])
-        words = words.reshape(-1)[:3 * iterations].reshape(iterations, 3)
         spans = np.array([n - 1, n, 2], dtype=np.uint64)
-        products = words * spans
+        products = _draw_words(seed, iterations) * spans
         rejected = ((products & np.uint64(0xFFFFFFFF))
                     < (np.uint64(1 << 32) - spans) % spans)
         if not rejected.any():
@@ -290,13 +325,38 @@ def _sample_pairs(n: int, iterations: int, seed) -> tuple:
         dtype=np.intp).reshape(-1, 2).T
 
 
-def _line_distances(pts: np.ndarray, anchors: np.ndarray,
-                    directions: np.ndarray) -> np.ndarray:
-    """(models, pixels) perpendicular distances of ``pts`` to the lines
-    through ``anchors`` along the unit ``directions``."""
-    dx = pts[:, 0] - anchors[:, 0, None]
-    dy = pts[:, 1] - anchors[:, 1, None]
-    return np.abs(dx * directions[:, 1, None] - dy * directions[:, 0, None])
+@lru_cache(maxsize=_DRAW_CACHE_ENTRIES)
+def _draw_words(seed, iterations: int) -> np.ndarray:
+    """The first 3 · ``iterations`` 32-bit words of
+    ``np.random.default_rng(seed)``'s bit generator as a read-only
+    (iterations, 3) uint64 array, drawn with one call to it.
+    ``extract_features`` seeds every region's fit from a few small tuples,
+    so the words are kept for the most recently used seeds: building the
+    generator costs about 25 µs a region."""
+    raw = np.random.default_rng(seed).bit_generator.random_raw(
+        -(-3 * iterations // 2))
+    words = np.column_stack([raw & np.uint64(0xFFFFFFFF),
+                             raw >> np.uint64(32)])
+    words = words.reshape(-1)[:3 * iterations].reshape(iterations, 3)
+    words.flags.writeable = False
+    return words
+
+
+def _line_distances(xs: np.ndarray, ys: np.ndarray, anchors: np.ndarray,
+                    directions: np.ndarray, out: np.ndarray,
+                    spare: np.ndarray) -> np.ndarray:
+    """(models, pixels) perpendicular distances of the pixels (xs, ys) to
+    the lines through ``anchors`` along the unit ``directions``, written
+    into the first rows of ``out``; ``spare`` is overwritten. Returns
+    that view of ``out``."""
+    models = anchors.shape[0]
+    out, spare = out[:models], spare[:models]
+    np.subtract(xs, anchors[:, 0, None], out=out)
+    np.multiply(out, directions[:, 1, None], out=out)
+    np.subtract(ys, anchors[:, 1, None], out=spare)
+    np.multiply(spare, directions[:, 0, None], out=spare)
+    np.subtract(out, spare, out=out)
+    return np.abs(out, out=out)
 
 
 def region_centroid(region: np.ndarray, semantic: SemanticClass) -> DetectedPoint:
@@ -312,18 +372,21 @@ def extract_features(mask: SemanticMask):
     """Full per-frame extraction. Returns (detected lines, detected points).
 
     Channels are cut at ``THRESHOLD``, and regions and lines take the
-    defaults of ``region_grow`` and ``fit_region_line``. Classes are
-    processed in enum order and regions in top-left order, each region
-    with its own RNG stream seeded (0, class index, region index), so the
-    output is reproducible bit for bit.
+    defaults of ``region_grow`` and ``fit_region_line``. One
+    ``region_grow`` call labels every channel. Classes are processed in
+    enum order and regions in top-left order, each region with its own RNG
+    stream seeded (0, class index, region index), so the output is
+    reproducible bit for bit.
     """
-    level = threshold_level(THRESHOLD)
+    classes = [(class_index, semantic)
+               for class_index, semantic in enumerate(SemanticClass)
+               if semantic in mask.channels]
+    regions = region_grow([mask.channels[semantic] for _, semantic in classes],
+                          level=threshold_level(THRESHOLD))
     det_lines, det_points = [], []
-    for class_index, semantic in enumerate(SemanticClass):
-        if semantic not in mask.channels:
-            continue
-        for region_index, region in enumerate(region_grow(
-                mask.channels[semantic], level=level)):
+    for owner, owned in groupby(regions, key=itemgetter(0)):
+        class_index, semantic = classes[owner]
+        for region_index, (_, region) in enumerate(owned):
             if semantic.is_line_shaped:
                 line = fit_region_line(region, semantic,
                                        seed=(0, class_index, region_index))
@@ -363,8 +426,9 @@ def write_mask_files(directory, frame_id: int, mask: SemanticMask) -> list:
 
 
 def read_mask_files(directory, frame_id: int) -> SemanticMask:
-    """The frame's <frame>_<class>.pgm rasters; a class without a file is
-    left out of the mask."""
+    """The frame's <frame>_<class>.pgm rasters, each a read-only mapping of
+    its file (see ``_read_pgm``); a class without a file is left out of the
+    mask."""
     directory = Path(directory)
     channels = {}
     width = height = None
@@ -382,9 +446,18 @@ def read_mask_files(directory, frame_id: int) -> SemanticMask:
 
 
 def _read_pgm(path) -> np.ndarray:
-    """Pixels of an 8-bit binary PGM, a read-only view of the file's bytes."""
+    """Pixels of an 8-bit binary PGM, a read-only view of the file mapped
+    into memory.
+
+    The mapping lives as long as the raster, after the file is closed, and
+    holds a duplicate of its file descriptor until then, so every raster a
+    caller keeps keeps one file open. A mask file truncated while it is
+    mapped ends the process with SIGBUS on the next read of a pixel past
+    its new end."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap rejects empty files
+            raise ValueError(f"{path}: truncated PGM header")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     tokens = []
     pos = 0
     while len(tokens) < 4:

@@ -200,8 +200,10 @@ def parse_detections(text: str) -> list:
                 raise ValueError(f"{fields[0]} record needs {expected} fields, "
                                  f"got {len(fields)}")
             if fields[0] == "F":
-                frames.append(FrameInput(int(fields[1]),
-                                         road_index=int(fields[2])))
+                frame_id = int(fields[1])
+                if frames and frame_id <= frames[-1].frame_id:
+                    raise ValueError("frame ids must be strictly increasing")
+                frames.append(FrameInput(frame_id, road_index=int(fields[2])))
             elif not frames:
                 raise ValueError(f"{fields[0]} record before any F record")
             elif fields[0] == "DL":
@@ -215,9 +217,6 @@ def parse_detections(text: str) -> list:
                     SemanticClass(fields[1])))
         except ValueError as exc:
             raise ValueError(f"detections line {line_no}: {exc}") from None
-    ids = [f.frame_id for f in frames]
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ValueError("frame ids must be strictly increasing")
     return frames
 
 

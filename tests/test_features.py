@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -14,6 +15,15 @@ from semloc.mapmodel import SemanticClass
 
 POLE = SemanticClass.POLE_LIKE
 SIGN = SemanticClass.TRAFFIC_SIGN
+LANE = SemanticClass.LANE_LINE
+MILESTONE = SemanticClass.MILESTONE
+
+
+def grow_one(raster, *args, **kwargs):
+    """region_grow over one raster, as the list of its regions."""
+    pairs = region_grow([raster], *args, **kwargs)
+    assert all(owner == 0 for owner, _ in pairs)
+    return [pixels for _, pixels in pairs]
 
 
 def reference_region_grow(binary, min_region_px=30):
@@ -152,7 +162,7 @@ class TestRegionGrow:
         binary = np.zeros((50, 80), dtype=np.uint8)
         binary[5:15, 5:15] = 1
         binary[30:40, 50:60] = 1
-        regions = region_grow(binary)
+        regions = grow_one(binary)
         assert len(regions) == 2
         assert {r.shape[0] for r in regions} == {100}
         # ordered by top-left-most pixel
@@ -162,7 +172,7 @@ class TestRegionGrow:
         binary = np.zeros((60, 60), dtype=np.uint8)
         for k in range(50):
             binary[k, k] = 1
-        regions = region_grow(binary)
+        regions = grow_one(binary)
         assert len(regions) == 1
         assert regions[0].shape[0] == 50
 
@@ -172,7 +182,7 @@ class TestRegionGrow:
         for _ in range(40):  # isolated pixels, each a region of 1 px
             r, c = rng.integers(0, 100, 2)
             binary[r, c] = 1
-        assert region_grow(binary, min_region_px=30) == []
+        assert grow_one(binary, min_region_px=30) == []
 
 
 class TestRegionGrowOracle:
@@ -186,7 +196,7 @@ class TestRegionGrowOracle:
             h, w = (int(v) for v in rng.integers(5, 120, 2))
             binary = (rng.random((h, w)) < density).astype(np.uint8)
             for min_px in (1, 3, 30):
-                assert_same_regions(region_grow(binary, min_px),
+                assert_same_regions(grow_one(binary, min_px),
                                     reference_region_grow(binary, min_px))
 
     @pytest.mark.parametrize("edge", ["top", "bottom", "left", "right"])
@@ -198,19 +208,19 @@ class TestRegionGrowOracle:
                  "left": (slice(2, 38), slice(0, 2)),
                  "right": (slice(2, 38), slice(58, 60))}[edge]
         binary[strip] = 1
-        regions = region_grow(binary, 1)
+        regions = grow_one(binary, 1)
         assert len(regions) == 2
         assert_same_regions(regions, reference_region_grow(binary, 1))
 
     def test_all_zero(self):
         binary = np.zeros((30, 40), dtype=np.uint8)
-        assert region_grow(binary, 1) == []
+        assert grow_one(binary, 1) == []
         assert reference_region_grow(binary, 1) == []
-        assert region_grow(np.zeros((30, 0), dtype=np.uint8), 1) == []
+        assert grow_one(np.zeros((30, 0), dtype=np.uint8), 1) == []
 
     def test_single_full_box_region(self):
         binary = np.ones((17, 23), dtype=np.uint8)
-        regions = region_grow(binary, 1)
+        regions = grow_one(binary, 1)
         assert len(regions) == 1 and regions[0].shape == (17 * 23, 2)
         assert_same_regions(regions, reference_region_grow(binary, 1))
 
@@ -222,14 +232,14 @@ class TestRegionGrowOracle:
             raster[rng.random((h, w)) < 0.7] = 0
             for level in (1, 26, 128, 255):
                 assert_same_regions(
-                    region_grow(raster, 3, level),
+                    grow_one(raster, 3, level),
                     reference_region_grow(raster >= level, 3))
 
     def test_bool_raster(self):
         binary = np.zeros((30, 40), dtype=bool)
         binary[3:9, 10:30] = True
         binary[20, 5:35] = True
-        assert_same_regions(region_grow(binary, 1),
+        assert_same_regions(grow_one(binary, 1),
                             reference_region_grow(binary, 1))
 
     def test_nested_bounding_boxes(self):
@@ -239,8 +249,52 @@ class TestRegionGrowOracle:
         binary[5:25, 5:25] = 1
         binary[7:23, 7:23] = 0
         binary[12:18, 12:18] = 1
-        assert_same_regions(region_grow(binary, 1),
+        assert_same_regions(grow_one(binary, 1),
                             reference_region_grow(binary, 1))
+
+
+class TestRegionGrowRasters:
+    """region_grow labels several rasters in one pass; it must give each
+    raster's regions, rasters in the order given, as labeling each raster
+    on its own does."""
+
+    def rasters(self):
+        rng = np.random.default_rng(21)
+        rasters = [rng.integers(0, 256, (h, w), dtype=np.uint8)
+                   * (rng.random((h, w)) < density)
+                   for (h, w), density in [((40, 90), 0.5), ((17, 5), 0.9),
+                                           ((64, 64), 0.1), ((3, 120), 0.8)]]
+        rasters.insert(2, np.zeros((50, 70), dtype=np.uint8))
+        # A full last row, then a full first row: only the background row
+        # between their boxes keeps them apart.
+        bottom = np.zeros((30, 200), dtype=np.uint8)
+        bottom[-1] = 255
+        bottom[5:12, 40:45] = 255
+        top = np.zeros((20, 60), dtype=np.uint8)
+        top[0] = top[10] = 255
+        return rasters + [bottom, top]
+
+    @pytest.mark.parametrize("level", [1, 26, 200])
+    @pytest.mark.parametrize("min_px", [1, 3, 30])
+    def test_matches_per_raster_reference(self, min_px, level):
+        rasters = self.rasters()
+        got = region_grow(rasters, min_px, level)
+        want = [(index, pixels) for index, raster in enumerate(rasters)
+                for pixels in reference_region_grow(raster >= level, min_px)]
+        assert [owner for owner, _ in got] == [owner for owner, _ in want]
+        assert_same_regions([pixels for _, pixels in got],
+                            [pixels for _, pixels in want])
+        assert all(pixels.dtype == np.intp for _, pixels in got)
+
+    def test_boxes_do_not_touch(self):
+        got = region_grow(self.rasters()[-2:], 1)
+        assert [(owner, len(pixels)) for owner, pixels in got] == [
+            (0, 35), (0, 200), (1, 60), (1, 60)]
+
+    def test_no_foreground(self):
+        assert region_grow([]) == []
+        blank = np.zeros((4, 4), dtype=np.uint8)
+        assert region_grow([blank, blank[:, :0], blank], 1) == []
 
 
 # Full-size rasters (the 370 x 1226 image) built to stress the labeler:
@@ -353,20 +407,20 @@ class TestRegionGrowFullRasters:
     @pytest.mark.parametrize("min_px", [1, 30])
     def test_matches_ndimage(self, name, min_px):
         binary = ADVERSARIAL[name]()
-        regions = region_grow(binary, min_px)
+        regions = grow_one(binary, min_px)
         assert_same_regions(regions, reference_region_grow(binary, min_px))
         assert all(r.dtype == np.intp for r in regions)
 
     def test_single_pixel_regions(self):
         binary = single_pixels()
-        regions = region_grow(binary, 1)
+        regions = grow_one(binary, 1)
         assert len(regions) == np.count_nonzero(binary)
         assert all(r.shape == (1, 2) for r in regions)
-        assert region_grow(binary, 2) == []
+        assert grow_one(binary, 2) == []
 
     def test_spiral_is_one_region(self):
         binary = square_spiral()
-        regions = region_grow(binary, 1)
+        regions = grow_one(binary, 1)
         assert len(regions) == 1
         assert regions[0].shape[0] == np.count_nonzero(binary)
 
@@ -378,7 +432,7 @@ class TestRegionGrowFullRasters:
         raster = values[rng.integers(0, 3, (HEIGHT, WIDTH))]
         raster[rng.random((HEIGHT, WIDTH)) < 0.4] = 0
         for min_px in (1, 30):
-            regions = region_grow(raster, min_px, level)
+            regions = grow_one(raster, min_px, level)
             assert_same_regions(regions,
                                 reference_region_grow(raster >= level, min_px))
             assert all(r.dtype == np.intp for r in regions)
@@ -386,7 +440,7 @@ class TestRegionGrowFullRasters:
     def test_bool_raster(self):
         binary = random_fill(0.45).astype(bool)
         for min_px in (1, 30):
-            regions = region_grow(binary, min_px)
+            regions = grow_one(binary, min_px)
             assert_same_regions(regions, reference_region_grow(binary, min_px))
             assert all(r.dtype == np.intp for r in regions)
 
@@ -535,12 +589,34 @@ class TestSamplePairs:
             self.assert_pairs(n, 37, seed, want)
             assert len(choice_calls) == 37
 
+    def test_writes_to_pairs_leave_the_draws_alone(self):
+        for seed in [(0, 2, 7), 12345]:
+            want = reference_pairs(500, 100, seed)
+            first, second = _sample_pairs(500, 100, seed)
+            first[:] = 0
+            second[:] = 1
+            self.assert_pairs(500, 100, seed, want)
+
+    def test_draw_cache_is_read_only_and_bounded(self, monkeypatch):
+        features._draw_words.cache_clear()
+        words = features._draw_words((0, 1, 1), 100)
+        assert words.shape == (100, 3) and words.dtype == np.uint64
+        with pytest.raises(ValueError):
+            words[0, 0] = 0
+        monkeypatch.setattr(np.random, "default_rng", None)
+        assert features._draw_words((0, 1, 1), 100) is words
+        monkeypatch.undo()
+        for seed in range(features._DRAW_CACHE_ENTRIES + 5):
+            features._draw_words(seed, 3)
+        assert (features._draw_words.cache_info().currsize
+                == features._DRAW_CACHE_ENTRIES)
+
 
 class TestFitRegionLine:
     def test_perfect_vertical_strip(self):
         binary = np.zeros((200, 200), dtype=np.uint8)
         binary[50:151, 100] = 1
-        region = region_grow(binary)[0]
+        region = grow_one(binary)[0]
         line = fit_region_line(region, POLE)
         assert line is not None
         got = sorted([tuple(line.m1), tuple(line.m2)], key=lambda p: p[1])
@@ -568,7 +644,7 @@ class TestFitRegionLine:
     def test_filled_square_is_not_a_line(self):
         binary = np.zeros((100, 100), dtype=np.uint8)
         binary[20:70, 20:70] = 1
-        region = region_grow(binary)[0]
+        region = grow_one(binary)[0]
         assert fit_region_line(region, POLE) is None
 
     def test_support_consistent_with_reported_line(self):
@@ -614,6 +690,18 @@ class TestRegionCentroid:
         assert pt.m[1] == pytest.approx(pixels[:, 0].mean())
 
 
+def noisy_strip(raster, rng, row, col, length, slope):
+    """A 3 px wide strip going down ``length`` rows from (row, col), with
+    two speckles of random level per row up to 5 px either side."""
+    for k in range(length):
+        r, c = row + k, int(round(col + slope * k))
+        raster[r, c - 1:c + 2] = 255
+        for _ in range(2):
+            dc = int(rng.integers(-5, 6))
+            raster[r, c + dc] = max(raster[r, c + dc],
+                                    int(rng.integers(26, 256)))
+
+
 class TestExtractFeatures:
     def make_mask(self, shift=(0, 0)):
         dy, dx = shift
@@ -650,6 +738,55 @@ class TestExtractFeatures:
         assert a_lines[0].m1.tobytes() == b_lines[0].m1.tobytes()
         assert a_lines[0].m2.tobytes() == b_lines[0].m2.tobytes()
         assert a_points[0].m.tobytes() == b_points[0].m.tobytes()
+
+    def test_matches_per_channel_reference(self):
+        # POLE_LIKE absent, a sign blob beside a 3 px speck, an empty lane
+        # channel (below the threshold) and two noisy milestone strips: the
+        # strips are fitted with seeds (0, 3, 0) and (0, 3, 1), though the
+        # milestone channel is the third one labeled and follows a region.
+        rng = np.random.default_rng(4)
+        sign = np.zeros((120, 160), dtype=np.uint8)
+        sign[60:70, 60:72] = 200
+        sign[100, 5:8] = 255
+        lane = np.full((120, 160), threshold_level(THRESHOLD) - 1,
+                       dtype=np.uint8)
+        milestone = np.zeros((120, 160), dtype=np.uint8)
+        noisy_strip(milestone, rng, 10, 30, 90, 0.3)
+        noisy_strip(milestone, rng, 15, 110, 80, -0.2)
+        mask = SemanticMask(160, 120, {SIGN: sign, LANE: lane,
+                                       MILESTONE: milestone})
+        lines, points = extract_features(mask)
+
+        want_lines, want_points = [], []
+        for class_index, semantic in enumerate(SemanticClass):
+            if semantic not in mask.channels:
+                continue
+            channel = mask.channels[semantic] >= threshold_level(THRESHOLD)
+            for region_index, region in enumerate(
+                    reference_region_grow(channel)):
+                if semantic.is_line_shaped:
+                    want_lines.append(reference_fit_region_line(
+                        region, semantic, seed=(0, class_index, region_index)))
+                else:
+                    want_points.append(
+                        (region.astype(float).mean(axis=0)[::-1], semantic,
+                         region.shape[0]))
+        assert len(want_lines) == 2 and len(want_points) == 1
+        assert len(lines) == 2
+        for got, want in zip(lines, want_lines):
+            assert_same_line(got, want)
+        assert [(p.m.tobytes(), p.semantic, p.support) for p in points] == [
+            (m.tobytes(), semantic, n) for m, semantic, n in want_points]
+        # The seeds decide the fit. The first strip's line differs under
+        # (0, 2, 0), the seed if the channel's position among the labeled
+        # channels stood for its class, under (0, 3, 1), the seed if region
+        # indices ran on across classes, and under another class's seed.
+        region = reference_region_grow(
+            milestone >= threshold_level(THRESHOLD))[0]
+        for seed in [(0, 2, 0), (0, 3, 1), (0, 1, 0)]:
+            other = reference_fit_region_line(region, MILESTONE, seed=seed)
+            assert (other.m1.tobytes(), other.m2.tobytes()) != (
+                lines[0].m1.tobytes(), lines[0].m2.tobytes())
 
 
 class TestMaskFiles:
@@ -704,6 +841,27 @@ class TestReadPgm:
     def test_truncated_header(self, tmp_path):
         with pytest.raises(ValueError, match="000001_POLE.pgm: truncated PGM header"):
             self.read(tmp_path, b"P5\n3 2\n")
+
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(ValueError, match="000001_POLE.pgm: truncated PGM header"):
+            self.read(tmp_path, b"")
+
+    def test_read_only_view_outlives_the_file_handle(self, tmp_path,
+                                                       monkeypatch):
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(features, "open", recording_open, raising=False)
+        pixels = self.read(tmp_path, b"P5\n3 2\n255\n" + bytes(range(6)))
+        assert len(handles) == 1 and handles[0].closed
+        assert not pixels.flags.writeable
+        with pytest.raises(ValueError):
+            pixels[0, 0] = 9
+        gc.collect()
+        assert pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
 
     def test_truncated_pixel_data(self, tmp_path):
         with pytest.raises(ValueError, match="000001_POLE.pgm: truncated pixel data"):

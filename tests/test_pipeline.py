@@ -195,6 +195,15 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             parse_detections(text)
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("F 3 0\nF 5 0\nF 4 0\n", 3), ("F 3 0\nF 1 0\n", 2),
+        ("F 3 0\nDP SIGN 1 2\n\nF 3 0\nDP SIGN 1 x\n", 4)])
+    def test_unordered_frame_names_its_line(self, text, line_no):
+        with pytest.raises(ValueError, match=rf"^detections line {line_no}: "
+                                             rf"frame ids must be strictly "
+                                             rf"increasing"):
+            parse_detections(text)
+
     def test_detection_record_before_frame(self):
         with pytest.raises(ValueError):
             parse_detections("DL POLE 1 2 3 4\n")
