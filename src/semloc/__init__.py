@@ -11,8 +11,8 @@ from .features import (DetectedLine, DetectedPoint, SemanticMask,
 from .mapmodel import (DegenerateCluster, LanePolyline, LineLandmark,
                        ParseError, PointLandmark, PreselectedSet, RoughPose,
                        SemanticClass, SemanticMap, fit_line_landmark,
-                       fit_point_landmark, load_map, parse_map, preselect,
-                       save_map, serialize_map)
+                       fit_point_landmark, parse_map, preselect, save_map,
+                       serialize_map)
 from .pipeline import (EvaluationSummary, FrameInput, FrameRecord,
                        FrameStatus, InsufficientBootstrap, TrajectoryResult,
                        evaluate, predict_pose, run_sequence)

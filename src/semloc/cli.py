@@ -125,6 +125,15 @@ def _load_manifest(args) -> dict:
     return manifest
 
 
+def _refuse_road_index(manifest) -> None:
+    """Only masks need the manifest's road index; a detections file's F
+    records carry each frame's road, so a road index there would go
+    unread."""
+    if "road_index" in manifest:
+        raise CliError("manifest key 'road_index' applies only to localize "
+                       "with masks; detections carry each frame's road")
+
+
 def _required(manifest, key):
     if key not in manifest:
         raise CliError(f"missing required input {key!r} (flag or manifest)")
@@ -311,6 +320,7 @@ def cmd_localize(args) -> int:
     if "masks" in manifest:
         frames = _frames_from_masks(manifest["masks"], manifest)
     else:
+        _refuse_road_index(manifest)
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
@@ -366,6 +376,7 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     manifest = _load_manifest(args)
+    _refuse_road_index(manifest)
     out = _required(manifest, "out")
     semantic_map = parse_map(_read_input(manifest, "map"))
     frames = parse_detections(_read_input(manifest, "detections"))

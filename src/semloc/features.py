@@ -45,30 +45,29 @@ THRESHOLD = 0.1
 
 @dataclass(eq=False)
 class SemanticMask:
-    """Per-class uint8 rasters of one frame, probability × 255."""
+    """Per-class uint8 rasters of one frame, probability × 255, all of one
+    shape."""
 
-    width: int
-    height: int
     channels: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        shapes = set()
         for cls, raster in self.channels.items():
-            if not isinstance(raster, np.ndarray) or raster.dtype != np.uint8:
-                raise ValueError(f"{cls} raster must be a uint8 array")
-            if raster.shape != (self.height, self.width):
-                raise ValueError(
-                    f"{cls} raster shape {raster.shape} does not match "
-                    f"({self.height}, {self.width})")
+            if not (isinstance(raster, np.ndarray) and raster.ndim == 2
+                    and raster.dtype == np.uint8):
+                raise ValueError(f"{cls} raster must be a 2-D uint8 array")
+            shapes.add(raster.shape)
+        if len(shapes) > 1:
+            raise ValueError(f"mask rasters differ in shape: {sorted(shapes)}")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectedLine:
-    """2D line feature with its semantic class and inlier support."""
+    """2D line feature with its semantic class."""
 
     m1: np.ndarray
     m2: np.ndarray
     semantic: SemanticClass
-    support: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "m1", np.asarray(self.m1, dtype=float))
@@ -103,7 +102,6 @@ class DetectedPoint:
 
     m: np.ndarray
     semantic: SemanticClass
-    support: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
@@ -277,13 +275,13 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
         out, spare)[0] <= inlier_tol
 
     # Least-squares refit on the winning inliers, then one re-gating pass
-    # against the refit line so support and endpoints are consistent.
+    # against the refit line so the inlier count and endpoints agree.
     centroid, direction = principal_axis(pts[best_mask])
     dist = _line_distances(xs, ys, centroid[None], direction[None],
                            out, spare)[0]
     inliers = pts[dist <= inlier_tol]
-    support = inliers.shape[0]
-    if support < 2 or support / n < min_inlier_ratio:
+    count = inliers.shape[0]
+    if count < 2 or count / n < min_inlier_ratio:
         return None
     centroid, direction = principal_axis(inliers)
     t = (inliers - centroid) @ direction
@@ -291,7 +289,7 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     m2 = centroid + t.max() * direction
     if float(np.linalg.norm(m2 - m1)) < 1e-6:
         return None
-    return DetectedLine(m1, m2, semantic, support)
+    return DetectedLine(m1, m2, semantic)
 
 
 def _sample_pairs(n: int, iterations: int, seed) -> tuple:
@@ -365,7 +363,7 @@ def region_centroid(region: np.ndarray, semantic: SemanticClass) -> DetectedPoin
     if pixels.shape[0] == 0:
         raise ValueError("empty region")
     mean = pixels.mean(axis=0)
-    return DetectedPoint(mean[::-1], semantic, support=pixels.shape[0])
+    return DetectedPoint(mean[::-1], semantic)
 
 
 def extract_features(mask: SemanticMask):
@@ -419,7 +417,8 @@ def write_mask_files(directory, frame_id: int, mask: SemanticMask) -> list:
             continue
         path = directory / mask_file_name(frame_id, semantic)
         with open(path, "wb") as fh:
-            fh.write(f"P5\n{mask.width} {mask.height}\n255\n".encode("ascii"))
+            height, width = raster.shape
+            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fh.write(raster.tobytes())
         written.append(path)
     return written
@@ -431,18 +430,16 @@ def read_mask_files(directory, frame_id: int) -> SemanticMask:
     mask."""
     directory = Path(directory)
     channels = {}
-    width = height = None
     for semantic in SemanticClass:
         try:
             raster = _read_pgm(directory / mask_file_name(frame_id, semantic))
         except FileNotFoundError:
             continue
         channels[semantic] = raster
-        height, width = raster.shape
     if not channels:
         raise FileNotFoundError(
             f"no mask files for frame {frame_id} in {directory}")
-    return SemanticMask(width, height, channels)
+    return SemanticMask(channels)
 
 
 def _read_pgm(path) -> np.ndarray:

@@ -36,8 +36,7 @@ class ParseError(ValueError):
 
     def __init__(self, line_no: int, reason: str):
         self.line_no = line_no
-        self.reason = reason
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(f"map line {line_no}: {reason}")
 
 
 class SemanticClass(Enum):
@@ -134,9 +133,6 @@ class SemanticMap:
             [ln.id for ln in self.lanes]
         if len(ids) != len(set(ids)):
             raise ValueError("landmark ids must be unique within the map")
-
-    def is_empty(self) -> bool:
-        return not (self.lines or self.points or self.lanes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,8 +405,3 @@ def parse_map(text: str) -> SemanticMap:
 def save_map(semantic_map: SemanticMap, path) -> None:
     with open(path, "w") as fh:
         fh.write(serialize_map(semantic_map))
-
-
-def load_map(path) -> SemanticMap:
-    with open(path) as fh:
-        return parse_map(fh.read())

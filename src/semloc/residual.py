@@ -225,10 +225,6 @@ class ReprojectionObjective:
         res[nl + npt:] = self._soft_rows(pose)
         return res
 
-    def cost(self, pose: CameraPose) -> float:
-        r = self.residual(pose)
-        return float(r @ r)
-
 
 class SolverObjective:
     """Smooth least-squares formulation of the same alignment problem.
@@ -270,12 +266,13 @@ class SolverObjective:
         return 2 * base.n_lines + 2 * base.n_points + base.n_soft
 
     def gate_residual(self, pose: CameraPose) -> np.ndarray:
-        """``base.residual(pose)``, reduced from this objective's own
-        projection when it has evaluated ``pose``, and then kept, so that
-        asking again for the same pose object returns the same array."""
-        entry = self._evaluated.get(id(pose))
-        if entry is None:
-            return self.base.residual(pose)
+        """``base.residual(pose)``, reduced from the kernel outputs of this
+        objective's evaluation of ``pose`` (made now if there was none), and
+        then kept, so that asking again for the same pose object returns the
+        same array."""
+        if id(pose) not in self._evaluated:
+            self.residual_and_jacobian(pose)
+        entry = self._evaluated[id(pose)]
         if entry.gate is None:
             entry.gate = self.base._gate_rows(pose, *entry.kernel)
         return entry.gate

@@ -317,15 +317,13 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
         noisy1, noisy2 = noisy(m1), noisy(m2)
         if float(np.linalg.norm(noisy2 - noisy1)) < 1e-3:
             continue
-        support = int(3 * np.linalg.norm(m2 - m1))
-        frame.det_lines.append(DetectedLine(noisy1, noisy2, semantic, support))
+        frame.det_lines.append(DetectedLine(noisy1, noisy2, semantic))
         rendered.line_labels.append(lm_id)
         rendered.exact_lines.append((m1, m2))
     for lm, uv in true_points:
         if rng.uniform() < config.dropout_rate:
             continue
-        frame.det_points.append(DetectedPoint(noisy(uv), lm.semantic,
-                                              support=50))
+        frame.det_points.append(DetectedPoint(noisy(uv), lm.semantic))
         rendered.point_labels.append(lm.id)
         rendered.exact_points.append(uv)
 
@@ -346,15 +344,15 @@ def render_detections(semantic_map: SemanticMap, pose: CameraPose,
                 if np.linalg.norm(b - a) >= 10.0:
                     break
             semantic = line_classes[int(rng.integers(len(line_classes)))]
-            frame.det_lines.append(DetectedLine(a, b, semantic, support=40))
+            frame.det_lines.append(DetectedLine(a, b, semantic))
             rendered.line_labels.append(None)
             rendered.exact_lines.append(None)
         n_out = int(round(config.outlier_rate * len(true_points)))
         for _ in range(n_out):
             uv = np.array([rng.uniform(0, intr.width - 1),
                            rng.uniform(0, intr.height - 1)])
-            frame.det_points.append(DetectedPoint(
-                uv, SemanticClass.TRAFFIC_SIGN, support=40))
+            frame.det_points.append(
+                DetectedPoint(uv, SemanticClass.TRAFFIC_SIGN))
             rendered.point_labels.append(None)
             rendered.exact_points.append(None)
     return rendered
@@ -434,5 +432,4 @@ def render_masks(semantic_map: SemanticMap, pose: CameraPose,
         radius = max(4.0, intr.fx * lm.size_m / 2.0 / max(depth, 1.0))
         _disc(channel(lm.semantic), uv, min(radius, 20.0))
         exact_points.append(DetectedPoint(uv, lm.semantic))
-    mask = SemanticMask(intr.width, intr.height, channels)
-    return mask, exact_lines, exact_points
+    return SemanticMask(channels), exact_lines, exact_points

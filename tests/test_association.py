@@ -293,7 +293,8 @@ class TestAssociateAndLocalize:
         gate = ReprojectionObjective(
             selected, rendered.frame.det_lines, rendered.frame.det_points,
             refined, cfg.intrinsics, ResidualConfig(), y_lane)
-        assert fit.final_cost == gate.cost(fit.pose)
+        r = gate.residual(fit.pose)
+        assert fit.final_cost == float(r @ r)
 
     def test_noiseless_recovery(self):
         cfg = paper_scale_world(3)

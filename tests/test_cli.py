@@ -12,10 +12,10 @@ import pytest
 import semloc
 from semloc.camera import parse_intrinsics, serialize_intrinsics
 from semloc.cli import main
-from semloc.mapmodel import SemanticClass, load_map, parse_map, serialize_map
-from semloc.pipeline import (parse_detections, parse_ground_truth,
-                             parse_result, serialize_detections,
-                             serialize_ground_truth)
+from semloc.mapmodel import SemanticClass, parse_map, serialize_map
+from semloc.pipeline import (FrameStatus, parse_detections,
+                             parse_ground_truth, parse_result,
+                             serialize_detections, serialize_ground_truth)
 
 
 def run_cli(*argv):
@@ -164,7 +164,7 @@ class TestCompileMap:
             "20.0 2.0 -3.0\n20.5 2.5 -3.0\n")
         out = tmp_path / "map.txt"
         assert run_cli("compile-map", cluster, "--out", out) == 0
-        m = load_map(out)
+        m = parse_map(out.read_text())
         assert len(m.lines) == 1
         assert len(m.points) == 1
         assert m.lines[0].semantic is SemanticClass.POLE_LIKE
@@ -175,7 +175,8 @@ class TestCompileMap:
         cluster.write_text("# nothing here\n")
         out = tmp_path / "map.txt"
         assert run_cli("compile-map", cluster, "--out", out) == 0
-        assert load_map(out).is_empty()
+        m = parse_map(out.read_text())
+        assert not (m.lines or m.points or m.lanes)
 
     def test_malformed_cluster_fails(self, tmp_path, capsys):
         cluster = tmp_path / "bad.txt"
@@ -221,7 +222,7 @@ class TestSynth:
         out = tmp_path / "world"
         assert run_cli("synth", "--out", out, "--length", "60",
                        "--seed", "3", "--no-masks") == 0
-        semantic_map = load_map(out / "map.txt")
+        semantic_map = parse_map((out / "map.txt").read_text())
         classes = [lm.semantic for lm in semantic_map.lines]
         poles = classes.count(SemanticClass.POLE_LIKE)
         milestones = classes.count(SemanticClass.MILESTONE)
@@ -298,6 +299,19 @@ class TestLocalize:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_malformed_map_names_the_map(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "map.txt"
+        bad.write_text("SEMMAP 1\nL 0 POLE 0 1.0 2.0 3.0 4.0 5.0\n")
+        code = run_cli("localize",
+                       "--map", bad,
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: map line 2: L record needs 11 fields, got 9\n")
+
     def test_directory_input_fails(self, synth_dir, tmp_path, capsys):
         code = run_cli("localize",
                        "--map", synth_dir / "map.txt",
@@ -332,7 +346,7 @@ class TestLocalize:
          "error: non-finite intrinsics"),
         ("intrinsics.txt", "K 700 700 inf 185 0 1226 370\n",
          "error: non-finite intrinsics"),
-        ("map.txt", None, "error: line "),
+        ("map.txt", None, "error: map line "),
     ])
     def test_non_finite_input_fails(self, synth_dir, tmp_path, capsys, name,
                                     text, message):
@@ -591,6 +605,19 @@ class TestManifest:
         assert run_cli("localize", "--manifest", manifest,
                        "--detections", "missing.txt") == 1  # flag wins
 
+    def test_road_index_without_masks_fails(self, synth_dir, tmp_path,
+                                            capsys):
+        # Detections carry each frame's road in their F records, so a
+        # manifest road index went unread there: road 7 ran on road 0.
+        manifest = self.write(tmp_path, synth_dir, road_index=7)
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith("error:") and "'road_index'" in line
+        assert not (tmp_path / "result.csv").exists()
+        assert not (tmp_path / "landscape.csv").exists()
+
     def test_landscape_out_from_manifest(self, synth_dir, tmp_path, capsys):
         args = ("landscape", "--frame", "4", "--grid", "3", "--manifest")
         assert run_cli(*args, self.write(tmp_path, synth_dir)) == 1
@@ -733,3 +760,22 @@ class TestLocalizeFromMasks:
         assert float(line.split()[3]) < 0.2
         result = parse_result(result_csv.read_text())
         assert result.count
+
+    def test_manifest_road_index_reaches_masks(self, tmp_path):
+        out = tmp_path / "world"
+        assert run_cli("synth", "--out", out, "--length", "50") == 0
+        localized = []
+        for road_index in (0, 7):
+            manifest = out / f"road{road_index}.json"
+            manifest.write_text(json.dumps({
+                "map": "map.txt", "masks": "masks",
+                "intrinsics": "intrinsics.txt", "bootstrap": "groundtruth.txt",
+                "road_index": road_index}))
+            result_csv = tmp_path / f"road{road_index}.csv"
+            assert run_cli("localize", "--manifest", manifest,
+                           "--out", result_csv) == 0
+            result = parse_result(result_csv.read_text())
+            localized.append(result.count(FrameStatus.LOCALIZED))
+        # Every landmark of the world lies on road 0, so on road 7 no frame
+        # after the bootstrap finds one.
+        assert localized[0] > 0 and localized[1] == 0

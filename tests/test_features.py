@@ -89,8 +89,8 @@ def reference_fit_region_line(region, semantic, inlier_tol=2.0,
     offsets = pts - centroid
     dist = np.abs(offsets[:, 0] * direction[1] - offsets[:, 1] * direction[0])
     inliers = pts[dist <= inlier_tol]
-    support = inliers.shape[0]
-    if support < 2 or support / n < min_inlier_ratio:
+    count = inliers.shape[0]
+    if count < 2 or count / n < min_inlier_ratio:
         return None
     centroid, direction = reference_pca_line(inliers)
     t = (inliers - centroid) @ direction
@@ -98,7 +98,7 @@ def reference_fit_region_line(region, semantic, inlier_tol=2.0,
     m2 = centroid + t.max() * direction
     if float(np.linalg.norm(m2 - m1)) < 1e-6:
         return None
-    return DetectedLine(m1, m2, semantic, support)
+    return DetectedLine(m1, m2, semantic)
 
 
 def assert_same_regions(got, want):
@@ -115,12 +115,11 @@ def assert_same_line(got, want):
     assert got is not None
     assert got.m1.tobytes() == want.m1.tobytes()
     assert got.m2.tobytes() == want.m2.tobytes()
-    assert got.support == want.support and got.semantic is want.semantic
+    assert got.semantic is want.semantic
 
 
 def mask_of(raster, semantic=POLE):
-    h, w = raster.shape
-    return SemanticMask(w, h, {semantic: raster})
+    return SemanticMask({semantic: raster})
 
 
 class TestThresholdLevel:
@@ -622,7 +621,6 @@ class TestFitRegionLine:
         got = sorted([tuple(line.m1), tuple(line.m2)], key=lambda p: p[1])
         assert got[0] == pytest.approx((100, 50), abs=1.0)
         assert got[1] == pytest.approx((100, 150), abs=1.0)
-        assert line.support == 101
 
     def test_noisy_strip_monte_carlo(self):
         errs = []
@@ -647,36 +645,12 @@ class TestFitRegionLine:
         region = grow_one(binary)[0]
         assert fit_region_line(region, POLE) is None
 
-    def test_support_consistent_with_reported_line(self):
-        rng = np.random.default_rng(3)
-        checked = 0
-        for seed in range(20):
-            n = 80
-            xs = rng.uniform(10, 190, n)
-            ys = 0.4 * xs + 20 + rng.uniform(-1.5, 1.5, n)
-            region = np.unique(np.column_stack([np.rint(ys), np.rint(xs)])
-                               .astype(int), axis=0)
-            line = fit_region_line(region, POLE, seed=seed)
-            if line is None:
-                continue
-            checked += 1
-            d = line.m2 - line.m1
-            d = d / np.linalg.norm(d)
-            pts = region[:, ::-1].astype(float)
-            dist = np.abs((pts[:, 0] - line.m1[0]) * d[1]
-                          - (pts[:, 1] - line.m1[1]) * d[0])
-            # support counts exactly the pixels within the inlier tolerance
-            # of the reported line
-            assert line.support == int((dist <= 2.0).sum())
-        assert checked >= 15
-
 
 class TestRegionCentroid:
     def test_block(self):
         pixels = np.array([(r, c) for r in range(10, 13) for c in range(10, 13)])
         pt = region_centroid(pixels, SIGN)
         assert np.allclose(pt.m, [11, 11])
-        assert pt.support == 9
 
     def test_single_pixel(self):
         pt = region_centroid(np.array([[7, 5]]), SIGN)
@@ -710,7 +684,7 @@ class TestExtractFeatures:
         sign = np.zeros((240, 320), dtype=np.uint8)
         yy, xx = np.mgrid[0:240, 0:320]
         sign[(xx - 200 - dx) ** 2 + (yy - 80 - dy) ** 2 <= 25] = 255
-        return SemanticMask(320, 240, {POLE: pole, SIGN: sign})
+        return SemanticMask({POLE: pole, SIGN: sign})
 
     def test_composition(self):
         lines, points = extract_features(self.make_mask())
@@ -753,8 +727,7 @@ class TestExtractFeatures:
         milestone = np.zeros((120, 160), dtype=np.uint8)
         noisy_strip(milestone, rng, 10, 30, 90, 0.3)
         noisy_strip(milestone, rng, 15, 110, 80, -0.2)
-        mask = SemanticMask(160, 120, {SIGN: sign, LANE: lane,
-                                       MILESTONE: milestone})
+        mask = SemanticMask({SIGN: sign, LANE: lane, MILESTONE: milestone})
         lines, points = extract_features(mask)
 
         want_lines, want_points = [], []
@@ -769,14 +742,13 @@ class TestExtractFeatures:
                         region, semantic, seed=(0, class_index, region_index)))
                 else:
                     want_points.append(
-                        (region.astype(float).mean(axis=0)[::-1], semantic,
-                         region.shape[0]))
+                        (region.astype(float).mean(axis=0)[::-1], semantic))
         assert len(want_lines) == 2 and len(want_points) == 1
         assert len(lines) == 2
         for got, want in zip(lines, want_lines):
             assert_same_line(got, want)
-        assert [(p.m.tobytes(), p.semantic, p.support) for p in points] == [
-            (m.tobytes(), semantic, n) for m, semantic, n in want_points]
+        assert [(p.m.tobytes(), p.semantic) for p in points] == [
+            (m.tobytes(), semantic) for m, semantic in want_points]
         # The seeds decide the fit. The first strip's line differs under
         # (0, 2, 0), the seed if the channel's position among the labeled
         # channels stood for its class, under (0, 3, 1), the seed if region
@@ -793,11 +765,10 @@ class TestMaskFiles:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         raster = rng.integers(0, 256, size=(37, 53), dtype=np.uint8)
-        mask = SemanticMask(53, 37, {POLE: raster})
+        mask = SemanticMask({POLE: raster})
         written = write_mask_files(tmp_path, 12, mask)
         assert [p.name for p in written] == ["000012_POLE.pgm"]
         back = read_mask_files(tmp_path, 12)
-        assert back.width == 53 and back.height == 37
         assert back.channels[POLE].dtype == np.uint8
         assert np.array_equal(back.channels[POLE], raster)
 
@@ -805,7 +776,6 @@ class TestMaskFiles:
         header = b"P5\n# one\n\n# two\n2 1\n255\n"
         (tmp_path / "000003_POLE.pgm").write_bytes(header + bytes([0, 255]))
         back = read_mask_files(tmp_path, 3)
-        assert (back.width, back.height) == (2, 1)
         assert back.channels[POLE].tolist() == [[0, 255]]
 
     def test_comment_right_after_token(self, tmp_path):
@@ -820,8 +790,8 @@ class TestMaskFiles:
 
     def test_only_present_classes(self, tmp_path):
         raster = np.full((3, 4), 200, dtype=np.uint8)
-        write_mask_files(tmp_path, 5, SemanticMask(4, 3, {POLE: raster,
-                                                          SIGN: raster}))
+        write_mask_files(tmp_path, 5, SemanticMask({POLE: raster,
+                                                    SIGN: raster}))
         (tmp_path / "notes.pgm").write_bytes(b"not a mask")
         back = read_mask_files(tmp_path, 5)
         assert set(back.channels) == {POLE, SIGN}
@@ -892,9 +862,12 @@ class TestDetectionTypes:
 
     def test_mask_shape_validation(self):
         with pytest.raises(ValueError):
-            SemanticMask(10, 10, {POLE: np.zeros((5, 5), dtype=np.uint8)})
+            SemanticMask({POLE: np.zeros((5, 5), dtype=np.uint8),
+                          SIGN: np.zeros((5, 4), dtype=np.uint8)})
         with pytest.raises(ValueError):
-            SemanticMask(5, 5, {POLE: np.zeros((5, 5))})
+            SemanticMask({POLE: np.zeros((5, 5))})
+        with pytest.raises(ValueError):
+            SemanticMask({POLE: np.zeros(25, dtype=np.uint8)})
 
 
 def reference_line_geometry(det):

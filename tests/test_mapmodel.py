@@ -270,7 +270,7 @@ class TestSerialization:
         text = serialize_map(m)
         assert text.strip() == "SEMMAP 1"
         back = parse_map(text)
-        assert back.is_empty()
+        assert not (back.lines or back.points or back.lanes)
 
     def test_paper_scale_size(self):
         m, _ = generate_world(WorldConfig(rng_seed=0))
@@ -284,6 +284,7 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             parse_map(text)
         assert err.value.line_no == 2
+        assert str(err.value) == "map line 2: L record needs 11 fields, got 9"
 
     @pytest.mark.parametrize("record", [
         "L 7 POLE 0 nan 0 3 10 2 3 2.0",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,6 +190,36 @@ class TestFileFormats:
         assert back[0].det_points[0].semantic is SemanticClass.TRAFFIC_SIGN
         assert back[1].det_lines[0].semantic is SemanticClass.LANE_LINE
         assert serialize_detections(back) == text
+
+    def test_rendered_detections_keep_every_field(self):
+        # A detection field the file has no column for comes back as its
+        # default, so every field of every rendered detection, outliers
+        # included, must survive a write and a read.
+        cfg = paper_scale_world(5, pixel_noise_sigma=1.0, outlier_rate=0.2,
+                                dropout_rate=0.1)
+        semantic_map, trajectory = generate_world(cfg)
+        frames = [rendered.frame for rendered in
+                  render_frames(semantic_map, trajectory, cfg)]
+        back = parse_detections(serialize_detections(frames))
+        assert len(back) == len(frames)
+        compared = 0
+        for got_frame, frame in zip(back, frames):
+            assert got_frame.frame_id == frame.frame_id
+            assert got_frame.road_index == frame.road_index
+            for got_dets, dets in ((got_frame.det_lines, frame.det_lines),
+                                   (got_frame.det_points, frame.det_points)):
+                assert len(got_dets) == len(dets)
+                for got, det in zip(got_dets, dets):
+                    for f in dataclasses.fields(det):
+                        value = getattr(got, f.name)
+                        want = getattr(det, f.name)
+                        if isinstance(want, np.ndarray):
+                            np.testing.assert_allclose(value, want, rtol=0,
+                                                       atol=1e-6)
+                        else:
+                            assert value == want, f.name
+                        compared += 1
+        assert compared > 1000
 
     def test_detections_require_increasing_ids(self):
         text = "F 3 0\nF 1 0\n"

@@ -213,6 +213,12 @@ def toy_scene(intrinsics, n_lines=3, n_points=2, seed=0,
     return sel, det_lines, det_points, corr, truth
 
 
+def gate_cost(obj, pose):
+    """Squared norm of the gate-form residual."""
+    r = obj.residual(pose)
+    return float(r @ r)
+
+
 class TestTotalResidual:
     """Total cost and stacked residual of a ReprojectionObjective."""
 
@@ -278,21 +284,22 @@ class TestTotalResidual:
         config = ResidualConfig()
         soft = soft_constraint(pose, 0.0, config)
         soft_cost = LAMBDA_N ** 2 * float(soft @ soft)
-        full = ReprojectionObjective(sel, det_lines, det_points, corr,
-                                     intrinsics, config, 0.0).cost(pose)
+        full = gate_cost(ReprojectionObjective(
+            sel, det_lines, det_points, corr, intrinsics, config, 0.0), pose)
         for k in range(len(corr.line_pairs)):
             reduced = CorrespondenceSet(
                 corr.line_pairs[:k] + corr.line_pairs[k + 1:],
                 corr.point_pairs)
-            less = ReprojectionObjective(sel, det_lines, det_points, reduced,
-                                         intrinsics, config, 0.0).cost(pose)
+            less = gate_cost(ReprojectionObjective(
+                sel, det_lines, det_points, reduced, intrinsics, config, 0.0),
+                pose)
             assert less - soft_cost <= full - soft_cost + 1e-12
 
     def test_continuity_in_pose(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=8)
         obj = ReprojectionObjective(sel, det_lines, det_points, corr,
                                     intrinsics, ResidualConfig(), 0.0)
-        base = obj.cost(pose)
+        base = gate_cost(obj, pose)
         rng = np.random.default_rng(1)
         direction = rng.normal(size=6)
         direction /= np.linalg.norm(direction)
@@ -300,7 +307,7 @@ class TestTotalResidual:
         diffs = []
         for d in deltas:
             moved = CameraPose.from_vector(pose.as_vector() + d * direction)
-            cost = obj.cost(moved)
+            cost = gate_cost(obj, moved)
             diffs.append(abs(cost - base))
         # shrinks roughly linearly with the step: continuous in pose
         assert diffs[1] < 0.1 * diffs[0]
@@ -400,8 +407,8 @@ class TestJacobian:
         r = solver_residual(smooth, off)
         smooth_cost = float(r @ r)
         # costs bound each other within a factor of two on the line terms
-        assert smooth_cost <= 2.0 * base.cost(off) + 1e-9
-        assert base.cost(off) <= 2.0 * smooth_cost + 1e-9
+        assert smooth_cost <= 2.0 * gate_cost(base, off) + 1e-9
+        assert gate_cost(base, off) <= 2.0 * smooth_cost + 1e-9
 
 
 class TestCorrespondenceSet:

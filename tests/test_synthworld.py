@@ -28,7 +28,8 @@ class TestGenerateWorld:
     def test_zero_length_empty(self):
         semantic_map, trajectory = generate_world(
             WorldConfig(corridor_length_m=0.0))
-        assert semantic_map.is_empty()
+        assert not (semantic_map.lines or semantic_map.points or
+                    semantic_map.lanes)
         assert trajectory == []
 
     def test_fixed_seed_identical(self):
