@@ -20,8 +20,8 @@ from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
                      project_point, wrap_angle)
 from .mapmodel import PreselectedSet
 from .residual import (CorrespondenceSet, ReprojectionObjective,
-                       ResidualConfig, SolverObjective, line_distance,
-                       nearest_lane_height, point_distance)
+                       ResidualConfig, line_distance, nearest_lane_height,
+                       point_distance)
 from .solver import SingularNormalEquations, solve
 
 
@@ -190,9 +190,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
     y_lane = nearest_lane_height(preselected.lines, init.position)
 
     def _objective(corr):
-        return SolverObjective(ReprojectionObjective(
-            preselected, det_lines, det_points, corr, intrinsics,
-            residual_config, y_lane))
+        return ReprojectionObjective(preselected, det_lines, det_points, corr,
+                                     intrinsics, residual_config, y_lane)
 
     def _solve(objective, start):
         """Optimize over the objective's correspondence set; the returned
@@ -200,7 +199,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         residual), while the minimization itself runs on the smooth
         split-row formulation."""
         fit = solve(objective, start)
-        gate = objective.gate_residual(fit.pose)
+        gate = objective.residual(fit.pose)
         return replace(fit, final_cost=float(gate @ gate))
 
     for hypothesis in _iter_hypotheses(base, seed):

@@ -25,6 +25,8 @@ LANE_WINDOW_M = (5.0, 20.0)
 _COINCIDENT_EPS = 1e-9
 _MIN_SEGMENT_M = 1e-6
 _POINT_SIZE_FLOOR_M = 1e-3
+# Pair sums per block of fit_point_landmark's largest-distance scan.
+_PAIR_BLOCK = 1 << 18
 
 
 class DegenerateCluster(ValueError):
@@ -196,8 +198,16 @@ def fit_point_landmark(cluster, semantic: SemanticClass, road_index: int,
     if pts.shape[0] == 0:
         raise ValueError("empty cluster")
     centroid = pts.mean(axis=0)
-    squared = sum((c[:, None] - c[None, :]) ** 2 for c in pts.T)
-    size = float(np.sqrt(squared.max()))
+    # Each pair's ((dx^2 + dy^2) + dz^2), the sum pdist takes, over row
+    # blocks against the rows from the block on: memory stays bounded
+    # where one n x n table grows as n^2.
+    rows = max(1, _PAIR_BLOCK // len(pts))
+    largest = 0.0
+    for start in range(0, len(pts), rows):
+        squared = sum((c[start:start + rows, None] - c[None, start:]) ** 2
+                      for c in pts.T)
+        largest = max(largest, float(squared.max()))
+    size = math.sqrt(largest)
     return PointLandmark(centroid, semantic, max(size, _POINT_SIZE_FLOOR_M),
                          road_index, landmark_id)
 

@@ -136,11 +136,22 @@ def soft_constraint(pose: CameraPose, y_lane: float | None,
 
 
 class ReprojectionObjective:
-    """Gate-form residual for a fixed correspondence set.
+    """The reprojection residual of a fixed correspondence set, in two forms.
 
-    Precomputes per-pair geometry once; each evaluation is a handful of
-    vectorized operations. Pairs whose landmark fails the cheirality guard
-    at the evaluated pose contribute a constant penalty row.
+    ``residual(pose)`` is the gate form. Its mean-of-absolutes line distance
+    has V-shaped facets whose balance points trap a Gauss-Newton style
+    minimizer short of the optimum, so ``residual_and_jacobian(pose)``
+    gives the solver a smooth split of the same rows: every line pair
+    becomes its two signed per-endpoint perpendicular distances (scaled by
+    1/sqrt(2)) and every point pair its two pixel error components. The
+    split rows share the exact zero set of the gate form and bound its cost
+    within a factor of two, so gate decisions stay meaningful while the
+    optimizer converges reliably.
+
+    Per-pair geometry is precomputed once. Pairs whose landmark fails the
+    cheirality guard at the evaluated pose contribute a constant penalty
+    row, with zero gradient in the split form, which repels the optimizer
+    from such steps without breaking the iteration.
     """
 
     def __init__(self, preselected: PreselectedSet, det_lines, det_points,
@@ -175,6 +186,23 @@ class ReprojectionObjective:
         self._line_dir = frames[:, 2:4]
         self._line_len = frames[:, 4] / 2.0
         self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
+
+        # One _Evaluation per pose object residual_and_jacobian evaluated.
+        # A second evaluation of the same pose object, and the gate residual
+        # at the pose a solve returns, then project nothing. Each entry
+        # holds its pose, so no live pose can reuse its id.
+        self._evaluated = {}
+        # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
+        self._line_grad = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]],
+                                   axis=1) * (HALF_SQRT2 / self._line_len)[:, None]
+        # The flat-ground rows' Jacobian is constant; every evaluation
+        # starts from a copy of this template and fills the data rows.
+        n_data_rows = 2 * self.n_lines + 2 * self.n_points
+        self._jac_template = np.zeros((n_data_rows + self.n_soft, 6))
+        self._jac_template[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch
+        self._jac_template[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll
+        if y_lane is not None:
+            self._jac_template[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
 
     @property
     def n_rows(self) -> int:
@@ -211,7 +239,17 @@ class ReprojectionObjective:
         return LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
 
     def residual(self, pose: CameraPose) -> np.ndarray:
-        return self._gate_rows(pose, *self._kernel(pose)[:4])
+        """The gate-form residual, shape (n_rows,). For a pose object that
+        ``residual_and_jacobian`` evaluated it is reduced from that
+        evaluation's kernel outputs and kept, so asking again returns the
+        same array. Any other pose is projected afresh and nothing is kept,
+        so a landscape grid stores no evaluation and builds no Jacobian."""
+        entry = self._evaluated.get(id(pose))
+        if entry is None:
+            return self._gate_rows(pose, *self._kernel(pose)[:4])
+        if entry.gate is None:
+            entry.gate = self._gate_rows(pose, *entry.kernel)
+        return entry.gate
 
     def _gate_rows(self, pose: CameraPose, cross, err, line_ok,
                    point_ok) -> np.ndarray:
@@ -225,58 +263,6 @@ class ReprojectionObjective:
         res[nl + npt:] = self._soft_rows(pose)
         return res
 
-
-class SolverObjective:
-    """Smooth least-squares formulation of the same alignment problem.
-
-    The mean-of-absolutes line distance has V-shaped facets whose balance
-    points trap a Gauss-Newton style minimizer short of the optimum. For
-    the solver we therefore split every line pair into its two signed
-    per-endpoint perpendicular distances (scaled by 1/sqrt(2)) and every
-    point pair into its two pixel error components. The rows are smooth,
-    share the exact zero set of the reported residual, and bound its cost
-    within a factor of two, so gate decisions stay meaningful while the
-    optimizer converges reliably. Rows of pairs that fail the cheirality
-    guard carry the penalty with zero gradient, which repels the optimizer
-    from accepting such steps without breaking the iteration.
-    """
-
-    def __init__(self, base: ReprojectionObjective):
-        self.base = base
-        # One _Evaluation per evaluated pose object. A second evaluation of
-        # the same pose object, and the gate residual at the pose a solve
-        # returns, then project nothing. Each entry holds its pose, so no
-        # live pose can reuse its id.
-        self._evaluated = {}
-        # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
-        self._line_grad = np.stack([-base._line_dir[:, 1], base._line_dir[:, 0]],
-                                   axis=1) * (HALF_SQRT2 / base._line_len)[:, None]
-        # The flat-ground rows' Jacobian is constant; every evaluation
-        # starts from a copy of this template and fills the data rows.
-        n_data_rows = 2 * base.n_lines + 2 * base.n_points
-        self._jac_template = np.zeros((self.n_rows, 6))
-        self._jac_template[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch
-        self._jac_template[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll
-        if base.y_lane is not None:
-            self._jac_template[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
-
-    @property
-    def n_rows(self) -> int:
-        base = self.base
-        return 2 * base.n_lines + 2 * base.n_points + base.n_soft
-
-    def gate_residual(self, pose: CameraPose) -> np.ndarray:
-        """``base.residual(pose)``, reduced from the kernel outputs of this
-        objective's evaluation of ``pose`` (made now if there was none), and
-        then kept, so that asking again for the same pose object returns the
-        same array."""
-        if id(pose) not in self._evaluated:
-            self.residual_and_jacobian(pose)
-        entry = self._evaluated[id(pose)]
-        if entry.gate is None:
-            entry.gate = self.base._gate_rows(pose, *entry.kernel)
-        return entry.gate
-
     def _pixel_jacobian(self, pose: CameraPose, rot, rel, cam, zs) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
         # d(camera point)/d(pose): translation block is -R, one column per
@@ -286,7 +272,7 @@ class SolverObjective:
         dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
         d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
         dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
-        k = self.base.intrinsics
+        k = self.intrinsics
         inv_z = 1.0 / zs
         # Pixel derivative rows stacked per projected point: (n, 2, 3).
         duv_dcam = np.zeros((n, 2, 3))
@@ -298,20 +284,19 @@ class SolverObjective:
         return np.einsum("nij,njk->nik", duv_dcam, dcam)
 
     def residual_and_jacobian(self, pose: CameraPose):
-        """The residual vector, shape (n_rows,), and its Jacobian over the
-        pose parameters, shape (n_rows, 6). A pose object evaluated before
-        gets the same two arrays back, so callers must not write to them."""
+        """The split-form residual vector and its Jacobian over the pose
+        parameters, shape (rows, 6). A pose object evaluated before gets the
+        same two arrays back, so callers must not write to them."""
         entry = self._evaluated.get(id(pose))
         if entry is not None:
             return entry.r, entry.jac
-        base = self.base
-        cross, err, line_ok, point_ok, geometry = base._kernel(pose)
+        cross, err, line_ok, point_ok, geometry = self._kernel(pose)
         all_ok = line_ok.all() and point_ok.all()
-        nl = base.n_lines
+        nl = self.n_lines
         n_line_rows = 2 * nl
-        n_data_rows = n_line_rows + 2 * base.n_points
-        res = np.empty(self.n_rows)
-        line_res = HALF_SQRT2 * (cross / base._line_len[:, None])
+        n_data_rows = n_line_rows + 2 * self.n_points
+        res = np.empty(n_data_rows + self.n_soft)
+        line_res = HALF_SQRT2 * (cross / self._line_len[:, None])
         point_res = err
         if not all_ok:
             line_res = np.where(line_ok[:, None], line_res,
@@ -320,7 +305,7 @@ class SolverObjective:
                                  BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2)
         res[:n_line_rows] = line_res.ravel()
         res[n_line_rows:n_data_rows] = point_res.ravel()
-        res[n_data_rows:] = base._soft_rows(pose)
+        res[n_data_rows:] = self._soft_rows(pose)
 
         duv = self._pixel_jacobian(pose, *geometry)
         jac = self._jac_template.copy()
@@ -338,9 +323,14 @@ class SolverObjective:
         return res, jac
 
 
+# The name of a folded wrapper, kept only because bench/layers.py imports it.
+def SolverObjective(objective: ReprojectionObjective) -> ReprojectionObjective:
+    return objective
+
+
 class _Evaluation:
-    """What a ``SolverObjective`` computed at one pose object: the kernel
-    outputs the gate residual reduces, the (r, J) pair, and the gate
+    """What a ``ReprojectionObjective`` computed at one pose object: the
+    kernel outputs the gate residual reduces, the (r, J) pair, and the gate
     residual once it has been asked for."""
 
     __slots__ = ("pose", "kernel", "r", "jac", "gate")

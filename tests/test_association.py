@@ -465,8 +465,8 @@ class TestRefineReuse:
         expected = solve(fresh, fit.pose)
 
         kernel_calls = []
-        kernel = reused.base._kernel
-        monkeypatch.setattr(reused.base, "_kernel",
+        kernel = reused._kernel
+        monkeypatch.setattr(reused, "_kernel",
                             lambda pose: kernel_calls.append(pose) or kernel(pose))
         projections = []
 
@@ -488,8 +488,8 @@ class TestRefineReuse:
         assert got.iterations == expected.iterations
         assert got.termination_reason is expected.termination_reason
         assert got.cost_trace == expected.cost_trace
-        assert np.array_equal(reused.gate_residual(got.pose),
-                              fresh.gate_residual(expected.pose))
+        assert np.array_equal(reused.residual(got.pose),
+                              fresh.residual(expected.pose))
 
     def test_associate_builds_one_objective(self, monkeypatch):
         cfg, selected, rendered, init, _, _ = self.hypothesis_frame()

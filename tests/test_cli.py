@@ -759,7 +759,7 @@ class TestLocalizeFromMasks:
         # extraction quantization keeps this within a few centimeters
         assert float(line.split()[3]) < 0.2
         result = parse_result(result_csv.read_text())
-        assert result.count
+        assert result.count(FrameStatus.LOCALIZED) == len(result.records) - 2
 
     def test_manifest_road_index_reaches_masks(self, tmp_path):
         out = tmp_path / "world"

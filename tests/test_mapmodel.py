@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +105,21 @@ class TestFitPoint:
                    + rng.normal(size=3) * 1e3)
             lm = fit_point_landmark(pts, SemanticClass.TRAFFIC_SIGN, 0)
             assert lm.size_m == max(float(pdist(pts).max()), 1e-3)
+        # Large enough that the pairs are taken in several row blocks.
+        pts = rng.normal(size=(3000, 3)) * 0.3 + rng.normal(size=3) * 1e3
+        lm = fit_point_landmark(pts, SemanticClass.TRAFFIC_SIGN, 0)
+        assert lm.size_m == float(pdist(pts).max())
+
+    def test_large_cluster_memory_bounded(self):
+        # A whole 3000 x 3000 table of pair sums alone is 72 MB.
+        pts = np.random.default_rng(12).normal(size=(3000, 3))
+        tracemalloc.start()
+        try:
+            fit_point_landmark(pts, SemanticClass.TRAFFIC_SIGN, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

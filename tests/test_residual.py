@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from semloc import residual
 from semloc.camera import CameraPose, Intrinsics, PoseTransform
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
@@ -409,6 +410,56 @@ class TestJacobian:
         # costs bound each other within a factor of two on the line terms
         assert smooth_cost <= 2.0 * gate_cost(base, off) + 1e-9
         assert gate_cost(base, off) <= 2.0 * smooth_cost + 1e-9
+
+
+class TestGateForm:
+    """residual(pose) reduces what residual_and_jacobian(pose) projected,
+    and keeps nothing for a pose it did not evaluate."""
+
+    @staticmethod
+    def counted(intrinsics, monkeypatch):
+        sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=3)
+        obj = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                    intrinsics, ResidualConfig(), 0.0)
+        calls = {"kernel": 0, "rotation_derivatives": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(obj, "_kernel", counting("kernel", obj._kernel))
+        monkeypatch.setattr(residual, "rotation_derivatives", counting(
+            "rotation_derivatives", residual.rotation_derivatives))
+        return obj, pose, calls
+
+    def test_evaluated_pose_projects_nothing(self, intrinsics, monkeypatch):
+        obj, pose, calls = self.counted(intrinsics, monkeypatch)
+        obj.residual_and_jacobian(pose)
+        calls["kernel"] = 0
+        first = obj.residual(pose)
+        assert obj.residual(pose) is first
+        assert calls["kernel"] == 0
+        assert np.array_equal(
+            first, obj.residual(CameraPose.from_vector(pose.as_vector())))
+
+    def test_unseen_pose_projects_once_and_keeps_nothing(self, intrinsics,
+                                                         monkeypatch):
+        obj, pose, calls = self.counted(intrinsics, monkeypatch)
+        obj.residual_and_jacobian(pose)
+        evaluated = dict(obj._evaluated)
+        calls.update(kernel=0, rotation_derivatives=0)
+        moved = CameraPose.from_vector(pose.as_vector() + 0.01)
+        assert obj.residual(moved).shape == (obj.n_rows,)
+        assert calls == {"kernel": 1, "rotation_derivatives": 0}
+        assert obj._evaluated == evaluated
+
+    def test_solver_objective_name_returns_its_argument(self, intrinsics):
+        sel, det_lines, det_points, corr, _ = toy_scene(intrinsics, seed=3)
+        obj = ReprojectionObjective(sel, det_lines, det_points, corr,
+                                    intrinsics)
+        assert SolverObjective(obj) is obj
 
 
 class TestCorrespondenceSet:

@@ -211,15 +211,17 @@ class TestSolve:
         assert (evaluated[-1] is fit.pose) is (
             reason is not TerminationReason.MAX_DAMPING)
         kernel_calls = []
-        kernel = base._kernel
-        monkeypatch.setattr(base, "_kernel",
+        kernel = objective._kernel
+        monkeypatch.setattr(objective, "_kernel",
                             lambda pose: kernel_calls.append(pose) or kernel(pose))
-        got = objective.gate_residual(fit.pose)
+        got = objective.residual(fit.pose)
         assert kernel_calls == []
         assert np.array_equal(got, base.residual(fit.pose))
-        # A pose the solve never evaluated is projected afresh.
+        # A pose the solve never evaluated is projected afresh, and is not
+        # kept: asking again projects it again.
         other = CameraPose.from_vector(fit.pose.as_vector())
-        assert np.array_equal(objective.gate_residual(other), got)
+        assert np.array_equal(objective.residual(other), got)
+        assert np.array_equal(objective.residual(other), got)
         assert len(kernel_calls) == 2
 
     def test_singular_geometry_raises(self):
