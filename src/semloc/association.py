@@ -11,7 +11,7 @@ tightly gated correspondence set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -200,7 +200,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         split-row formulation."""
         fit = solve(objective, start)
         gate = objective.residual(fit.pose)
-        return replace(fit, final_cost=float(gate @ gate))
+        fit.final_cost = float(gate @ gate)
+        return fit
 
     for hypothesis in _iter_hypotheses(base, seed):
         objective = _objective(hypothesis)

@@ -86,7 +86,7 @@ class CameraPose:
         v = np.asarray(v, dtype=float)
         if v.shape != (6,):
             raise ValueError(f"pose vector must have 6 entries, got shape {v.shape}")
-        return cls(*v)
+        return cls(*v.tolist())
 
 
 class PoseTransform(NamedTuple):

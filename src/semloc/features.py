@@ -14,6 +14,7 @@ import math
 import mmap
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -442,19 +443,25 @@ def read_mask_files(directory, frame_id: int) -> SemanticMask:
     return SemanticMask(channels)
 
 
+# From Python 3.13 a mapping need not keep a duplicate of its file's
+# descriptor; _read_pgm reads the mapping's length, never the file's size.
+_MMAP_UNTRACKED = {"trackfd": False} if sys.version_info >= (3, 13) else {}
+
+
 def _read_pgm(path) -> np.ndarray:
     """Pixels of an 8-bit binary PGM, a read-only view of the file mapped
     into memory.
 
-    The mapping lives as long as the raster, after the file is closed, and
-    holds a duplicate of its file descriptor until then, so every raster a
-    caller keeps keeps one file open. A mask file truncated while it is
-    mapped ends the process with SIGBUS on the next read of a pixel past
-    its new end."""
+    The mapping lives as long as the raster, after the file is closed.
+    Before Python 3.13 it holds a duplicate of the file's descriptor until
+    then, so every raster a caller keeps keeps one file open; from 3.13 it
+    holds none. A mask file truncated while it is mapped ends the process
+    with SIGBUS on the next read of a pixel past its new end."""
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:  # mmap rejects empty files
             raise ValueError(f"{path}: truncated PGM header")
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ,
+                         **_MMAP_UNTRACKED)
     tokens = []
     pos = 0
     while len(tokens) < 4:

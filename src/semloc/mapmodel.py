@@ -230,15 +230,21 @@ def principal_axis(pts: np.ndarray):
     return centroid, axis
 
 
+def distances(points, position) -> np.ndarray:
+    """The 3D distance from ``position`` to each row of the (n, 3)
+    ``points``, each bit-equal to ``np.linalg.norm`` of that one
+    difference vector."""
+    d = position - np.asarray(points, dtype=float).reshape(-1, 3)
+    # A stacked 1x3 @ 3x1 product is the BLAS dot np.linalg.norm takes for
+    # one vector; norm(axis=1), einsum and (d * d).sum(1) round differently.
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
 def resolvable(sizes, anchors, position) -> np.ndarray:
     """The size/distance rule, one entry per landmark: true where the size
     over the 3D distance from ``position`` to the landmark's anchor (a row
     of the (n, 3) ``anchors``) strictly exceeds ``MIN_SIZE_RATIO``."""
-    d = position - np.asarray(anchors, dtype=float).reshape(-1, 3)
-    # A stacked 1x3 @ 3x1 product is the BLAS dot np.linalg.norm takes for
-    # one vector, so each distance equals that of the single-vector norm;
-    # norm(axis=1), einsum and (d * d).sum(1) round differently.
-    dist = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    dist = distances(anchors, position)
     positive = dist > 0
     # A zero distance divides by inf instead, so it warns of nothing.
     ratio = np.asarray(sizes, dtype=float) / np.where(positive, dist, np.inf)

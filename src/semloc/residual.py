@@ -6,6 +6,16 @@ terms (pitch in degrees, roll in degrees, and, when a lane height is
 available, the camera-height offset in centimeters). The total cost is the
 squared norm of this vector. The solver minimizes a smooth split of the
 same rows, and only that form has a Jacobian.
+
+Which operations fix the output bits: every BLAS or LAPACK call (the
+camera coordinates ``rel @ rot.T``, the stacked products in
+``rotation_derivatives``, ``rel @ d_rot``, and the solver's ``J^T J``,
+``J^T r`` and ``np.linalg.solve``), the two einsums of the Jacobian, and
+the order of each elementwise product, quotient and sum (``pinhole``'s
+order for the pixels, ``x * (1/z)`` and ``x * (1/z)^2`` for their
+derivatives). Everything else, such as how rows are gathered, which
+masks are built and how many numpy calls a step takes, may be
+restructured freely as long as the results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -15,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import (MIN_DEPTH_M, CameraPose, Intrinsics, pinhole,
-                     rotation_derivatives)
-from .mapmodel import PreselectedSet, SemanticClass
+from .camera import MIN_DEPTH_M, CameraPose, Intrinsics, rotation_derivatives
+from .mapmodel import PreselectedSet, SemanticClass, distances
 
 DEG_PER_RAD = 180.0 / math.pi
 CM_PER_M = 100.0
@@ -80,11 +89,6 @@ class CorrespondenceSet:
                         f"class mismatch in {kind} pair ({lm_idx}, {det_idx})")
 
 
-def _cross2(a: np.ndarray, b: np.ndarray):
-    """Signed 2D cross product a x b over the first axis."""
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def line_distance(endpoints, frame) -> float:
     """Mean perpendicular distance (pixels) of a landmark's projected
     endpoints, ``project_line``'s four floats, to the infinite line
@@ -107,18 +111,15 @@ def point_distance(proj, det) -> float:
 def nearest_lane_height(preselected_lines, position) -> float | None:
     """Height (map Y) of the lane control point nearest to a position,
     or None when no lane landmark was preselected."""
-    position = np.asarray(position, dtype=float)
-    best = None
-    best_dist = math.inf
-    for lm in preselected_lines:
-        if lm.semantic is not SemanticClass.LANE_LINE:
-            continue
-        for cp in (lm.p1, lm.p2):
-            dist = float(np.linalg.norm(cp - position))
-            if dist < best_dist:
-                best_dist = dist
-                best = float(cp[1])
-    return best
+    control_points = [cp for lm in preselected_lines
+                      if lm.semantic is SemanticClass.LANE_LINE
+                      for cp in (lm.p1, lm.p2)]
+    if not control_points:
+        return None
+    dist = distances(control_points, np.asarray(position, dtype=float))
+    # The first of equal distances wins; none wins if every one overflows.
+    best = int(np.argmin(dist))
+    return float(control_points[best][1]) if dist[best] < math.inf else None
 
 
 def soft_constraint(pose: CameraPose, y_lane: float | None,
@@ -129,10 +130,16 @@ def soft_constraint(pose: CameraPose, y_lane: float | None,
     squared norm of the returned vector is the soft-constraint cost before
     the LAMBDA_N^2 weighting.
     """
+    return np.array(_flat_ground_terms(pose, y_lane, config.camera_height_m))
+
+
+def _flat_ground_terms(pose: CameraPose, y_lane: float | None,
+                       camera_height_m: float) -> list:
+    """``soft_constraint``'s terms as Python floats."""
     terms = [pose.pitch * DEG_PER_RAD, pose.roll * DEG_PER_RAD]
     if y_lane is not None:
-        terms.append((pose.y - (y_lane + config.camera_height_m)) * CM_PER_M)
-    return np.array(terms)
+        terms.append((pose.y - (y_lane + camera_height_m)) * CM_PER_M)
+    return terms
 
 
 class ReprojectionObjective:
@@ -182,10 +189,21 @@ class ReprojectionObjective:
         # Each frame is (anchor x, y, direction x, y, twice the length);
         # halving is exact.
         frames = np.array(frames, dtype=float).reshape(-1, 5)
-        self._line_anchor = frames[:, 0:2]
-        self._line_dir = frames[:, 2:4]
-        self._line_len = frames[:, 4] / 2.0
+        self._line_anchor = frames[:, np.newaxis, 0:2]
+        line_dir = frames[:, 2:4]
+        # The direction swapped to (y, x): times an endpoint's offset from
+        # the anchor it gives the two products of the cross product.
+        self._line_dir_yx = frames[:, np.newaxis, 3:1:-1]
+        line_len = frames[:, 4] / 2.0
+        self._line_len_col = line_len[:, np.newaxis]
+        self._twice_len = 2.0 * line_len
         self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
+        k = intrinsics
+        self._focal = np.array([k.fx, k.fy])
+        self._principal = np.array([k.cx, k.cy])
+        # d(u, v)/d(camera x, y) times the depth; the depth column comes
+        # from the projection.
+        self._pixel_rows = np.array([[k.fx, k.skew], [0.0, k.fy]])
 
         # One _Evaluation per pose object residual_and_jacobian evaluated.
         # A second evaluation of the same pose object, and the gate residual
@@ -193,11 +211,12 @@ class ReprojectionObjective:
         # holds its pose, so no live pose can reuse its id.
         self._evaluated = {}
         # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
-        self._line_grad = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]],
-                                   axis=1) * (HALF_SQRT2 / self._line_len)[:, None]
+        self._line_grad = np.stack([-line_dir[:, 1], line_dir[:, 0]],
+                                   axis=1) * (HALF_SQRT2 / line_len)[:, None]
+        self._n_line_rows = 2 * self.n_lines
+        self._n_data_rows = n_data_rows = self._n_line_rows + 2 * self.n_points
         # The flat-ground rows' Jacobian is constant; every evaluation
         # starts from a copy of this template and fills the data rows.
-        n_data_rows = 2 * self.n_lines + 2 * self.n_points
         self._jac_template = np.zeros((n_data_rows + self.n_soft, 6))
         self._jac_template[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD      # pitch
         self._jac_template[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD  # roll
@@ -213,30 +232,39 @@ class ReprojectionObjective:
 
         Returns the signed cross products of the detected line direction
         with both projected endpoints (n_lines, 2), the point pixel errors
-        (n_points, 2), the line and point cheirality masks, and the
-        camera-frame geometry the pixel Jacobian reuses: the rotation, the
-        control points relative to the camera centre, their camera
-        coordinates and their guarded depths.
+        (n_points, 2), the cheirality guard, and the camera-frame geometry
+        the pixel Jacobian reuses: the rotation, the control points
+        relative to the camera centre, their guarded depths, (fx x, fy y)
+        and skew y. The guard is None when every control point is in front
+        of the camera, else the line and point masks of the pairs that are.
         """
         rot = pose.rotation()
         rel = self._world - pose.position
         cam = rel @ rot.T
-        valid = cam[:, 2] > MIN_DEPTH_M
-        zs = np.where(valid, cam[:, 2], 1.0)
-        uv = np.empty((cam.shape[0], 2))
-        uv[:, 0], uv[:, 1] = pinhole(cam[:, 0], cam[:, 1], zs, self.intrinsics)
+        nl2 = self._n_line_rows
+        z = cam[:, 2]
+        guard = None
+        if not z.min() > MIN_DEPTH_M:
+            valid = z > MIN_DEPTH_M
+            z = np.where(valid, z, 1.0)
+            guard = (valid[0:nl2:2] & valid[1:nl2:2], valid[nl2:])
+        # pinhole's order: fx x / z + skew y / z + cx and fy y / z + cy.
+        xy = cam[:, :2] * self._focal
+        sy = self.intrinsics.skew * cam[:, 1]
+        uv = xy / z[:, np.newaxis]
+        uv[:, 0] += sy / z
+        uv += self._principal
 
-        nl = self.n_lines
-        u = uv[:2 * nl].reshape(nl, 2, 2) - self._line_anchor[:, np.newaxis]
-        cross = _cross2(self._line_dir.T[:, :, np.newaxis], u.transpose(2, 0, 1))
-        err = uv[2 * nl:] - self._det_pts
-        line_ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
-        point_ok = valid[2 * nl:]
-        return cross, err, line_ok, point_ok, (rot, rel, cam, zs)
+        prod = (uv[:nl2].reshape(self.n_lines, 2, 2) - self._line_anchor) \
+            * self._line_dir_yx
+        cross = prod[:, :, 1] - prod[:, :, 0]
+        err = uv[nl2:] - self._det_pts
+        return cross, err, guard, (rot, rel, z, xy, sy)
 
-    def _soft_rows(self, pose: CameraPose) -> np.ndarray:
+    def _soft_rows(self, pose: CameraPose) -> list:
         """The weighted flat-ground rows that end both residual vectors."""
-        return LAMBDA_N * soft_constraint(pose, self.y_lane, self.config)
+        return [LAMBDA_N * term for term in _flat_ground_terms(
+            pose, self.y_lane, self.config.camera_height_m)]
 
     def residual(self, pose: CameraPose) -> np.ndarray:
         """The gate-form residual, shape (n_rows,). For a pose object that
@@ -246,42 +274,50 @@ class ReprojectionObjective:
         so a landscape grid stores no evaluation and builds no Jacobian."""
         entry = self._evaluated.get(id(pose))
         if entry is None:
-            return self._gate_rows(pose, *self._kernel(pose)[:4])
+            return self._gate_rows(pose, *self._kernel(pose)[:3])
         if entry.gate is None:
             entry.gate = self._gate_rows(pose, *entry.kernel)
         return entry.gate
 
-    def _gate_rows(self, pose: CameraPose, cross, err, line_ok,
-                   point_ok) -> np.ndarray:
+    def _gate_rows(self, pose: CameraPose, cross, err, guard) -> np.ndarray:
         """The gate-form residual from the kernel outputs at ``pose``."""
         nl, npt = self.n_lines, self.n_points
         res = np.empty(self.n_rows)
-        dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
-        res[:nl] = np.where(line_ok, dl, BEHIND_CAMERA_PENALTY_PX)
-        dp = np.linalg.norm(err, axis=1)
-        res[nl:nl + npt] = np.where(point_ok, dp, BEHIND_CAMERA_PENALTY_PX)
+        abs_cross = np.abs(cross)
+        dl = (abs_cross[:, 0] + abs_cross[:, 1]) / self._twice_len
+        # norm(err, axis=1) in its own order: sqrt(ex^2 + ey^2).
+        sq = err * err
+        dp = np.sqrt(sq[:, 0] + sq[:, 1])
+        if guard is not None:
+            dl = np.where(guard[0], dl, BEHIND_CAMERA_PENALTY_PX)
+            dp = np.where(guard[1], dp, BEHIND_CAMERA_PENALTY_PX)
+        res[:nl] = dl
+        res[nl:nl + npt] = dp
         res[nl + npt:] = self._soft_rows(pose)
         return res
 
-    def _pixel_jacobian(self, pose: CameraPose, rot, rel, cam, zs) -> np.ndarray:
+    def _pixel_jacobian(self, pose: CameraPose, rot, rel, z, xy,
+                        sy) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
         # d(camera point)/d(pose): translation block is -R, one column per
         # angle from the rotation derivative.
-        n = cam.shape[0]
+        n = z.shape[0]
         dcam = np.empty((n, 3, 6))
-        dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
+        dcam[:, :, 0:3] = -rot
         d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
         dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
-        k = self.intrinsics
-        inv_z = 1.0 / zs
-        # Pixel derivative rows stacked per projected point: (n, 2, 3).
-        duv_dcam = np.zeros((n, 2, 3))
-        duv_dcam[:, 0, 0] = k.fx * inv_z
-        duv_dcam[:, 0, 1] = k.skew * inv_z
-        duv_dcam[:, 0, 2] = -(k.fx * cam[:, 0] + k.skew * cam[:, 1]) * inv_z ** 2
-        duv_dcam[:, 1, 1] = k.fy * inv_z
-        duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] * inv_z ** 2
-        return np.einsum("nij,njk->nik", duv_dcam, dcam)
+        # Pixel derivative rows stacked per projected point, (n, 2, 3):
+        # [[fx, skew, -(fx x + skew y)], [0, fy, -fy y]] times
+        # (1/z, 1/z, 1/z^2). The sign rides on the factor, which is exact.
+        inv_z = 1.0 / z
+        scale = np.empty((n, 1, 3))
+        scale[:, 0, 0:2] = inv_z[:, np.newaxis]
+        scale[:, 0, 2] = inv_z * -inv_z
+        duv_dcam = np.empty((n, 2, 3))
+        duv_dcam[:, :, 0:2] = self._pixel_rows
+        duv_dcam[:, :, 2] = xy
+        duv_dcam[:, 0, 2] += sy
+        return np.einsum("nij,njk->nik", duv_dcam * scale, dcam)
 
     def residual_and_jacobian(self, pose: CameraPose):
         """The split-form residual vector and its Jacobian over the pose
@@ -290,36 +326,32 @@ class ReprojectionObjective:
         entry = self._evaluated.get(id(pose))
         if entry is not None:
             return entry.r, entry.jac
-        cross, err, line_ok, point_ok, geometry = self._kernel(pose)
-        all_ok = line_ok.all() and point_ok.all()
-        nl = self.n_lines
-        n_line_rows = 2 * nl
-        n_data_rows = n_line_rows + 2 * self.n_points
-        res = np.empty(n_data_rows + self.n_soft)
-        line_res = HALF_SQRT2 * (cross / self._line_len[:, None])
+        cross, err, guard, geometry = self._kernel(pose)
+        nl2, nd = self._n_line_rows, self._n_data_rows
+        res = np.empty(nd + self.n_soft)
+        line_res = HALF_SQRT2 * (cross / self._line_len_col)
         point_res = err
-        if not all_ok:
+        duv = self._pixel_jacobian(pose, *geometry)
+        # Per line endpoint: line_grad . d(pixel)/d(pose), shape (nl, 2, 6).
+        rows = np.einsum("ni,nkij->nkj", self._line_grad,
+                         duv[:nl2].reshape(self.n_lines, 2, 2, 6))
+        point_rows = duv[nl2:]
+        if guard is not None:
+            line_ok, point_ok = guard
             line_res = np.where(line_ok[:, None], line_res,
                                 BEHIND_CAMERA_PENALTY_PX)
             point_res = np.where(point_ok[:, None], err,
                                  BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2)
-        res[:n_line_rows] = line_res.ravel()
-        res[n_line_rows:n_data_rows] = point_res.ravel()
-        res[n_data_rows:] = self._soft_rows(pose)
-
-        duv = self._pixel_jacobian(pose, *geometry)
-        jac = self._jac_template.copy()
-        # Per line endpoint: line_grad . d(pixel)/d(pose), shape (nl, 2, 6).
-        rows = np.einsum("ni,nkij->nkj", self._line_grad,
-                         duv[:n_line_rows].reshape(nl, 2, 2, 6))
-        point_rows = duv[n_line_rows:]
-        if not all_ok:
             rows = np.where(line_ok[:, None, None], rows, 0.0)
             point_rows = np.where(point_ok[:, None, None], point_rows, 0.0)
-        jac[:n_line_rows] = rows.reshape(-1, 6)
-        jac[n_line_rows:n_data_rows] = point_rows.reshape(-1, 6)
+        res[:nl2] = line_res.ravel()
+        res[nl2:nd] = point_res.ravel()
+        res[nd:] = self._soft_rows(pose)
+        jac = self._jac_template.copy()
+        jac[:nl2] = rows.reshape(-1, 6)
+        jac[nl2:nd] = point_rows.reshape(-1, 6)
         self._evaluated[id(pose)] = _Evaluation(
-            pose, (cross, err, line_ok, point_ok), res, jac)
+            pose, (cross, err, guard), res, jac)
         return res, jac
 
 

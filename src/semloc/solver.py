@@ -79,14 +79,15 @@ def solve(objective, init: CameraPose) -> SolveResult:
 
     for iterations in range(1, MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
-        gradient = jac.T @ r
+        neg_gradient = -(jac.T @ r)
         diag = np.maximum(jtj.diagonal(), 1e-12)
+        x = pose.as_vector()
 
         while True:
             damped = jtj.copy()
             damped.flat[::damped.shape[0] + 1] += damping * diag
             try:
-                step = np.linalg.solve(damped, -gradient)
+                step = np.linalg.solve(damped, neg_gradient)
                 solvable = bool(np.isfinite(step).all())
             except np.linalg.LinAlgError:
                 solvable = False
@@ -99,7 +100,7 @@ def solve(objective, init: CameraPose) -> SolveResult:
             if math.sqrt(step @ step) < STEP_TOLERANCE:
                 return SolveResult(pose, cost, iterations,
                                    TerminationReason.STEP_TOLERANCE, trace)
-            candidate = CameraPose.from_vector(pose.as_vector() + step)
+            candidate = CameraPose.from_vector(x + step)
             r_new, jac_new = objective.residual_and_jacobian(candidate)
             new_cost = float(r_new @ r_new)
             if math.isfinite(new_cost) and new_cost < cost:

@@ -111,6 +111,20 @@ class TestPose:
         pose = CameraPose(1, 2, 3, 0.1, -0.2, 0.3)
         assert np.allclose(CameraPose.from_vector(pose.as_vector()).as_vector(),
                            pose.as_vector())
+        # The fields are the entries as Python floats. Angles past a half
+        # turn and within an ulp of an odd multiple of pi wrap as the
+        # vector's numpy entries always did.
+        vectors = [[1.5, -2.25, 3.0, 0.1, -0.2, 0.3],
+                   [0.0, -0.0, 1e-300, 3 * math.pi, -3 * math.pi, 7.5],
+                   [2.0, 1.6, -4.0, math.nextafter(math.pi, 4.0),
+                    math.nextafter(-math.pi, -4.0), -9.0]]
+        for vec in vectors:
+            v = np.array(vec)
+            pose = CameraPose.from_vector(v)
+            fields = (pose.x, pose.y, pose.z, pose.yaw, pose.pitch, pose.roll)
+            assert all(type(f) is float for f in fields)
+            want = [*v[:3], *(wrap_angle(a) for a in v[3:])]
+            assert np.array(fields).tobytes() == np.array(want).tobytes()
 
     def test_wrap_angle_range(self):
         # Within a few ulps of an odd multiple of pi the modulo can round

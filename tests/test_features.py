@@ -1,4 +1,6 @@
 import gc
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -832,6 +834,20 @@ class TestReadPgm:
             pixels[0, 0] = 9
         gc.collect()
         assert pixels.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or sys.version_info < (3, 13),
+                        reason="counts /proc/self/fd; before Python 3.13 "
+                        "each mapping keeps a descriptor")
+    def test_kept_masks_hold_no_descriptors(self, tmp_path):
+        raster = np.zeros((4, 6), dtype=np.uint8)
+        for frame_id in range(300):
+            write_mask_files(tmp_path, frame_id,
+                             SemanticMask({POLE: raster, SIGN: raster}))
+        before = len(os.listdir("/proc/self/fd"))
+        masks = [read_mask_files(tmp_path, k) for k in range(300)]
+        assert len(os.listdir("/proc/self/fd")) - before < 300
+        assert all(len(mask.channels) == 2 for mask in masks)
 
     def test_truncated_pixel_data(self, tmp_path):
         with pytest.raises(ValueError, match="000001_POLE.pgm: truncated pixel data"):

@@ -94,6 +94,31 @@ class TestRunSequence:
         assert serialize_result(a) == serialize_result(b)
 
 
+class TestNoFarOffAccept:
+    """A frame localizes near the truth or coasts. In these two noiseless,
+    straight, one-side worlds with 20 % dropout a frame is accepted metres
+    off instead (ROADMAP item 1): seed 0 at frame 84, on 4 refined pairs,
+    26.06 m off, and seed 1 at frame 3, 19.09 m off. They are known
+    failures until association is fail-safe, which removes the marker."""
+
+    @pytest.mark.xfail(strict=True, reason="association accepts a pose "
+                       "metres off the truth (ROADMAP item 1)")
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_localized_frame_more_than_5m_off(self, seed):
+        cfg = paper_scale_world(seed, dropout_rate=0.2)
+        semantic_map, trajectory = generate_world(cfg)
+        frames = [r.frame for r in render_frames(semantic_map, trajectory, cfg)]
+        result = run_sequence(semantic_map, frames, trajectory[:2],
+                              cfg.intrinsics)
+        far_off = []
+        for rec in result.records:
+            err = float(np.linalg.norm(
+                rec.pose.position - trajectory[rec.frame_id].position))
+            if rec.status is FrameStatus.LOCALIZED and err > 5.0:
+                far_off.append((rec.frame_id, rec.n_corr, round(err, 2)))
+        assert far_off == []
+
+
 class TestEvaluate:
     def make_result(self, poses, status=FrameStatus.LOCALIZED):
         result = TrajectoryResult()

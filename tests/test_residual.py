@@ -4,12 +4,15 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import perturbed
 from semloc import residual
-from semloc.camera import CameraPose, Intrinsics, PoseTransform
+from semloc.camera import (MIN_DEPTH_M, CameraPose, Intrinsics, PoseTransform,
+                           pinhole, rotation_derivatives)
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
-from semloc.residual import (BEHIND_CAMERA_PENALTY_PX, LAMBDA_N,
+from semloc.residual import (BEHIND_CAMERA_PENALTY_PX, CM_PER_M,
+                             DEG_PER_RAD, HALF_SQRT2, LAMBDA_N,
                              CorrespondenceSet, EmptyCorrespondence,
                              ReprojectionObjective, ResidualConfig,
                              SolverObjective, line_distance,
@@ -177,6 +180,33 @@ class TestSoftConstraint:
         ]
         assert nearest_lane_height(lanes, [0, 1.6, 0]) == pytest.approx(0.2)
         assert nearest_lane_height([], [0, 0, 0]) is None
+
+    def test_nearest_lane_height_equals_per_point_norms(self):
+        def one_norm_each(lines, position):
+            """One np.linalg.norm per lane control point; the first of
+            equal distances wins."""
+            best, best_dist = None, math.inf
+            for lm in lines:
+                if lm.semantic is not LANE:
+                    continue
+                for cp in (lm.p1, lm.p2):
+                    dist = float(np.linalg.norm(cp - np.asarray(position)))
+                    if dist < best_dist:
+                        best, best_dist = float(cp[1]), dist
+            return best
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            lines = [LineLandmark(*rng.uniform(-30, 30, (2, 3)),
+                                  LANE if rng.random() < 0.7 else POLE,
+                                  1.0, 0, i) for i in range(rng.integers(0, 5))]
+            position = rng.uniform(-30, 30, 3)
+            got = nearest_lane_height(lines, position)
+            assert got == one_norm_each(lines, position)
+        # equidistant control points: the first one wins
+        tie = [LineLandmark([0, 2.6, 0], [9, 9, 9], LANE, 1.0, 0, 0),
+               LineLandmark([0, 0.6, 0], [9, 9, 9], LANE, 1.0, 0, 1)]
+        assert nearest_lane_height(tie, [0.0, 1.6, 0.0]) == 2.6
 
 
 def toy_scene(intrinsics, n_lines=3, n_points=2, seed=0,
@@ -491,3 +521,187 @@ class TestCorrespondenceSet:
         sel, det_lines, det_points, _, _ = toy_scene(intrinsics, seed=1)
         shared = CorrespondenceSet([(0, 0), (1, 0)], [])
         shared.validate(sel, det_lines, det_points)  # no exception
+
+
+class ReferenceKernel:
+    """The objective's projection and reductions as they stood before
+    they were restructured for fewer numpy calls: one pass per call, no
+    stored evaluations. The objective must reproduce every bit."""
+
+    def __init__(self, preselected, det_lines, det_points, corr, intrinsics,
+                 config, y_lane):
+        self.intrinsics, self.config, self.y_lane = intrinsics, config, y_lane
+        self.n_lines = len(corr.line_pairs)
+        self.n_points = len(corr.point_pairs)
+        self.n_soft = 2 if y_lane is None else 3
+        pts, frames = [], []
+        for lm_idx, det_idx in corr.line_pairs:
+            lm = preselected.lines[lm_idx]
+            pts.extend((lm.p1, lm.p2))
+            frames.append(det_lines[det_idx].geometry)
+        det_pts = []
+        for lm_idx, det_idx in corr.point_pairs:
+            pts.append(preselected.points[lm_idx].p)
+            det_pts.append(np.asarray(det_points[det_idx].m, dtype=float))
+        self._world = np.array(pts, dtype=float).reshape(-1, 3)
+        frames = np.array(frames, dtype=float).reshape(-1, 5)
+        self._line_anchor = frames[:, 0:2]
+        self._line_dir = frames[:, 2:4]
+        self._line_len = frames[:, 4] / 2.0
+        self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
+        self._line_grad = np.stack([-self._line_dir[:, 1], self._line_dir[:, 0]],
+                                   axis=1) * (HALF_SQRT2 / self._line_len)[:, None]
+        n_data_rows = 2 * self.n_lines + 2 * self.n_points
+        self._jac_template = np.zeros((n_data_rows + self.n_soft, 6))
+        self._jac_template[n_data_rows, 4] = LAMBDA_N * DEG_PER_RAD
+        self._jac_template[n_data_rows + 1, 5] = LAMBDA_N * DEG_PER_RAD
+        if y_lane is not None:
+            self._jac_template[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
+
+    @property
+    def n_rows(self):
+        return self.n_lines + self.n_points + self.n_soft
+
+    def _kernel(self, pose):
+        rot = pose.rotation()
+        rel = self._world - pose.position
+        cam = rel @ rot.T
+        valid = cam[:, 2] > MIN_DEPTH_M
+        zs = np.where(valid, cam[:, 2], 1.0)
+        uv = np.empty((cam.shape[0], 2))
+        uv[:, 0], uv[:, 1] = pinhole(cam[:, 0], cam[:, 1], zs, self.intrinsics)
+        nl = self.n_lines
+        u = uv[:2 * nl].reshape(nl, 2, 2) - self._line_anchor[:, np.newaxis]
+        a = self._line_dir.T[:, :, np.newaxis]
+        b = u.transpose(2, 0, 1)
+        cross = a[0] * b[1] - a[1] * b[0]
+        err = uv[2 * nl:] - self._det_pts
+        line_ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
+        point_ok = valid[2 * nl:]
+        return cross, err, line_ok, point_ok, (rot, rel, cam, zs)
+
+    def _soft_rows(self, pose):
+        terms = [pose.pitch * DEG_PER_RAD, pose.roll * DEG_PER_RAD]
+        if self.y_lane is not None:
+            terms.append((pose.y - (self.y_lane + self.config.camera_height_m))
+                         * CM_PER_M)
+        return LAMBDA_N * np.array(terms)
+
+    def residual(self, pose):
+        cross, err, line_ok, point_ok, _ = self._kernel(pose)
+        nl, npt = self.n_lines, self.n_points
+        res = np.empty(self.n_rows)
+        dl = (np.abs(cross[:, 0]) + np.abs(cross[:, 1])) / (2.0 * self._line_len)
+        res[:nl] = np.where(line_ok, dl, BEHIND_CAMERA_PENALTY_PX)
+        dp = np.linalg.norm(err, axis=1)
+        res[nl:nl + npt] = np.where(point_ok, dp, BEHIND_CAMERA_PENALTY_PX)
+        res[nl + npt:] = self._soft_rows(pose)
+        return res
+
+    def _pixel_jacobian(self, pose, rot, rel, cam, zs):
+        n = cam.shape[0]
+        dcam = np.empty((n, 3, 6))
+        dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
+        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
+        dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
+        k = self.intrinsics
+        inv_z = 1.0 / zs
+        duv_dcam = np.zeros((n, 2, 3))
+        duv_dcam[:, 0, 0] = k.fx * inv_z
+        duv_dcam[:, 0, 1] = k.skew * inv_z
+        duv_dcam[:, 0, 2] = -(k.fx * cam[:, 0] + k.skew * cam[:, 1]) * inv_z ** 2
+        duv_dcam[:, 1, 1] = k.fy * inv_z
+        duv_dcam[:, 1, 2] = -k.fy * cam[:, 1] * inv_z ** 2
+        return np.einsum("nij,njk->nik", duv_dcam, dcam)
+
+    def residual_and_jacobian(self, pose):
+        cross, err, line_ok, point_ok, geometry = self._kernel(pose)
+        all_ok = line_ok.all() and point_ok.all()
+        nl = self.n_lines
+        n_line_rows = 2 * nl
+        n_data_rows = n_line_rows + 2 * self.n_points
+        res = np.empty(n_data_rows + self.n_soft)
+        line_res = HALF_SQRT2 * (cross / self._line_len[:, None])
+        point_res = err
+        if not all_ok:
+            line_res = np.where(line_ok[:, None], line_res,
+                                BEHIND_CAMERA_PENALTY_PX)
+            point_res = np.where(point_ok[:, None], err,
+                                 BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2)
+        res[:n_line_rows] = line_res.ravel()
+        res[n_line_rows:n_data_rows] = point_res.ravel()
+        res[n_data_rows:] = self._soft_rows(pose)
+        duv = self._pixel_jacobian(pose, *geometry)
+        jac = self._jac_template.copy()
+        rows = np.einsum("ni,nkij->nkj", self._line_grad,
+                         duv[:n_line_rows].reshape(nl, 2, 2, 6))
+        point_rows = duv[n_line_rows:]
+        if not all_ok:
+            rows = np.where(line_ok[:, None, None], rows, 0.0)
+            point_rows = np.where(point_ok[:, None, None], point_rows, 0.0)
+        jac[:n_line_rows] = rows.reshape(-1, 6)
+        jac[n_line_rows:n_data_rows] = point_rows.reshape(-1, 6)
+        return res, jac
+
+
+def same_bits(a, b):
+    """Equal shape and equal bytes: stricter than np.array_equal, which
+    takes -0.0 for 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+class TestBitIdenticalToReference:
+    """The objective returns the very bits of ``ReferenceKernel``: the same
+    floating-point operations in the same order, on every path."""
+
+    # (line pairs, point pairs, lane height) of the four objective kinds
+    KINDS = {"lines only": (3, 0, None), "points only": (0, 2, 0.25),
+             "with lane height": (3, 2, 0.25), "without lane height": (3, 2, None)}
+    # At this pose the near landmark's first control point, and only it,
+    # is behind the camera.
+    BEHIND = CameraPose(6.0, 1.6, 0.0)
+
+    def scene(self, intrinsics, kind, seed):
+        n_lines, n_points, y_lane = self.KINDS[kind]
+        sel, det_lines, det_points, corr, truth = toy_scene(
+            intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
+        # A landmark starting at x = 5: a lane along the road, or a point.
+        if n_lines:
+            sel.lines.append(LineLandmark([5, 0.5, -2], [20, 0.5, -2], LANE,
+                                          15.0, 0, 50))
+            det_lines.append(det_line([520.0, 330.0], [580.0, 250.0], LANE))
+            corr.line_pairs.append((n_lines, len(det_lines) - 1))
+        else:
+            sel.points.append(PointLandmark([5.0, 2.0, 1.0], SIGN, 0.7, 0, 51))
+            det_points.append(DetectedPoint([640.0, 150.0], SIGN))
+            corr.point_pairs.append((n_points, len(det_points) - 1))
+        args = (sel, det_lines, det_points, corr, intrinsics,
+                ResidualConfig(), y_lane)
+        return ReprojectionObjective(*args), ReferenceKernel(*args), truth
+
+    @pytest.mark.parametrize("skew", [0.0, 1.5])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_residual_and_jacobian_bits(self, kind, skew):
+        intrinsics = Intrinsics(fx=700.0, fy=690.0, cx=600.0, cy=180.0,
+                                skew=skew)
+        rng = np.random.default_rng(7)
+        for seed in range(4):
+            objective, reference, truth = self.scene(intrinsics, kind, seed)
+            poses = [perturbed(truth, rng, 1.0, 0.1) for _ in range(10)]
+            poses.append(self.BEHIND)
+            for pose in poses:
+                depths = reference._kernel(pose)[4][2][:, 2]
+                assert np.sum(depths <= MIN_DEPTH_M) == (pose is self.BEHIND)
+                r, jac = objective.residual_and_jacobian(pose)
+                want_r, want_jac = reference.residual_and_jacobian(pose)
+                assert same_bits(r, want_r)
+                assert same_bits(jac, want_jac)
+                # the gate form, reduced from the stored evaluation ...
+                want_gate = reference.residual(pose)
+                assert same_bits(objective.residual(pose), want_gate)
+                # ... and projected afresh for a pose object not evaluated
+                unseen = CameraPose(pose.x, pose.y, pose.z, pose.yaw,
+                                    pose.pitch, pose.roll)
+                assert same_bits(objective.residual(unseen), want_gate)
