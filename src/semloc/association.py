@@ -220,8 +220,9 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         if len(refined) == 0:
             continue
         # Re-matching often returns the hypothesis's own pairs. Its
-        # objective then already holds (r, J) at fit.pose, where the refine
-        # solve starts, so that first evaluation projects nothing.
+        # objective then still holds (r, J) at fit.pose, where the refine
+        # solve starts, whenever the solve returned the pose it evaluated
+        # last; that first evaluation then projects nothing.
         if (refined.line_pairs, refined.point_pairs) != \
                 (hypothesis.line_pairs, hypothesis.point_pairs):
             objective = _objective(refined)

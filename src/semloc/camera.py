@@ -230,5 +230,9 @@ def parse_intrinsics(text: str) -> Intrinsics:
     if len(records) > 1:
         raise ValueError(f"intrinsics line {records[1][0]}: "
                          f"a file holds one K record only")
-    fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
-    return Intrinsics(fx, fy, cx, cy, skew, int(fields[6]), int(fields[7]))
+    try:
+        fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
+        return Intrinsics(fx, fy, cx, cy, skew,
+                          int(fields[6]), int(fields[7]))
+    except ValueError as exc:
+        raise ValueError(f"intrinsics line {line_no}: {exc}") from None

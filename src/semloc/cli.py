@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import AssociationConfig, NoValidAssociation, closest_correspond
+from .association import AssociationConfig, closest_correspond
 from .camera import parse_intrinsics, serialize_intrinsics
 from .features import (extract_features, mask_file_name, read_mask_files,
                        write_mask_files)
-from .mapmodel import (DegenerateCluster, ParseError, RoughPose, SemanticClass,
+from .mapmodel import (DegenerateCluster, RoughPose, SemanticClass,
                        SemanticMap, fit_line_landmark, fit_point_landmark,
                        parse_map, preselect, save_map, text_records)
 from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
@@ -500,8 +500,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ParseError, ValueError, NoValidAssociation,
-            OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -123,22 +123,17 @@ def nearest_lane_height(preselected_lines, position) -> float | None:
 
 
 def soft_constraint(pose: CameraPose, y_lane: float | None,
-                    config: ResidualConfig) -> np.ndarray:
-    """Unweighted flat-ground terms: (pitch deg, roll deg, height offset cm).
+                    config: ResidualConfig) -> list:
+    """Unweighted flat-ground terms as Python floats: (pitch deg, roll deg,
+    height offset cm).
 
-    The height entry is omitted when no lane height is available. The
-    squared norm of the returned vector is the soft-constraint cost before
-    the LAMBDA_N^2 weighting.
+    The height entry is omitted when no lane height is available. The sum
+    of the squared terms is the soft-constraint cost before the LAMBDA_N^2
+    weighting.
     """
-    return np.array(_flat_ground_terms(pose, y_lane, config.camera_height_m))
-
-
-def _flat_ground_terms(pose: CameraPose, y_lane: float | None,
-                       camera_height_m: float) -> list:
-    """``soft_constraint``'s terms as Python floats."""
     terms = [pose.pitch * DEG_PER_RAD, pose.roll * DEG_PER_RAD]
     if y_lane is not None:
-        terms.append((pose.y - (y_lane + camera_height_m)) * CM_PER_M)
+        terms.append((pose.y - (y_lane + config.camera_height_m)) * CM_PER_M)
     return terms
 
 
@@ -205,11 +200,11 @@ class ReprojectionObjective:
         # from the projection.
         self._pixel_rows = np.array([[k.fx, k.skew], [0.0, k.fy]])
 
-        # One _Evaluation per pose object residual_and_jacobian evaluated.
-        # A second evaluation of the same pose object, and the gate residual
-        # at the pose a solve returns, then project nothing. Each entry
-        # holds its pose, so no live pose can reuse its id.
-        self._evaluated = {}
+        # The latest residual_and_jacobian evaluation: its pose object, the
+        # kernel outputs, r and J, and the gate residual once asked for.
+        # Both methods reuse it for that same pose object, which is most
+        # often the pose a solve returns.
+        self._pose = self._kernel_out = self._r = self._jac = self._gate = None
         # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
         self._line_grad = np.stack([-line_dir[:, 1], line_dir[:, 0]],
                                    axis=1) * (HALF_SQRT2 / line_len)[:, None]
@@ -263,21 +258,20 @@ class ReprojectionObjective:
 
     def _soft_rows(self, pose: CameraPose) -> list:
         """The weighted flat-ground rows that end both residual vectors."""
-        return [LAMBDA_N * term for term in _flat_ground_terms(
-            pose, self.y_lane, self.config.camera_height_m)]
+        return [LAMBDA_N * term
+                for term in soft_constraint(pose, self.y_lane, self.config)]
 
     def residual(self, pose: CameraPose) -> np.ndarray:
-        """The gate-form residual, shape (n_rows,). For a pose object that
-        ``residual_and_jacobian`` evaluated it is reduced from that
+        """The gate-form residual, shape (n_rows,). For the pose object that
+        ``residual_and_jacobian`` evaluated last it is reduced from that
         evaluation's kernel outputs and kept, so asking again returns the
         same array. Any other pose is projected afresh and nothing is kept,
         so a landscape grid stores no evaluation and builds no Jacobian."""
-        entry = self._evaluated.get(id(pose))
-        if entry is None:
+        if pose is not self._pose:
             return self._gate_rows(pose, *self._kernel(pose)[:3])
-        if entry.gate is None:
-            entry.gate = self._gate_rows(pose, *entry.kernel)
-        return entry.gate
+        if self._gate is None:
+            self._gate = self._gate_rows(pose, *self._kernel_out)
+        return self._gate
 
     def _gate_rows(self, pose: CameraPose, cross, err, guard) -> np.ndarray:
         """The gate-form residual from the kernel outputs at ``pose``."""
@@ -321,11 +315,10 @@ class ReprojectionObjective:
 
     def residual_and_jacobian(self, pose: CameraPose):
         """The split-form residual vector and its Jacobian over the pose
-        parameters, shape (rows, 6). A pose object evaluated before gets the
+        parameters, shape (rows, 6). The pose object evaluated last gets the
         same two arrays back, so callers must not write to them."""
-        entry = self._evaluated.get(id(pose))
-        if entry is not None:
-            return entry.r, entry.jac
+        if pose is self._pose:
+            return self._r, self._jac
         cross, err, guard, geometry = self._kernel(pose)
         nl2, nd = self._n_line_rows, self._n_data_rows
         res = np.empty(nd + self.n_soft)
@@ -350,8 +343,9 @@ class ReprojectionObjective:
         jac = self._jac_template.copy()
         jac[:nl2] = rows.reshape(-1, 6)
         jac[nl2:nd] = point_rows.reshape(-1, 6)
-        self._evaluated[id(pose)] = _Evaluation(
-            pose, (cross, err, guard), res, jac)
+        self._pose, self._kernel_out, self._r, self._jac = \
+            pose, (cross, err, guard), res, jac
+        self._gate = None
         return res, jac
 
 
@@ -359,15 +353,3 @@ class ReprojectionObjective:
 def SolverObjective(objective: ReprojectionObjective) -> ReprojectionObjective:
     return objective
 
-
-class _Evaluation:
-    """What a ``ReprojectionObjective`` computed at one pose object: the
-    kernel outputs the gate residual reduces, the (r, J) pair, and the gate
-    residual once it has been asked for."""
-
-    __slots__ = ("pose", "kernel", "r", "jac", "gate")
-
-    def __init__(self, pose: CameraPose, kernel: tuple, r: np.ndarray,
-                 jac: np.ndarray):
-        self.pose, self.kernel, self.r, self.jac = pose, kernel, r, jac
-        self.gate = None

@@ -67,8 +67,8 @@ def solve(objective, init: CameraPose) -> SolveResult:
     arrays; the cost is r @ r. It is called once on ``init`` and once per
     candidate step, and an accepted candidate's (r, J) carries into the
     next iteration. The objective may return the same stored arrays again
-    for a pose object it has already evaluated, so ``solve`` treats r and
-    J as read-only. Deterministic: the same inputs produce the same iterate
+    for the pose object it evaluated last, so ``solve`` treats r and J as
+    read-only. Deterministic: the same inputs produce the same iterate
     sequence.
     """
     pose = init

@@ -11,21 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from semloc.association import (AssociationConfig, NoValidAssociation,
-                                associate_and_localize, closest_correspond)
-from semloc.camera import CameraPose, project_line, project_point
+from semloc.association import (NoValidAssociation, associate_and_localize,
+                                closest_correspond)
+from semloc.camera import CameraPose
 from semloc.cli import main as cli_main
 from semloc.features import extract_features
 from semloc.mapmodel import (LanePolyline, LineLandmark, PointLandmark,
                              RoughPose, SemanticClass, SemanticMap,
                              parse_map, preselect, serialize_map)
-from semloc.pipeline import (FrameStatus, evaluate, heading_from_pose,
-                             run_sequence)
-from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
-                             ResidualConfig, SolverObjective, line_distance,
-                             nearest_lane_height, point_distance)
+from semloc.pipeline import FrameStatus, heading_from_pose, run_sequence
+from semloc.residual import (ReprojectionObjective, ResidualConfig,
+                             line_distance, nearest_lane_height,
+                             point_distance)
 from semloc.solver import cost_landscape
-from semloc.synthworld import (WorldConfig, generate_world, render_detections,
+from semloc.synthworld import (generate_world, render_detections,
                                render_frames, render_masks)
 
 from conftest import clutter_world, noise_world, paper_scale_world, perturbed
@@ -99,9 +98,9 @@ def test_criterion_2_gradient_check(intrinsics):
     for seed in range(100):
         sel, det_lines, det_points, corr, pose = toy_scene(
             intrinsics, n_lines=3, n_points=2, seed=seed)
-        obj = SolverObjective(ReprojectionObjective(
+        obj = ReprojectionObjective(
             sel, det_lines, det_points, corr, intrinsics, ResidualConfig(),
-            0.0))
+            0.0)
         jac = obj.residual_and_jacobian(pose)[1]
         vec = pose.as_vector()
         fd = np.empty_like(jac)

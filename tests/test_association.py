@@ -13,7 +13,7 @@ from semloc.camera import CameraPose, PoseTransform, project_line, project_point
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
 from semloc.pipeline import heading_from_pose
 from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
-                             ResidualConfig, SolverObjective, line_distance,
+                             ResidualConfig, line_distance,
                              nearest_lane_height, point_distance)
 from semloc.solver import solve
 from semloc.synthworld import generate_world, render_detections
@@ -437,9 +437,9 @@ class TestRefineReuse:
         y_lane = nearest_lane_height(selected.lines, init.position)
 
         def objective(corr):
-            return SolverObjective(ReprojectionObjective(
+            return ReprojectionObjective(
                 selected, det_lines, det_points, corr, cfg.intrinsics,
-                ResidualConfig(), y_lane))
+                ResidualConfig(), y_lane)
 
         assoc = AssociationConfig()
         base = closest_correspond(selected, det_lines, det_points, init,

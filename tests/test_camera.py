@@ -300,6 +300,15 @@ class TestIntrinsicsIO:
         with pytest.raises(ValueError, match="^intrinsics line 2: "):
             parse_intrinsics(text)
 
+    @pytest.mark.parametrize("text, reason", [
+        ("K 700 abc 613 185 0 1226 370\n", "could not convert"),
+        ("K 700 700 613 185 0 1226.0 370\n", "invalid literal for int"),
+        ("K -700 700 613 185 0 1226 370\n", "focal lengths must be positive"),
+    ])
+    def test_bad_record_names_its_line(self, text, reason):
+        with pytest.raises(ValueError, match=f"^intrinsics line 1: {reason}"):
+            parse_intrinsics(text)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             Intrinsics(fx=-1, fy=700, cx=0, cy=0, width=10, height=10)

@@ -343,9 +343,9 @@ class TestLocalize:
 
     @pytest.mark.parametrize("name, text, message", [
         ("intrinsics.txt", "K nan 700 613 185 0 1226 370\n",
-         "error: non-finite intrinsics"),
+         "error: intrinsics line 1: non-finite intrinsics"),
         ("intrinsics.txt", "K 700 700 inf 185 0 1226 370\n",
-         "error: non-finite intrinsics"),
+         "error: intrinsics line 1: non-finite intrinsics"),
         ("map.txt", None, "error: map line "),
     ])
     def test_non_finite_input_fails(self, synth_dir, tmp_path, capsys, name,

@@ -7,12 +7,11 @@ import pytest
 from semloc.camera import CameraPose
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import SemanticClass
-from semloc.pipeline import (EvaluationSummary, FrameInput, FrameStatus,
-                             InsufficientBootstrap, TrajectoryResult,
-                             evaluate, parse_detections, parse_ground_truth,
-                             parse_result, predict_pose, run_sequence,
-                             serialize_detections, serialize_ground_truth,
-                             serialize_result)
+from semloc.pipeline import (FrameInput, FrameStatus, InsufficientBootstrap,
+                             TrajectoryResult, evaluate, parse_detections,
+                             parse_ground_truth, parse_result, predict_pose,
+                             run_sequence, serialize_detections,
+                             serialize_ground_truth, serialize_result)
 from semloc.synthworld import generate_world, render_frames
 
 from conftest import paper_scale_world

@@ -159,19 +159,19 @@ class TestSoftConstraint:
     def test_one_degree_pitch(self):
         config = ResidualConfig()
         pose = CameraPose(0, config.camera_height_m, 0, 0, math.radians(1.0), 0)
-        terms = soft_constraint(pose, y_lane=0.0, config=config)
+        terms = np.array(soft_constraint(pose, y_lane=0.0, config=config))
         assert float(terms @ terms) == pytest.approx(1.0)
 
     def test_height_in_centimeters(self):
         config = ResidualConfig(camera_height_m=1.6)
         pose = CameraPose(0, 1.7, 0)  # 0.1 m above the flat-ground height
-        terms = soft_constraint(pose, y_lane=0.0, config=config)
+        terms = np.array(soft_constraint(pose, y_lane=0.0, config=config))
         assert terms[2] == pytest.approx(10.0)
         assert float(terms @ terms) == pytest.approx(100.0)
 
     def test_missing_lane_drops_height_term(self):
         terms = soft_constraint(CameraPose(0, 5.0, 0), None, ResidualConfig())
-        assert terms.shape == (2,)
+        assert len(terms) == 2
 
     def test_nearest_lane_height(self):
         lanes = [
@@ -284,7 +284,7 @@ class TestTotalResidual:
         for lm_idx, d_idx in corr.point_pairs:
             uv = project_point(sel.points[lm_idx].p, view, intrinsics)
             want += point_distance(uv, det_points[d_idx]) ** 2
-        soft = soft_constraint(pose, 0.0, config)
+        soft = np.array(soft_constraint(pose, 0.0, config))
         want += LAMBDA_N ** 2 * float(soft @ soft)
         assert cost == pytest.approx(want, rel=1e-12)
         assert cost == pytest.approx(float(vec @ vec), rel=1e-12)
@@ -305,15 +305,14 @@ class TestTotalResidual:
         vec = obj.residual(CameraPose(0, 1.6, 0))
         assert vec[0] == BEHIND_CAMERA_PENALTY_PX
         # the split rows carry the penalty with zero gradient
-        vec, jac = SolverObjective(obj).residual_and_jacobian(
-            CameraPose(0, 1.6, 0))
+        vec, jac = obj.residual_and_jacobian(CameraPose(0, 1.6, 0))
         assert np.all(vec[:2] == BEHIND_CAMERA_PENALTY_PX * math.sqrt(0.5))
         assert np.all(jac[:2] == 0.0)
 
     def test_dropping_pair_never_increases_data_term(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=5)
         config = ResidualConfig()
-        soft = soft_constraint(pose, 0.0, config)
+        soft = np.array(soft_constraint(pose, 0.0, config))
         soft_cost = LAMBDA_N ** 2 * float(soft @ soft)
         full = gate_cost(ReprojectionObjective(
             sel, det_lines, det_points, corr, intrinsics, config, 0.0), pose)
@@ -365,7 +364,7 @@ def solver_residual(obj, pose):
 
 
 class TestJacobian:
-    """The SolverObjective Jacobian, the package's only one."""
+    """The split-form Jacobian, the package's only one."""
 
     def finite_difference(self, obj, pose, h=1e-6):
         v = pose.as_vector()
@@ -382,9 +381,9 @@ class TestJacobian:
     def test_soft_rows_analytic(self, intrinsics):
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=2)
         config = ResidualConfig()
-        jac = SolverObjective(ReprojectionObjective(
+        jac = ReprojectionObjective(
             sel, det_lines, det_points, corr, intrinsics, config,
-            0.0)).residual_and_jacobian(pose)[1]
+            0.0).residual_and_jacobian(pose)[1]
         lam = LAMBDA_N
         pitch_row = jac[-3]
         assert pitch_row[4] == pytest.approx(lam * 180.0 / math.pi)
@@ -401,9 +400,9 @@ class TestJacobian:
         sel = PreselectedSet([], [PointLandmark(p, SIGN, 0.7, 0, 0)])
         det = DetectedPoint(uv + np.array([2.0, 1.0]), SIGN)
         corr = CorrespondenceSet([], [(0, 0)])
-        jac = SolverObjective(ReprojectionObjective(
+        jac = ReprojectionObjective(
             sel, [], [det], corr, intrinsics, ResidualConfig(),
-            None)).residual_and_jacobian(pose)[1]
+            None).residual_and_jacobian(pose)[1]
         # neither pixel error row moves under roll
         assert jac[0][5] == pytest.approx(0.0, abs=1e-9)
         assert jac[1][5] == pytest.approx(0.0, abs=1e-9)
@@ -413,9 +412,9 @@ class TestJacobian:
         for (n_lines, n_points), seed in product(SET_SHAPES, range(100)):
             sel, det_lines, det_points, corr, pose = toy_scene(
                 intrinsics, n_lines=n_lines, n_points=n_points, seed=seed)
-            obj = SolverObjective(ReprojectionObjective(
+            obj = ReprojectionObjective(
                 sel, det_lines, det_points, corr, intrinsics,
-                ResidualConfig(), 0.0))
+                ResidualConfig(), 0.0)
             jac = obj.residual_and_jacobian(pose)[1]
             fd = self.finite_difference(obj, pose)
             rel = np.abs(jac - fd) / np.maximum(1.0, np.abs(fd))
@@ -428,14 +427,13 @@ class TestJacobian:
             intrinsics, seed=4, displace_detections=False)
         base = ReprojectionObjective(sel, det_lines, det_points, corr,
                                      intrinsics, ResidualConfig(), None)
-        smooth = SolverObjective(base)
         # data rows vanish together at the rendering pose (soft rows are the
         # same small flat-ground terms in both)
         assert float(np.sum(base.residual(truth)[:-2] ** 2)) < 1e-12
-        assert float(np.sum(solver_residual(smooth, truth)[:-2] ** 2)) < 1e-12
+        assert float(np.sum(solver_residual(base, truth)[:-2] ** 2)) < 1e-12
         off = CameraPose(truth.x + 0.5, truth.y, truth.z, truth.yaw,
                          truth.pitch, truth.roll)
-        r = solver_residual(smooth, off)
+        r = solver_residual(base, off)
         smooth_cost = float(r @ r)
         # costs bound each other within a factor of two on the line terms
         assert smooth_cost <= 2.0 * gate_cost(base, off) + 1e-9
@@ -443,8 +441,8 @@ class TestJacobian:
 
 
 class TestGateForm:
-    """residual(pose) reduces what residual_and_jacobian(pose) projected,
-    and keeps nothing for a pose it did not evaluate."""
+    """residual(pose) reduces what residual_and_jacobian(pose) projected
+    last, and keeps nothing for any other pose."""
 
     @staticmethod
     def counted(intrinsics, monkeypatch):
@@ -478,12 +476,30 @@ class TestGateForm:
                                                          monkeypatch):
         obj, pose, calls = self.counted(intrinsics, monkeypatch)
         obj.residual_and_jacobian(pose)
-        evaluated = dict(obj._evaluated)
         calls.update(kernel=0, rotation_derivatives=0)
         moved = CameraPose.from_vector(pose.as_vector() + 0.01)
         assert obj.residual(moved).shape == (obj.n_rows,)
-        assert calls == {"kernel": 1, "rotation_derivatives": 0}
-        assert obj._evaluated == evaluated
+        assert obj.residual(moved).shape == (obj.n_rows,)
+        assert calls == {"kernel": 2, "rotation_derivatives": 0}
+        # The slot still holds the evaluated pose.
+        obj.residual_and_jacobian(pose)
+        assert calls == {"kernel": 2, "rotation_derivatives": 0}
+
+    def test_slot_holds_the_latest_evaluation_only(self, intrinsics,
+                                                   monkeypatch):
+        obj, p, calls = self.counted(intrinsics, monkeypatch)
+        q = CameraPose.from_vector(p.as_vector() + 0.01)
+        r_first, jac_first = (a.tobytes() for a in obj.residual_and_jacobian(p))
+        gate_p = obj.residual(p).tobytes()
+        obj.residual_and_jacobian(q)
+        # After Q the gate residual of P is projected afresh, to the same
+        # bits as the stored path gave.
+        assert obj.residual(p).tobytes() == gate_p
+        assert calls["kernel"] == 3
+        r_again, jac_again = obj.residual_and_jacobian(p)
+        assert calls["kernel"] == 4
+        assert r_again.tobytes() == r_first
+        assert jac_again.tobytes() == jac_first
 
     def test_solver_objective_name_returns_its_argument(self, intrinsics):
         sel, det_lines, det_points, corr, _ = toy_scene(intrinsics, seed=3)
