@@ -217,7 +217,7 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         refined = closest_correspond(
             preselected, det_lines, det_points, fit.pose, intrinsics,
             assoc_config.gate_line_refine_px, assoc_config.gate_point_refine_px)
-        if len(refined) == 0:
+        if len(refined) < 0.5 * len(base):
             continue
         # Re-matching often returns the hypothesis's own pairs. Its
         # objective then still holds (r, J) at fit.pose, where the refine
@@ -231,8 +231,6 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         except SingularNormalEquations:
             continue
         if final.residual_rms > assoc_config.max_final_rms_per_pair * len(refined):
-            continue
-        if len(refined) < 0.5 * len(base):
             continue
         return final, refined
 

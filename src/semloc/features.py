@@ -3,9 +3,10 @@
 A class channel is the 8-bit raster the mask files store, probability
 × 255. Pipeline per class: threshold the raster at a level, split the
 foreground into 8-connected regions, then fit each region with a RANSAC line
-(line-shaped classes) or take its centroid (point-shaped classes). Pixel
-coordinates are (x = column, y = row) with integer coordinates at pixel
-centers.
+(line-shaped classes) or take its centroid (point-shaped classes). Every
+region draws its RANSAC pairs from one fixed table, so a region's line
+depends only on its pixels. Pixel coordinates are (x = column, y = row)
+with integer coordinates at pixel centers.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import groupby
-from operator import itemgetter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +34,19 @@ from .mapmodel import SemanticClass, principal_axis
 # extract_features took about 28 % less time at 1 << 13 or 1 << 14 than
 # at 1 << 16. Blocks smaller than 1 << 13 pay more per-block overhead.
 _SCORE_BLOCK_ELEMENTS = 1 << 13
-# Seeds whose bit-generator words _draw_words keeps, 2.4 KB an entry at
-# 100 iterations. extract_features seeds a region (0, class index, region
-# index); the frames of a default `semloc synth` world hold at most two
-# regions per line-shaped class, so a frame uses at most six seeds.
-_DRAW_CACHE_ENTRIES = 64
 # Probability cutoff of the mask channels; see threshold_level.
 THRESHOLD = 0.1
+# RANSAC line fit: models tried per region, the inlier distance in pixels,
+# and the least inlier share of a region that makes it a line, not a blob.
+RANSAC_ITERATIONS = 100
+INLIER_TOL = 2.0
+MIN_INLIER_RATIO = 0.5
+# Row k = 1, 2, ... of the pair table is (0.5 + k (1/g, 1/g²)) mod 1, g the
+# plastic number: the R2 low-discrepancy sequence (Roberts 2018), plain
+# float arithmetic, so the same table and lines on every numpy version.
+_PLASTIC = 1.324717957244746
+_PAIR_TABLE = (0.5 + np.arange(1, RANSAC_ITERATIONS + 1)[:, None]
+               * np.array([1 / _PLASTIC, 1 / (_PLASTIC * _PLASTIC)])) % 1.0
 
 
 @dataclass(eq=False)
@@ -119,6 +124,9 @@ def threshold_level(threshold: float) -> int:
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     return int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
+
+
+_THRESHOLD_LEVEL = threshold_level(THRESHOLD)
 
 
 def region_grow(rasters, min_region_px: int = 30, level: int = 1) -> list:
@@ -228,16 +236,16 @@ def _concatenated_ranges(firsts: np.ndarray, counts: np.ndarray) -> np.ndarray:
             + np.repeat(firsts - offsets, counts))
 
 
-def fit_region_line(region: np.ndarray, semantic: SemanticClass,
-                    inlier_tol: float = 2.0, iterations: int = 100,
-                    seed=0, min_inlier_ratio: float = 0.5) -> DetectedLine | None:
+def fit_region_line(region: np.ndarray,
+                    semantic: SemanticClass) -> DetectedLine | None:
     """RANSAC line fit over a pixel region.
 
-    Samples 2-pixel models, keeps the one with the most pixels within
-    ``inlier_tol`` perpendicular distance, refits it by total least squares
-    on the inliers, and reports the extreme inlier projections as the
-    endpoints. None when the best inlier ratio falls below
-    ``min_inlier_ratio`` (the region is a blob, not a line).
+    Tries the ``RANSAC_ITERATIONS`` 2-pixel models of ``_sample_pairs``,
+    keeps the one with the most pixels within ``INLIER_TOL`` pixels of
+    perpendicular distance, refits it by total least squares on the
+    inliers, and reports the extreme inlier projections as the endpoints.
+    None when the best inlier ratio falls below ``MIN_INLIER_RATIO`` (the
+    region is a blob, not a line).
 
     Models are scored a block at a time as a (models, pixels) distance
     array, in two buffers reused from block to block; the first model with
@@ -248,11 +256,7 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     if n < 2:
         return None
 
-    if n * (n - 1) // 2 <= iterations:
-        first, second = np.triu_indices(n, 1)
-    else:
-        first, second = _sample_pairs(n, iterations, seed)
-
+    first, second = _sample_pairs(n)
     direction = pts[second] - pts[first]
     norm = np.hypot(direction[:, 0], direction[:, 1])
     valid = norm >= 1e-9
@@ -267,22 +271,22 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     counts = np.concatenate([
         np.count_nonzero(
             _line_distances(xs, ys, pts[first[k:k + block]],
-                            direction[k:k + block], out, spare) <= inlier_tol,
+                            direction[k:k + block], out, spare) <= INLIER_TOL,
             axis=1)
         for k in range(0, first.size, block)])
     best = int(np.argmax(counts))
     best_mask = _line_distances(
         xs, ys, pts[first[best:best + 1]], direction[best:best + 1],
-        out, spare)[0] <= inlier_tol
+        out, spare)[0] <= INLIER_TOL
 
     # Least-squares refit on the winning inliers, then one re-gating pass
     # against the refit line so the inlier count and endpoints agree.
     centroid, direction = principal_axis(pts[best_mask])
     dist = _line_distances(xs, ys, centroid[None], direction[None],
                            out, spare)[0]
-    inliers = pts[dist <= inlier_tol]
+    inliers = pts[dist <= INLIER_TOL]
     count = inliers.shape[0]
-    if count < 2 or count / n < min_inlier_ratio:
+    if count < 2 or count / n < MIN_INLIER_RATIO:
         return None
     centroid, direction = principal_axis(inliers)
     t = (inliers - centroid) @ direction
@@ -293,52 +297,15 @@ def fit_region_line(region: np.ndarray, semantic: SemanticClass,
     return DetectedLine(m1, m2, semantic)
 
 
-def _sample_pairs(n: int, iterations: int, seed) -> tuple:
-    """(first, second) index arrays of the pairs that ``iterations`` calls
-    of ``rng.choice(n, 2, replace=False)`` give, ``rng`` being
-    ``np.random.default_rng(seed)``; ``seed`` is an int or a tuple of ints.
-    The bit generator's words come from ``_draw_words``.
-
-    Each ``choice`` call runs Floyd's algorithm and shuffles the pair,
-    taking three 32-bit words w0, w1, w2 (a 64-bit word gives its low half,
-    then its high half): a = w0·(n−1) >> 32; b = w1·n >> 32, or n − 1 if
-    b == a; the pair is (a, b) if w2·2 >> 32 is 1, else (b, a). Each draw
-    is Lemire's bounded integer, which rejects w when
-    (w·span) mod 2³² < (2³² − span) mod span and then reads another word.
-    On any rejection, and for n < 3 or n ≥ 2³², the pairs come from the
-    ``choice`` calls themselves.
-    """
-    if iterations > 0 and 3 <= n < 1 << 32:
-        spans = np.array([n - 1, n, 2], dtype=np.uint64)
-        products = _draw_words(seed, iterations) * spans
-        rejected = ((products & np.uint64(0xFFFFFFFF))
-                    < (np.uint64(1 << 32) - spans) % spans)
-        if not rejected.any():
-            draws = (products >> np.uint64(32)).astype(np.intp)
-            a, b, keep = draws[:, 0], draws[:, 1], draws[:, 2] == 1
-            b[b == a] = n - 1
-            return np.where(keep, a, b), np.where(keep, b, a)
-    rng = np.random.default_rng(seed)
-    return np.array(
-        [rng.choice(n, size=2, replace=False) for _ in range(iterations)],
-        dtype=np.intp).reshape(-1, 2).T
-
-
-@lru_cache(maxsize=_DRAW_CACHE_ENTRIES)
-def _draw_words(seed, iterations: int) -> np.ndarray:
-    """The first 3 · ``iterations`` 32-bit words of
-    ``np.random.default_rng(seed)``'s bit generator as a read-only
-    (iterations, 3) uint64 array, drawn with one call to it.
-    ``extract_features`` seeds every region's fit from a few small tuples,
-    so the words are kept for the most recently used seeds: building the
-    generator costs about 25 µs a region."""
-    raw = np.random.default_rng(seed).bit_generator.random_raw(
-        -(-3 * iterations // 2))
-    words = np.column_stack([raw & np.uint64(0xFFFFFFFF),
-                             raw >> np.uint64(32)])
-    words = words.reshape(-1)[:3 * iterations].reshape(iterations, 3)
-    words.flags.writeable = False
-    return words
+def _sample_pairs(n: int) -> tuple:
+    """(first, second) intp index arrays of the ``RANSAC_ITERATIONS``
+    pixel pairs a region of ``n`` >= 2 pixels tries: row (u, v) of the
+    pair table gives first = ⌊u·n⌋ and, among the other n − 1 pixels,
+    the ⌊v·(n − 1)⌋-th, so the two indices always differ."""
+    first = (_PAIR_TABLE[:, 0] * n).astype(np.intp)
+    second = (_PAIR_TABLE[:, 1] * (n - 1)).astype(np.intp)
+    second += second >= first
+    return first, second
 
 
 def _line_distances(xs: np.ndarray, ys: np.ndarray, anchors: np.ndarray,
@@ -370,29 +337,23 @@ def region_centroid(region: np.ndarray, semantic: SemanticClass) -> DetectedPoin
 def extract_features(mask: SemanticMask):
     """Full per-frame extraction. Returns (detected lines, detected points).
 
-    Channels are cut at ``THRESHOLD``, and regions and lines take the
-    defaults of ``region_grow`` and ``fit_region_line``. One
-    ``region_grow`` call labels every channel. Classes are processed in
-    enum order and regions in top-left order, each region with its own RNG
-    stream seeded (0, class index, region index), so the output is
-    reproducible bit for bit.
+    Channels are cut at ``THRESHOLD``, and one ``region_grow`` call with
+    its default region size labels them all. Detections come in the enum
+    order of their class, then in the top-left order of their region.
     """
-    classes = [(class_index, semantic)
-               for class_index, semantic in enumerate(SemanticClass)
+    classes = [semantic for semantic in SemanticClass
                if semantic in mask.channels]
-    regions = region_grow([mask.channels[semantic] for _, semantic in classes],
-                          level=threshold_level(THRESHOLD))
+    regions = region_grow([mask.channels[semantic] for semantic in classes],
+                          level=_THRESHOLD_LEVEL)
     det_lines, det_points = [], []
-    for owner, owned in groupby(regions, key=itemgetter(0)):
-        class_index, semantic = classes[owner]
-        for region_index, (_, region) in enumerate(owned):
-            if semantic.is_line_shaped:
-                line = fit_region_line(region, semantic,
-                                       seed=(0, class_index, region_index))
-                if line is not None:
-                    det_lines.append(line)
-            else:
-                det_points.append(region_centroid(region, semantic))
+    for owner, region in regions:
+        semantic = classes[owner]
+        if semantic.is_line_shaped:
+            line = fit_region_line(region, semantic)
+            if line is not None:
+                det_lines.append(line)
+        else:
+            det_points.append(region_centroid(region, semantic))
     return det_lines, det_points
 
 

@@ -508,6 +508,32 @@ class TestRefineReuse:
         assert (built[0].line_pairs, built[0].point_pairs) == \
             (refined.line_pairs, refined.point_pairs)
 
+    def test_refined_count_rejects_before_refine_solve(self, monkeypatch):
+        # Re-matching keeps one pair, fewer than half of the base: the
+        # hypothesis is rejected on that count, before a second solve.
+        cfg, selected, rendered, init, _, _ = self.hypothesis_frame()
+        matches = []
+        match = association.closest_correspond
+
+        def rematch(*args):
+            corr = match(*args)
+            matches.append(corr)
+            if len(matches) == 1:
+                return corr
+            return CorrespondenceSet(corr.line_pairs[:1], [])
+
+        solves = []
+        real_solve = association.solve
+        monkeypatch.setattr(association, "closest_correspond", rematch)
+        monkeypatch.setattr(association, "solve", lambda *args: solves.append(
+            args) or real_solve(*args))
+        with pytest.raises(NoValidAssociation):
+            associate_and_localize(
+                selected, rendered.frame.det_lines, rendered.frame.det_points,
+                init, cfg.intrinsics)
+        assert len(matches) == 2 and len(matches[0]) > 2
+        assert len(solves) == 1
+
 
 class TestConfig:
     def test_refine_gates_must_be_tighter(self):

@@ -68,15 +68,16 @@ def test_comments_and_blank_lines_are_skipped(synth_dir, tmp_path, name):
     assert parsed(_commented(plain)) == parsed(plain)
 
 
-def _scipy_modules_after(tmp_path, script):
-    """Names of the scipy modules loaded after a fresh interpreter has run
-    ``script`` in ``tmp_path``."""
+def _modules_after(tmp_path, script, package="scipy"):
+    """Names of the modules of ``package`` loaded after a fresh interpreter
+    has run ``script`` in ``tmp_path``."""
     src = str(Path(semloc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = script + (
         "\nimport sys\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        f"print(sorted(m for m in sys.modules if m == {package!r}\n"
+        f"             or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=300,
                          cwd=tmp_path)
@@ -86,7 +87,16 @@ def _scipy_modules_after(tmp_path, script):
 def test_cli_import_leaves_out_scipy(tmp_path):
     # With scipy.ndimage loaded at import, semloc.features took about 0.39 s
     # of a 0.53-0.55 s cold CLI start, and only mask extraction needs it.
-    assert _scipy_modules_after(tmp_path, "import semloc, semloc.cli") == "[]"
+    assert _modules_after(tmp_path, "import semloc, semloc.cli") == "[]"
+
+
+def test_cli_import_leaves_out_numpy_random(tmp_path):
+    # Importing numpy.random costs about 11 ms of a cold start, and RANSAC
+    # draws its pairs from a fixed table. numpy 1.x loads it with numpy.
+    if _modules_after(tmp_path, "import numpy", "numpy.random") != "[]":
+        pytest.skip("import numpy loads numpy.random")
+    assert _modules_after(tmp_path, "import semloc, semloc.cli",
+                          "numpy.random") == "[]"
 
 
 def test_detection_commands_leave_out_scipy(tmp_path):
@@ -108,7 +118,7 @@ def test_detection_commands_leave_out_scipy(tmp_path):
     script = ("from semloc.cli import main\n"
               f"assert [main(list(c)) for c in {commands!r}] == "
               f"{[0] * len(commands)!r}")
-    assert _scipy_modules_after(tmp_path, script) == "[]"
+    assert _modules_after(tmp_path, script) == "[]"
 
 
 def test_no_command_imports_scipy(tmp_path):

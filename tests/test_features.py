@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import sys
 import warnings
@@ -54,21 +55,25 @@ def reference_pca_line(pts):
     return centroid, direction
 
 
+def reference_pairs(n):
+    """The pairs of the module's pair table for a region of n pixels, one
+    row at a time: first = floor(u n), and second the floor(v (n - 1))-th
+    of the other pixels."""
+    pairs = []
+    for u, v in features._PAIR_TABLE.tolist():
+        i, j = math.floor(u * n), math.floor(v * (n - 1))
+        pairs.append((i, j + (j >= i)))
+    return pairs
+
+
 def reference_fit_region_line(region, semantic, inlier_tol=2.0,
-                              iterations=100, seed=0, min_inlier_ratio=0.5):
-    """RANSAC line fit scoring one sampled pair at a time."""
+                              min_inlier_ratio=0.5):
+    """RANSAC line fit scoring one table pair at a time."""
     pts = np.asarray(region)[:, ::-1].astype(float)
     n = pts.shape[0]
     if n < 2:
         return None
-    if n * (n - 1) // 2 <= iterations:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(iterations):
-            i, j = rng.choice(n, size=2, replace=False)
-            pairs.append((int(i), int(j)))
+    pairs = reference_pairs(n)
     best_count = -1
     best_mask = None
     for i, j in pairs:
@@ -459,16 +464,16 @@ class TestFitRegionLineOracle:
 
     def test_sampled_path(self):
         rng = np.random.default_rng(7)
-        for seed in range(40):
+        for _ in range(40):
             region = self.noisy_strip(rng, int(rng.integers(20, 300)),
                                       int(rng.integers(0, 80)))
-            assert region.shape[0] * (region.shape[0] - 1) // 2 > 100
-            assert_same_line(fit_region_line(region, POLE, seed=seed),
-                             reference_fit_region_line(region, POLE, seed=seed))
+            assert_same_line(fit_region_line(region, POLE),
+                             reference_fit_region_line(region, POLE))
 
-    def test_exhaustive_path(self):
+    def test_small_regions(self):
+        # Fewer pixel pairs than table rows: pairs repeat.
         rng = np.random.default_rng(8)
-        for n in range(2, 15):  # n(n-1)/2 <= 100 for every n here
+        for n in range(2, 15):
             region = self.noisy_strip(rng, n, 0)[:n]
             assert_same_line(fit_region_line(region, POLE),
                              reference_fit_region_line(region, POLE))
@@ -477,9 +482,10 @@ class TestFitRegionLineOracle:
         # Two equal parallel strips: every pair inside either strip scores
         # the same count, and the first pair lies in the upper strip.
         region = np.array([(r, c) for r in (10, 60) for c in range(20)])
-        kwargs = dict(iterations=1000, min_inlier_ratio=0.5)
-        line = fit_region_line(region, POLE, **kwargs)
-        assert_same_line(line, reference_fit_region_line(region, POLE, **kwargs))
+        first, second = reference_pairs(len(region))[0]
+        assert region[first, 0] == region[second, 0] == 10
+        line = fit_region_line(region, POLE)
+        assert_same_line(line, reference_fit_region_line(region, POLE))
         assert line.m1[1] == pytest.approx(10) and line.m2[1] == pytest.approx(10)
 
     def test_coincident_pixels_give_no_model(self):
@@ -489,24 +495,22 @@ class TestFitRegionLineOracle:
             assert fit_region_line(region, POLE) is None
         assert reference_fit_region_line(region, POLE) is None
 
-    def test_no_iterations_gives_no_model(self):
-        region = np.array([(r, 3) for r in range(40)])
-        assert fit_region_line(region, POLE, iterations=0) is None
-        assert reference_fit_region_line(region, POLE, iterations=0) is None
-
     def test_repeated_pixels_are_skipped_models(self):
-        region = np.array([(4, 9)] * 8 + [(r, 2 * r) for r in range(5, 60)])
-        for seed in range(5):
-            assert_same_line(fit_region_line(region, POLE, seed=seed),
-                             reference_fit_region_line(region, POLE, seed=seed))
+        for repeats in (8, 20, 40):
+            region = np.array([(4, 9)] * repeats
+                              + [(r, 2 * r) for r in range(5, 60)])
+            pairs = reference_pairs(len(region))
+            assert any(i < repeats and j < repeats for i, j in pairs)
+            assert_same_line(fit_region_line(region, POLE),
+                             reference_fit_region_line(region, POLE))
 
     def test_region_larger_than_one_block(self):
         rng = np.random.default_rng(9)
-        region = self.noisy_strip(rng, 3000, 400)
-        assert region.shape[0] * 100 > features._SCORE_BLOCK_ELEMENTS
-        for seed in range(3):
-            assert_same_line(fit_region_line(region, POLE, seed=seed),
-                             reference_fit_region_line(region, POLE, seed=seed))
+        for _ in range(3):
+            region = self.noisy_strip(rng, 3000, 400)
+            assert region.shape[0] * 100 > features._SCORE_BLOCK_ELEMENTS
+            assert_same_line(fit_region_line(region, POLE),
+                             reference_fit_region_line(region, POLE))
 
     def test_region_larger_than_block_budget(self):
         # Fewer than one model fits the budget: every block holds one model.
@@ -515,102 +519,53 @@ class TestFitRegionLineOracle:
                          reference_fit_region_line(region, POLE))
 
 
-def reference_pairs(n, iterations, seed):
-    rng = np.random.default_rng(seed)
-    return np.array([rng.choice(n, size=2, replace=False)
-                     for _ in range(iterations)], dtype=np.intp).reshape(-1, 2)
-
-
-@pytest.fixture
-def choice_calls(monkeypatch):
-    """Records each Generator.choice call made through np.random.default_rng."""
-    calls = []
-    real_rng = np.random.default_rng
-
-    class CountingRng:
-        def __init__(self, seed):
-            self._rng = real_rng(seed)
-            self.bit_generator = self._rng.bit_generator
-
-        def choice(self, *args, **kwargs):
-            calls.append(args)
-            return self._rng.choice(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    return calls
-
-
 class TestSamplePairs:
-    """_sample_pairs must give the pairs of repeated rng.choice calls."""
+    """Every region draws its pairs from the one fixed table."""
 
-    SEEDS = [(0, 0, 0), (0, 2, 5), (7, 1, 3), 12345, (3, 0, 41)]
-    ITERATIONS = (0, 1, 2, 37, 100, 1000)
-
-    def assert_pairs(self, n, iterations, seed, want):
-        first, second = _sample_pairs(n, iterations, seed)
+    def assert_valid_pairs(self, n):
+        first, second = _sample_pairs(n)
         assert first.dtype == second.dtype == np.intp
-        assert np.array_equal(np.column_stack([first, second]),
-                              want[:iterations]), (n, iterations, seed)
+        assert first.shape == second.shape == (features.RANSAC_ITERATIONS,)
+        assert ((0 <= first) & (first < n)).all(), n
+        assert ((0 <= second) & (second < n)).all(), n
+        assert (first != second).all(), n
+        assert list(zip(first.tolist(), second.tolist())) == \
+            reference_pairs(n), n
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 453_620, 2 ** 40])
+    def test_distinct_indices_in_range(self, n):
+        self.assert_valid_pairs(n)
+        # The table's largest u and v, at the edge of the region.
+        u, v = features._PAIR_TABLE.max(axis=0).tolist()
+        assert math.floor(u * n) < n and math.floor(v * (n - 1)) < n - 1
 
     def test_every_small_population(self):
-        # The first k calls of a 100-call loop are the k-call loop.
-        for n in range(3, 2001):
-            seed = self.SEEDS[n % len(self.SEEDS)]
-            want = reference_pairs(n, 100, seed)
-            for iterations in (0, 1, 2, 37, 100):
-                self.assert_pairs(n, iterations, seed, want)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 17, 256, 1999, 2000, 10001,
-                                   12345, 65536, 99991])
-    def test_every_iteration_count(self, n):
-        for seed in self.SEEDS:
-            want = reference_pairs(n, max(self.ITERATIONS), seed)
-            for iterations in self.ITERATIONS:
-                self.assert_pairs(n, iterations, seed, want)
-
-    def test_one_draw_from_the_bit_generator(self, choice_calls):
-        first, second = _sample_pairs(300, 100, (0, 1, 2))
-        assert choice_calls == [] and first.size == 100
-
-    def test_rejected_draw_falls_back_to_choice(self, choice_calls):
-        # For n = 3·2^30 Lemire's method rejects a quarter of the 32-bit
-        # words, so 100 pairs (300 words) all but surely include one.
-        n = 3 << 30
-        for seed in self.SEEDS:
-            want = reference_pairs(n, 100, seed)
-            choice_calls.clear()
-            self.assert_pairs(n, 100, seed, want)
-            assert len(choice_calls) == 100
-
-    @pytest.mark.parametrize("n", [(1 << 32) + 5, 1 << 40])
-    def test_population_beyond_32_bits_falls_back(self, n, choice_calls):
-        for seed in self.SEEDS:
-            want = reference_pairs(n, 37, seed)
-            choice_calls.clear()
-            self.assert_pairs(n, 37, seed, want)
-            assert len(choice_calls) == 37
+        for n in range(2, 2001):
+            self.assert_valid_pairs(n)
 
     def test_writes_to_pairs_leave_the_draws_alone(self):
-        for seed in [(0, 2, 7), 12345]:
-            want = reference_pairs(500, 100, seed)
-            first, second = _sample_pairs(500, 100, seed)
-            first[:] = 0
-            second[:] = 1
-            self.assert_pairs(500, 100, seed, want)
+        # Every call returns the same pairs, in arrays of its own.
+        first, second = _sample_pairs(500)
+        want = first.copy(), second.copy()
+        first[:] = 0
+        second[:] = 1
+        for _ in range(3):
+            again = _sample_pairs(500)
+            assert np.array_equal(again[0], want[0])
+            assert np.array_equal(again[1], want[1])
 
-    def test_draw_cache_is_read_only_and_bounded(self, monkeypatch):
-        features._draw_words.cache_clear()
-        words = features._draw_words((0, 1, 1), 100)
-        assert words.shape == (100, 3) and words.dtype == np.uint64
-        with pytest.raises(ValueError):
-            words[0, 0] = 0
-        monkeypatch.setattr(np.random, "default_rng", None)
-        assert features._draw_words((0, 1, 1), 100) is words
-        monkeypatch.undo()
-        for seed in range(features._DRAW_CACHE_ENTRIES + 5):
-            features._draw_words(seed, 3)
-        assert (features._draw_words.cache_info().currsize
-                == features._DRAW_CACHE_ENTRIES)
+    def test_extraction_builds_no_generator(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        milestone = np.zeros((120, 160), dtype=np.uint8)
+        noisy_strip(milestone, rng, 10, 30, 90, 0.3)
+        noisy_strip(milestone, rng, 15, 110, 80, -0.2)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("extract_features built a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        lines, _ = extract_features(SemanticMask({MILESTONE: milestone}))
+        assert len(lines) == 2
 
 
 class TestFitRegionLine:
@@ -634,7 +589,7 @@ class TestFitRegionLine:
                 x = int(100 + rng.integers(-10, 11))
                 pixels.add((y, x))
             region = np.array(sorted(pixels))
-            line = fit_region_line(region, POLE, seed=seed)
+            line = fit_region_line(region, POLE)
             assert line is not None
             got = sorted([line.m1, line.m2], key=lambda p: p[1])
             errs.append(max(np.linalg.norm(got[0] - [100, 50]),
@@ -717,9 +672,9 @@ class TestExtractFeatures:
 
     def test_matches_per_channel_reference(self):
         # POLE_LIKE absent, a sign blob beside a 3 px speck, an empty lane
-        # channel (below the threshold) and two noisy milestone strips: the
-        # strips are fitted with seeds (0, 3, 0) and (0, 3, 1), though the
-        # milestone channel is the third one labeled and follows a region.
+        # channel (below the threshold) and two noisy milestone strips,
+        # though the milestone channel is the third one labeled and follows
+        # a region.
         rng = np.random.default_rng(4)
         sign = np.zeros((120, 160), dtype=np.uint8)
         sign[60:70, 60:72] = 200
@@ -733,15 +688,14 @@ class TestExtractFeatures:
         lines, points = extract_features(mask)
 
         want_lines, want_points = [], []
-        for class_index, semantic in enumerate(SemanticClass):
+        for semantic in SemanticClass:
             if semantic not in mask.channels:
                 continue
             channel = mask.channels[semantic] >= threshold_level(THRESHOLD)
-            for region_index, region in enumerate(
-                    reference_region_grow(channel)):
+            for region in reference_region_grow(channel):
                 if semantic.is_line_shaped:
-                    want_lines.append(reference_fit_region_line(
-                        region, semantic, seed=(0, class_index, region_index)))
+                    want_lines.append(
+                        reference_fit_region_line(region, semantic))
                 else:
                     want_points.append(
                         (region.astype(float).mean(axis=0)[::-1], semantic))
@@ -751,16 +705,34 @@ class TestExtractFeatures:
             assert_same_line(got, want)
         assert [(p.m.tobytes(), p.semantic) for p in points] == [
             (m.tobytes(), semantic) for m, semantic in want_points]
-        # The seeds decide the fit. The first strip's line differs under
-        # (0, 2, 0), the seed if the channel's position among the labeled
-        # channels stood for its class, under (0, 3, 1), the seed if region
-        # indices ran on across classes, and under another class's seed.
-        region = reference_region_grow(
-            milestone >= threshold_level(THRESHOLD))[0]
-        for seed in [(0, 2, 0), (0, 3, 1), (0, 1, 0)]:
-            other = reference_fit_region_line(region, MILESTONE, seed=seed)
-            assert (other.m1.tobytes(), other.m2.tobytes()) != (
-                lines[0].m1.tobytes(), lines[0].m2.tobytes())
+
+    def test_line_depends_only_on_its_pixels(self):
+        # One noisy strip, fitted as the only region of its channel, as the
+        # second region behind a strip above it, and with other classes in
+        # the mask: its line is the same bits every time.
+        strip = np.zeros((240, 320), dtype=np.uint8)
+        noisy_strip(strip, np.random.default_rng(4), 60, 120, 90, 0.3)
+        above = np.zeros_like(strip)
+        noisy_strip(above, np.random.default_rng(5), 5, 20, 40, 0.1)
+        pole = np.zeros_like(strip)
+        noisy_strip(pole, np.random.default_rng(6), 20, 250, 150, -0.1)
+        sign = np.zeros_like(strip)
+        sign[200:215, 40:60] = 255
+        masks = [
+            SemanticMask({MILESTONE: strip}),
+            SemanticMask({MILESTONE: strip | above}),
+            SemanticMask({POLE: pole, SIGN: sign, LANE: above,
+                          MILESTONE: strip}),
+            SemanticMask({POLE: pole, MILESTONE: strip | above}),
+        ]
+        got = []
+        for mask in masks:
+            lines, _ = extract_features(mask)
+            milestones = [line for line in lines if line.semantic is MILESTONE]
+            got.append(milestones[-1])
+        assert len(milestones) == 2
+        for line in got[1:]:
+            assert_same_line(line, got[0])
 
 
 class TestMaskFiles:
