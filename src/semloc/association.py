@@ -11,7 +11,6 @@ tightly gated correspondence set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -36,34 +35,22 @@ HYPOTHESIS_POINTS = 1
 MAX_HYPOTHESES = 500
 
 
-@dataclass(frozen=True)
 class AssociationConfig:
-    """Gates for associate-and-localize.
+    """Gates for associate-and-localize, fixed at the reference tuning for
+    urban scenes.
 
     Distances are pixels; ``max_pose_shift`` is the mixed-unit pose norm of
-    ``pose_distance`` (meters and degrees). Defaults follow the reference
-    tuning for urban scenes.
+    ``pose_distance`` (meters and degrees). Every gate is positive and
+    finite, and each refinement gate is no larger than its initial gate.
     """
 
-    gate_line_init_px: float = 300.0      # initial line match gate
-    gate_point_init_px: float = 300.0     # initial point match gate
-    gate_line_refine_px: float = 10.0     # re-match line gate after validation
-    gate_point_refine_px: float = 10.0    # re-match point gate after validation
-    max_pose_shift: float = 30.0          # validated pose vs initial pose
-    max_hypothesis_rms: float = 200.0     # sqrt(cost) bound for a hypothesis
-    max_final_rms_per_pair: float = 4.0   # sqrt(cost) bound per refined pair
-
-    def __post_init__(self):
-        if self.gate_line_refine_px > self.gate_line_init_px or \
-                self.gate_point_refine_px > self.gate_point_init_px:
-            raise ValueError("refinement gates must not exceed initial gates")
-        # NaN fails every comparison, so it passes none of these bounds.
-        if not all(0 < gate < math.inf for gate in (
-                self.gate_line_init_px, self.gate_point_init_px,
-                self.gate_line_refine_px, self.gate_point_refine_px,
-                self.max_pose_shift, self.max_hypothesis_rms,
-                self.max_final_rms_per_pair)):
-            raise ValueError("gates must be positive and finite")
+    gate_line_init_px = 300.0      # initial line match gate
+    gate_point_init_px = 300.0     # initial point match gate
+    gate_line_refine_px = 10.0     # re-match line gate after validation
+    gate_point_refine_px = 10.0    # re-match point gate after validation
+    max_pose_shift = 30.0          # validated pose vs initial pose
+    max_hypothesis_rms = 200.0     # sqrt(cost) bound for a hypothesis
+    max_final_rms_per_pair = 4.0   # sqrt(cost) bound per refined pair
 
 
 def pose_distance(a: CameraPose, b: CameraPose) -> float:
@@ -131,17 +118,18 @@ def _hypothesis_sizes(n_lines: int, n_points: int):
     return k_lines, k_points
 
 
-def _iter_hypotheses(base: CorrespondenceSet, seed: int):
+def _iter_hypotheses(base: CorrespondenceSet):
     """Yield distinct (line pair subset, point pair subset) hypotheses in a
-    seeded random order, at most ``MAX_HYPOTHESES`` of them. A base that
-    admits one hypothesis only is yielded as it is, and draws nothing."""
+    fixed pseudo-random order, at most ``MAX_HYPOTHESES`` of them. A base
+    that admits one hypothesis only is yielded as it is, and draws
+    nothing."""
     n_lines, n_points = len(base.line_pairs), len(base.point_pairs)
     k_lines, k_points = _hypothesis_sizes(n_lines, n_points)
     n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
     if n_combos == 1:
         yield base
         return
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     if n_combos <= MAX_HYPOTHESES:
         pool = [(lc, pc)
                 for lc in combinations(range(n_lines), k_lines)
@@ -171,18 +159,16 @@ def _iter_hypotheses(base: CorrespondenceSet, seed: int):
 
 def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
                            init: CameraPose, intrinsics: Intrinsics,
-                           assoc_config: AssociationConfig = AssociationConfig(),
-                           residual_config: ResidualConfig = ResidualConfig(),
-                           seed: int = 0):
+                           residual_config: ResidualConfig = ResidualConfig()):
     """Robust pose estimation with unknown correspondences.
 
     Returns (SolveResult, refined CorrespondenceSet) or raises
-    NoValidAssociation. Deterministic for a fixed ``seed``, which orders
-    the hypotheses.
+    NoValidAssociation. Deterministic: the hypotheses come in one fixed
+    order.
     """
     base = closest_correspond(preselected, det_lines, det_points, init,
-                              intrinsics, assoc_config.gate_line_init_px,
-                              assoc_config.gate_point_init_px)
+                              intrinsics, AssociationConfig.gate_line_init_px,
+                              AssociationConfig.gate_point_init_px)
     if len(base) == 0:
         raise NoValidAssociation("no gated pairs at the initial pose")
     # Lane height for the flat-ground term, pinned at the initial position
@@ -203,20 +189,21 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         fit.final_cost = float(gate @ gate)
         return fit
 
-    for hypothesis in _iter_hypotheses(base, seed):
+    for hypothesis in _iter_hypotheses(base):
         objective = _objective(hypothesis)
         try:
             fit = _solve(objective, init)
         except SingularNormalEquations:
             continue
-        if fit.residual_rms > assoc_config.max_hypothesis_rms:
+        if fit.residual_rms > AssociationConfig.max_hypothesis_rms:
             continue
-        if pose_distance(fit.pose, init) > assoc_config.max_pose_shift:
+        if pose_distance(fit.pose, init) > AssociationConfig.max_pose_shift:
             continue
 
         refined = closest_correspond(
             preselected, det_lines, det_points, fit.pose, intrinsics,
-            assoc_config.gate_line_refine_px, assoc_config.gate_point_refine_px)
+            AssociationConfig.gate_line_refine_px,
+            AssociationConfig.gate_point_refine_px)
         if len(refined) < 0.5 * len(base):
             continue
         # Re-matching often returns the hypothesis's own pairs. Its
@@ -230,7 +217,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             final = _solve(objective, fit.pose)
         except SingularNormalEquations:
             continue
-        if final.residual_rms > assoc_config.max_final_rms_per_pair * len(refined):
+        if final.residual_rms > \
+                AssociationConfig.max_final_rms_per_pair * len(refined):
             continue
         return final, refined
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mapmodel import text_records
+from .mapmodel import read_records, text_records
 
 # Camera axes written in "forward/up/right" map-aligned axes:
 # cam X = right, cam Y = -up, cam Z = forward.
@@ -221,18 +221,16 @@ def serialize_intrinsics(intrinsics: Intrinsics) -> str:
 
 def parse_intrinsics(text: str) -> Intrinsics:
     """The intrinsics file's one K record."""
-    records = list(text_records(text))
-    if not records:
-        raise ValueError("no intrinsics record found")
-    line_no, fields = records[0]
-    if fields[0] != "K" or len(fields) != 8:
-        raise ValueError(f"intrinsics line {line_no}: malformed record")
-    if len(records) > 1:
-        raise ValueError(f"intrinsics line {records[1][0]}: "
-                         f"a file holds one K record only")
-    try:
+    found = []
+
+    def handle(fields):
+        if found:
+            raise ValueError("a file holds one K record only")
         fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
-        return Intrinsics(fx, fy, cx, cy, skew,
-                          int(fields[6]), int(fields[7]))
-    except ValueError as exc:
-        raise ValueError(f"intrinsics line {line_no}: {exc}") from None
+        found.append(Intrinsics(fx, fy, cx, cy, skew,
+                                int(fields[6]), int(fields[7])))
+
+    read_records(text_records(text), "intrinsics", {"K": 8}, handle)
+    if not found:
+        raise ValueError("no intrinsics record found")
+    return found[0]

@@ -46,11 +46,10 @@ class CliError(Exception):
 
 
 # Top-level manifest keys: input paths (resolved against the manifest's
-# directory), the result path, run settings and the config blocks.
+# directory), the result path, the masks' road index and the residual block.
 _INPUT_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
                "ground-truth")
-_MANIFEST_KEYS = (*_INPUT_KEYS, "out", "seed", "road_index", "association",
-                  "residual")
+_MANIFEST_KEYS = (*_INPUT_KEYS, "out", "road_index", "residual")
 
 
 def _read(path, what):
@@ -113,7 +112,6 @@ def _load_manifest(args) -> dict:
             if key in manifest:
                 _check_type(manifest[key], "", "manifest", key)
         _check_type(manifest.get("road_index", 0), 0, "manifest", "road_index")
-        _check_type(manifest.get("seed", 0), 0, "manifest", "seed")
         base = Path(args.manifest).parent
         for key in _INPUT_KEYS:
             if key in manifest:
@@ -324,14 +322,10 @@ def cmd_localize(args) -> int:
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
-    assoc = _config_from(manifest, "association", AssociationConfig)
     residual = _config_from(manifest, "residual", ResidualConfig)
-    seed = args.seed if args.seed is not None else manifest.get("seed", 0)
-    if seed < 0:
-        raise CliError(f"seed must be non-negative, got {seed}")
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
-                          assoc, residual, seed)
+                          residual)
     out = manifest.get("out", "result.csv")
     Path(out).write_text(serialize_result(result))
     n_loc = result.count(FrameStatus.LOCALIZED)
@@ -382,7 +376,6 @@ def cmd_landscape(args) -> int:
     frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
-    assoc = _config_from(manifest, "association", AssociationConfig)
     residual = _config_from(manifest, "residual", ResidualConfig)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)
@@ -397,8 +390,8 @@ def cmd_landscape(args) -> int:
     selected = preselect(semantic_map, rough)
     corr = closest_correspond(selected, frame.det_lines, frame.det_points,
                               center, intrinsics,
-                              assoc.gate_line_refine_px,
-                              assoc.gate_point_refine_px)
+                              AssociationConfig.gate_line_refine_px,
+                              AssociationConfig.gate_point_refine_px)
     if len(corr) == 0:
         raise CliError("no correspondences at the center pose")
     y_lane = nearest_lane_height(selected.lines, center.position)
@@ -469,8 +462,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ground-truth", dest="ground_truth",
                    help="optional GT file for an immediate evaluation")
     p.add_argument("--out", help="result CSV path (default result.csv)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="association RNG seed; overrides the manifest's")
     p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("eval", help="evaluate a result CSV")

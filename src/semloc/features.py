@@ -401,7 +401,10 @@ def read_mask_files(directory, frame_id: int) -> SemanticMask:
     if not channels:
         raise FileNotFoundError(
             f"no mask files for frame {frame_id} in {directory}")
-    return SemanticMask(channels)
+    try:
+        return SemanticMask(channels)
+    except ValueError as exc:
+        raise ValueError(f"{directory}, frame {frame_id}: {exc}") from None
 
 
 # From Python 3.13 a mapping need not keep a duplicate of its file's

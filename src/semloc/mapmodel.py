@@ -34,11 +34,12 @@ class DegenerateCluster(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed map text; carries the 1-based line number."""
+    """Malformed text input; names the input and carries the 1-based line
+    number."""
 
-    def __init__(self, line_no: int, reason: str):
+    def __init__(self, what: str, line_no: int, reason: str):
         self.line_no = line_no
-        super().__init__(f"map line {line_no}: {reason}")
+        super().__init__(f"{what} line {line_no}: {reason}")
 
 
 class SemanticClass(Enum):
@@ -346,76 +347,69 @@ def serialize_map(semantic_map: SemanticMap) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _parse_class(tag: str, line_no: int, line_shaped: bool) -> SemanticClass:
-    try:
-        cls = SemanticClass(tag)
-    except ValueError:
-        raise ParseError(line_no, f"unknown class {tag!r}") from None
-    if cls.is_line_shaped != line_shaped:
-        kind = "line" if line_shaped else "point"
-        raise ParseError(line_no, f"class {tag} is not {kind}-shaped")
-    return cls
+def read_records(records, what: str, field_counts: dict, handle) -> None:
+    """Pass each (line number, fields) record of ``records`` to ``handle``
+    as its fields, after checking the record's tag and field count.
+
+    ``field_counts`` maps each tag to its number of fields, the tag
+    included, or to None where ``handle`` checks the count itself. A
+    ValueError, from the checks or from ``handle``, becomes a ParseError
+    naming ``what`` and the record's line.
+    """
+    for line_no, fields in records:
+        try:
+            if fields[0] not in field_counts:
+                raise ValueError(f"unknown record tag {fields[0]!r}")
+            expected = field_counts[fields[0]]
+            if expected is not None and len(fields) != expected:
+                raise ValueError(f"{fields[0]} record needs {expected} "
+                                 f"fields, got {len(fields)}")
+            handle(fields)
+        except ValueError as exc:
+            raise ParseError(what, line_no, str(exc)) from None
 
 
-def _parse_floats(fields, line_no: int):
-    try:
-        return [float(f) for f in fields]
-    except ValueError:
-        raise ParseError(line_no, "malformed numeric field") from None
+# Fields per map record, the tag included; a LANE record's count follows
+# from the number of points it gives.
+_MAP_FIELDS = {"L": 11, "P": 8, "LANE": None}
 
 
 def parse_map(text: str) -> SemanticMap:
+    records = text_records(text)
+    line_no, fields = next(records, (1, None))
+    if fields is None:
+        raise ParseError("map", 1, "empty input, missing header")
+    if fields != _HEADER.split():
+        raise ParseError("map", line_no, f"expected {_HEADER!r} header")
     lines: list = []
     points: list = []
     lanes: list = []
-    saw_header = False
-    for line_no, fields in text_records(text):
-        if not saw_header:
-            if fields != _HEADER.split():
-                raise ParseError(line_no, f"expected {_HEADER!r} header")
-            saw_header = True
-            continue
-        tag = fields[0]
-        try:
-            if tag == "L":
-                if len(fields) != 11:
-                    raise ParseError(line_no, f"L record needs 11 fields, got {len(fields)}")
-                vals = _parse_floats(fields[4:], line_no)
-                lines.append(LineLandmark(
-                    vals[0:3], vals[3:6],
-                    _parse_class(fields[2], line_no, line_shaped=True),
-                    vals[6], int(fields[3]), int(fields[1])))
-            elif tag == "P":
-                if len(fields) != 8:
-                    raise ParseError(line_no, f"P record needs 8 fields, got {len(fields)}")
-                vals = _parse_floats(fields[4:], line_no)
-                points.append(PointLandmark(
-                    vals[0:3],
-                    _parse_class(fields[2], line_no, line_shaped=False),
-                    vals[3], int(fields[3]), int(fields[1])))
-            elif tag == "LANE":
-                if len(fields) < 4:
-                    raise ParseError(line_no, "LANE record needs id, road and count")
-                n = int(fields[3])
-                if len(fields) != 4 + 3 * n:
-                    raise ParseError(
-                        line_no, f"LANE record promises {n} points but has "
-                        f"{len(fields) - 4} coordinate fields")
-                vals = _parse_floats(fields[4:], line_no)
-                lanes.append(LanePolyline(
-                    np.array(vals).reshape(n, 3), int(fields[2]), int(fields[1])))
-            else:
-                raise ParseError(line_no, f"unknown record tag {tag!r}")
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-    if not saw_header:
-        raise ParseError(1, "empty input, missing header")
+
+    def handle(fields):
+        vals = [float(f) for f in fields[4:]]
+        if fields[0] == "L":
+            lines.append(LineLandmark(
+                vals[0:3], vals[3:6], SemanticClass(fields[2]), vals[6],
+                int(fields[3]), int(fields[1])))
+        elif fields[0] == "P":
+            points.append(PointLandmark(
+                vals[0:3], SemanticClass(fields[2]), vals[3],
+                int(fields[3]), int(fields[1])))
+        else:
+            if len(fields) < 4:
+                raise ValueError("LANE record needs id, road and count")
+            n = int(fields[3])
+            if len(fields) != 4 + 3 * n:
+                raise ValueError(f"LANE record promises {n} points but has "
+                                 f"{len(fields) - 4} coordinate fields")
+            lanes.append(LanePolyline(
+                np.array(vals).reshape(n, 3), int(fields[2]), int(fields[1])))
+
+    read_records(records, "map", _MAP_FIELDS, handle)
     try:
         return SemanticMap(lines, points, lanes)
     except ValueError as exc:
-        raise ParseError(len(text.splitlines()), str(exc)) from None
+        raise ParseError("map", len(text.splitlines()), str(exc)) from None
 
 
 def save_map(semantic_map: SemanticMap, path) -> None:

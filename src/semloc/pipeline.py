@@ -15,12 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .association import (AssociationConfig, NoValidAssociation,
-                          associate_and_localize)
+from .association import NoValidAssociation, associate_and_localize
 from .camera import CameraPose, Intrinsics, wrap_angle
 from .features import DetectedLine, DetectedPoint
 from .mapmodel import (RoughPose, SemanticClass, SemanticMap, preselect,
-                       text_records)
+                       read_records, text_records)
 from .residual import ResidualConfig
 
 
@@ -89,15 +88,13 @@ def heading_from_pose(pose: CameraPose) -> np.ndarray:
 
 def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
                  intrinsics: Intrinsics,
-                 assoc_config: AssociationConfig = AssociationConfig(),
-                 residual_config: ResidualConfig = ResidualConfig(),
-                 seed: int = 0) -> TrajectoryResult:
+                 residual_config: ResidualConfig = ResidualConfig()
+                 ) -> TrajectoryResult:
     """Localize every frame of a sequence.
 
     ``bootstrap`` supplies the poses of the first two frames. Association
     failures record a Coasted frame whose estimate is the prediction, and
-    the prediction chain continues from it. ``seed`` orders each frame's
-    association hypotheses.
+    the prediction chain continues from it.
     """
     if len(bootstrap) < 2:
         raise InsufficientBootstrap("need two bootstrap poses")
@@ -116,7 +113,7 @@ def run_sequence(semantic_map: SemanticMap, frames, bootstrap,
         try:
             fit, refined = associate_and_localize(
                 selected, frame.det_lines, frame.det_points, init, intrinsics,
-                assoc_config, residual_config, seed)
+                residual_config)
             records.append(FrameRecord(
                 frame.frame_id, FrameStatus.LOCALIZED, fit.pose,
                 fit.residual_rms, len(refined)))
@@ -191,32 +188,26 @@ _DETECTION_FIELDS = {"F": 3, "DL": 6, "DP": 4}
 
 def parse_detections(text: str) -> list:
     frames: list[FrameInput] = []
-    for line_no, fields in text_records(text):
-        try:
-            expected = _DETECTION_FIELDS.get(fields[0])
-            if expected is None:
-                raise ValueError(f"unknown record tag {fields[0]!r}")
-            if len(fields) != expected:
-                raise ValueError(f"{fields[0]} record needs {expected} fields, "
-                                 f"got {len(fields)}")
-            if fields[0] == "F":
-                frame_id = int(fields[1])
-                if frames and frame_id <= frames[-1].frame_id:
-                    raise ValueError("frame ids must be strictly increasing")
-                frames.append(FrameInput(frame_id, road_index=int(fields[2])))
-            elif not frames:
-                raise ValueError(f"{fields[0]} record before any F record")
-            elif fields[0] == "DL":
-                frames[-1].det_lines.append(DetectedLine(
-                    [float(fields[2]), float(fields[3])],
-                    [float(fields[4]), float(fields[5])],
-                    SemanticClass(fields[1])))
-            else:
-                frames[-1].det_points.append(DetectedPoint(
-                    [float(fields[2]), float(fields[3])],
-                    SemanticClass(fields[1])))
-        except ValueError as exc:
-            raise ValueError(f"detections line {line_no}: {exc}") from None
+
+    def handle(fields):
+        if fields[0] == "F":
+            frame_id = int(fields[1])
+            if frames and frame_id <= frames[-1].frame_id:
+                raise ValueError("frame ids must be strictly increasing")
+            frames.append(FrameInput(frame_id, road_index=int(fields[2])))
+        elif not frames:
+            raise ValueError(f"{fields[0]} record before any F record")
+        elif fields[0] == "DL":
+            frames[-1].det_lines.append(DetectedLine(
+                [float(fields[2]), float(fields[3])],
+                [float(fields[4]), float(fields[5])],
+                SemanticClass(fields[1])))
+        else:
+            frames[-1].det_points.append(DetectedPoint(
+                [float(fields[2]), float(fields[3])],
+                SemanticClass(fields[1])))
+
+    read_records(text_records(text), "detections", _DETECTION_FIELDS, handle)
     return frames
 
 
@@ -232,16 +223,14 @@ def serialize_ground_truth(poses: dict) -> str:
 
 def parse_ground_truth(text: str) -> dict:
     poses = {}
-    for line_no, fields in text_records(text):
-        if fields[0] != "GT" or len(fields) != 8:
-            raise ValueError(f"ground truth line {line_no}: malformed record")
-        try:
-            frame_id = int(fields[1])
-            if frame_id in poses:
-                raise ValueError(f"frame {frame_id} repeated")
-            poses[frame_id] = CameraPose(*(float(f) for f in fields[2:]))
-        except ValueError as exc:
-            raise ValueError(f"ground truth line {line_no}: {exc}") from None
+
+    def handle(fields):
+        frame_id = int(fields[1])
+        if frame_id in poses:
+            raise ValueError(f"frame {frame_id} repeated")
+        poses[frame_id] = CameraPose(*(float(f) for f in fields[2:]))
+
+    read_records(text_records(text), "ground truth", {"GT": 8}, handle)
     return poses
 
 

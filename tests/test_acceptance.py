@@ -377,7 +377,6 @@ def test_criterion_9_determinism(tmp_path):
         "detections": str(world / "detections.txt"),
         "intrinsics": str(world / "intrinsics.txt"),
         "bootstrap": str(world / "groundtruth.txt"),
-        "seed": 3,
     }))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli_main(["localize", "--manifest", str(manifest),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from itertools import combinations
 
@@ -315,7 +314,7 @@ class TestAssociateAndLocalize:
         assoc = AssociationConfig()
         fit, refined = associate_and_localize(
             selected, rendered.frame.det_lines, rendered.frame.det_points,
-            init, cfg.intrinsics, assoc)
+            init, cfg.intrinsics)
         base = closest_correspond(selected, rendered.frame.det_lines,
                                   rendered.frame.det_points, init,
                                   cfg.intrinsics, assoc.gate_line_init_px,
@@ -398,27 +397,26 @@ class TestIterHypotheses:
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         base = pair_base(n_lines, n_points)
-        got = list(association._iter_hypotheses(base, 0))
+        got = list(association._iter_hypotheses(base))
         assert len(got) == 1
         assert got[0].line_pairs == base.line_pairs
         assert got[0].point_pairs == base.point_pairs
 
-    @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("n_lines, n_points", [
         (5, 1), (4, 2), (6, 0), (0, 6), (8, 3), (10, 2)])
-    def test_pool_order(self, n_lines, n_points, seed):
+    def test_pool_order(self, n_lines, n_points):
         base = pair_base(n_lines, n_points)
         k_lines, k_points = association._hypothesis_sizes(n_lines, n_points)
         pool = [(lc, pc)
                 for lc in combinations(range(n_lines), k_lines)
                 for pc in combinations(range(n_points), k_points)]
         assert 1 < len(pool) <= association.MAX_HYPOTHESES
-        order = np.random.default_rng(seed).permutation(len(pool))
+        order = np.random.default_rng(0).permutation(len(pool))
         expected = [([base.line_pairs[i] for i in pool[j][0]],
                      [base.point_pairs[i] for i in pool[j][1]])
                     for j in order]
         got = [(h.line_pairs, h.point_pairs)
-               for h in association._iter_hypotheses(base, seed)]
+               for h in association._iter_hypotheses(base)]
         assert got == expected
 
 
@@ -445,7 +443,7 @@ class TestRefineReuse:
         base = closest_correspond(selected, det_lines, det_points, init,
                                   cfg.intrinsics, assoc.gate_line_init_px,
                                   assoc.gate_point_init_px)
-        hypotheses = list(association._iter_hypotheses(base, 0))
+        hypotheses = list(association._iter_hypotheses(base))
         assert len(hypotheses) == 1
         return cfg, selected, rendered, init, objective, hypotheses[0]
 
@@ -535,16 +533,16 @@ class TestRefineReuse:
         assert len(solves) == 1
 
 
-class TestConfig:
-    def test_refine_gates_must_be_tighter(self):
-        with pytest.raises(ValueError):
-            AssociationConfig(gate_line_refine_px=400.0)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", [
-        f.name for f in dataclasses.fields(AssociationConfig)])
-    def test_non_finite_gate_rejected(self, name, value):
+class TestGates:
+    def test_gate_values_keep_their_rules(self):
+        gates = {name: value for name, value in vars(AssociationConfig).items()
+                 if not name.startswith("_")}
+        assert len(gates) == 7
         # NaN fails every comparison and an infinite gate switches its
         # check off; neither may reach the matcher.
-        with pytest.raises(ValueError, match="gates must"):
-            AssociationConfig(**{name: value})
+        assert all(0 < gate < math.inf for gate in gates.values())
+        assert gates["gate_line_refine_px"] <= gates["gate_line_init_px"]
+        assert gates["gate_point_refine_px"] <= gates["gate_point_init_px"]
+        # The gates are constants: nothing passes a value in.
+        with pytest.raises(TypeError):
+            AssociationConfig(gate_line_refine_px=400.0)

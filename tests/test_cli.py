@@ -293,7 +293,6 @@ class TestLocalize:
             "detections": str(synth_dir / "detections.txt"),
             "intrinsics": str(synth_dir / "intrinsics.txt"),
             "bootstrap": str(synth_dir / "groundtruth.txt"),
-            "seed": 5,
         }))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli("localize", "--manifest", manifest, "--out", a) == 0
@@ -479,7 +478,8 @@ class TestLocalize:
             "association": {"bogus_knob": 1},
         }))
         assert run_cli("localize", "--manifest", manifest) == 1
-        assert "bogus_knob" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: unknown manifest settings: ['association']")
 
 
 class TestManifest:
@@ -503,18 +503,19 @@ class TestManifest:
                         "--grid", "3", "--out", tmp_path / "landscape.csv")]
 
     @pytest.mark.parametrize("block, key", [
-        ({"association": {"rematch_around": "initial_pose"}}, "rematch_around"),
+        # The association gates and hypothesis order are fixed, so the
+        # manifest has no association block.
+        ({"association": {"rematch_around": "initial_pose"}}, "association"),
         ({"residual": {"camera_heigth_m": 1.6}}, "camera_heigth_m"),
         ({"ground_truth": "world/groundtruth.txt"}, "ground_truth"),
         # Blocks of settings that are now module constants.
         ({"solver": {"max_iterations": 100}}, "solver"),
         ({"preselect": {"min_size_ratio": 0.017}}, "preselect"),
         ({"extraction": {"threshold": 0.1}}, "extraction"),
-        # Hypothesis sampling is fixed; the seed is the top-level "seed".
-        ({"association": {"hypothesis_lines": 4}}, "hypothesis_lines"),
-        ({"association": {"hypothesis_points": 1}}, "hypothesis_points"),
-        ({"association": {"max_hypotheses": 500}}, "max_hypotheses"),
-        ({"association": {"rng_seed": 0}}, "rng_seed"),
+        ({"association": {"hypothesis_lines": 4}}, "association"),
+        ({"association": {"hypothesis_points": 1}}, "association"),
+        ({"association": {"max_hypotheses": 500}}, "association"),
+        ({"association": {"rng_seed": 0}}, "association"),
     ])
     def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
         manifest = self.write(tmp_path, synth_dir, **block)
@@ -528,7 +529,9 @@ class TestManifest:
             assert key in line
 
     @pytest.mark.parametrize("block, key", [
-        ({"association": {"max_pose_shift": "30"}}, "max_pose_shift"),
+        # "association" and "seed", here and below, are no longer manifest
+        # keys: each is refused as an unknown setting, whatever its value.
+        ({"association": {"max_pose_shift": "30"}}, "association"),
         ({"residual": {"camera_height_m": "1.6"}}, "camera_height_m"),
         ({"residual": {"camera_height_m": True}}, "camera_height_m"),
         ({"residual": {"camera_height_m": None}}, "camera_height_m"),
@@ -562,30 +565,22 @@ class TestManifest:
             assert line.startswith("error: manifest number") and \
                 "not finite" in line
 
-    @pytest.mark.parametrize("key", ["max_pose_shift", "gate_line_init_px"])
-    def test_overflowing_gate_fails(self, synth_dir, tmp_path, capsys, key):
-        # json.loads reads 1e999 as inf without calling parse_constant, so
-        # the gate check itself has to refuse it.
-        manifest = self.write(tmp_path, synth_dir, association={key: 12.5})
-        text = manifest.read_text()
-        manifest.write_text(text.replace("12.5", "1e999"))
-        assert json.loads(manifest.read_text())["association"][key] == \
-            float("inf")
-        assert self.run_both(manifest, tmp_path) == [1, 1]
-        lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: gates must be positive and finite"] * 2
-
-    @pytest.mark.parametrize("blocks, flags", [
-        ({"seed": -3}, ()),
-        ({}, ("--seed", "-1")),
-    ])
-    def test_negative_seed_fails(self, synth_dir, tmp_path, capsys, blocks,
-                                 flags):
-        manifest = self.write(tmp_path, synth_dir, **blocks)
-        assert run_cli("localize", "--manifest", manifest, *flags,
-                       "--out", tmp_path / "result.csv") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: seed must be non-negative")
+    def test_association_settings_rejected(self, synth_dir, tmp_path,
+                                           capsys):
+        # The gates and the hypothesis order are fixed, so the settings that
+        # chose them are refused, even at the values they always had.
+        for key, value in (("seed", 0),
+                           ("association", {"max_hypothesis_rms": 200.0})):
+            manifest = self.write(tmp_path, synth_dir, **{key: value})
+            assert self.run_both(manifest, tmp_path) == [1, 1]
+            assert capsys.readouterr().err.splitlines() == \
+                [f"error: unknown manifest settings: [{key!r}]"] * 2
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("localize", "--manifest", self.write(tmp_path, synth_dir),
+                    "--seed", "0", "--out", tmp_path / "result.csv")
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+        assert not (tmp_path / "result.csv").exists()
 
     @pytest.mark.parametrize("blocks, flags", [
         ({}, ("--masks", "/nonexistent/dir")),

@@ -770,6 +770,16 @@ class TestMaskFiles:
         back = read_mask_files(tmp_path, 5)
         assert set(back.channels) == {POLE, SIGN}
 
+    def test_shape_mismatch_names_directory_and_frame(self, tmp_path):
+        write_mask_files(tmp_path, 4, SemanticMask(
+            {POLE: np.zeros((3, 4), dtype=np.uint8)}))
+        write_mask_files(tmp_path, 4, SemanticMask(
+            {SIGN: np.zeros((2, 2), dtype=np.uint8)}))
+        with pytest.raises(ValueError) as err:
+            read_mask_files(tmp_path, 4)
+        assert str(err.value) == (f"{tmp_path}, frame 4: mask rasters differ "
+                                  f"in shape: [(2, 2), (3, 4)]")
+
 
 class TestReadPgm:
     def read(self, tmp_path, content):
