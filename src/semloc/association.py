@@ -11,7 +11,6 @@ tightly gated correspondence set.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -118,43 +117,40 @@ def _hypothesis_sizes(n_lines: int, n_points: int):
     return k_lines, k_points
 
 
+def _combination(items, k: int, rank: int) -> list:
+    """The ``rank``-th ``k``-subset of ``items`` in combinations order."""
+    chosen, first = [], 0
+    for slots in range(k, 0, -1):
+        # Skip each whole block of subsets that take items[first] next.
+        while rank >= (below := math.comb(len(items) - first - 1, slots - 1)):
+            rank -= below
+            first += 1
+        chosen.append(items[first])
+        first += 1
+    return chosen
+
+
 def _iter_hypotheses(base: CorrespondenceSet):
-    """Yield distinct (line pair subset, point pair subset) hypotheses in a
-    fixed pseudo-random order, at most ``MAX_HYPOTHESES`` of them. A base
-    that admits one hypothesis only is yielded as it is, and draws
-    nothing."""
+    """Yield at most ``MAX_HYPOTHESES`` distinct subsets of the base's line
+    and point pairs, each decoded when tried from a rank drawn in a fixed
+    order; a one-subset base is yielded as is and draws nothing."""
     n_lines, n_points = len(base.line_pairs), len(base.point_pairs)
     k_lines, k_points = _hypothesis_sizes(n_lines, n_points)
-    n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
+    n_point_subsets = math.comb(n_points, k_points)
+    n_combos = math.comb(n_lines, k_lines) * n_point_subsets
     if n_combos == 1:
         yield base
         return
     rng = np.random.default_rng(0)
     if n_combos <= MAX_HYPOTHESES:
-        pool = [(lc, pc)
-                for lc in combinations(range(n_lines), k_lines)
-                for pc in combinations(range(n_points), k_points)]
-        order = rng.permutation(len(pool))
-        chosen = (pool[i] for i in order)
+        ranks = rng.permutation(n_combos)
     else:
-        def _draws():
-            seen = set()
-            attempts = 0
-            while len(seen) < MAX_HYPOTHESES and \
-                    attempts < 10 * MAX_HYPOTHESES:
-                attempts += 1
-                lc = tuple(sorted(rng.choice(n_lines, size=k_lines,
-                                             replace=False))) if k_lines else ()
-                pc = tuple(sorted(rng.choice(n_points, size=k_points,
-                                             replace=False))) if k_points else ()
-                if (lc, pc) in seen:
-                    continue
-                seen.add((lc, pc))
-                yield lc, pc
-        chosen = _draws()
-    for lc, pc in chosen:
-        yield CorrespondenceSet([base.line_pairs[i] for i in lc],
-                                [base.point_pairs[i] for i in pc])
+        ranks = rng.choice(n_combos, MAX_HYPOTHESES, replace=False)
+    for rank in ranks.tolist():
+        line_rank, point_rank = divmod(rank, n_point_subsets)
+        yield CorrespondenceSet(
+            _combination(base.line_pairs, k_lines, line_rank),
+            _combination(base.point_pairs, k_points, point_rank))
 
 
 def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,

@@ -104,8 +104,11 @@ def line_distance(endpoints, frame) -> float:
 
 
 def point_distance(proj, det) -> float:
-    """Euclidean pixel distance between projection and detected point."""
-    return float(np.linalg.norm(np.asarray(proj, dtype=float) - det.m))
+    """Euclidean pixel distance between projection and detected point, on
+    Python floats in the kernel's gate-row order: bit-identical to it."""
+    (u, v), (mx, my) = proj, det.m.tolist()
+    ex, ey = u - mx, v - my
+    return math.sqrt(ex * ex + ey * ey)
 
 
 def nearest_lane_height(preselected_lines, position) -> float | None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +15,7 @@ from semloc.pipeline import heading_from_pose
 from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
                              ResidualConfig, line_distance,
                              nearest_lane_height, point_distance)
-from semloc.solver import solve
+from semloc.solver import SingularNormalEquations, solve
 from semloc.synthworld import generate_world, render_detections
 
 from conftest import clutter_world, paper_scale_world, perturbed
@@ -419,6 +420,33 @@ class TestIterHypotheses:
                for h in association._iter_hypotheses(base)]
         assert got == expected
 
+    @pytest.mark.parametrize("n_lines, n_points", [(13, 1), (11, 2), (60, 3)])
+    def test_large_pool_draws_without_building_it(self, n_lines, n_points):
+        base = pair_base(n_lines, n_points)
+        k_lines, k_points = association._hypothesis_sizes(n_lines, n_points)
+        n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
+        assert n_combos > association.MAX_HYPOTHESES
+        tracemalloc.start()
+        try:
+            got = [(tuple(h.line_pairs), tuple(h.point_pairs))
+                   for h in association._iter_hypotheses(base)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == association.MAX_HYPOTHESES == len(set(got))
+        for lines, points in got:
+            assert (len(lines), len(points)) == (k_lines, k_points)
+            # Each subset keeps the base's order, as combinations gives it.
+            assert list(lines) == [p for p in base.line_pairs if p in lines]
+            assert list(points) == [p for p in base.point_pairs
+                                    if p in points]
+        again = [(tuple(h.line_pairs), tuple(h.point_pairs))
+                 for h in association._iter_hypotheses(base)]
+        assert again == got
+        # The 60-line pool holds 487,635 line subsets; drawing 500 of them
+        # allocates nothing of that size.
+        assert peak < 1 << 20
+
 
 class TestRefineReuse:
     """When re-matching returns the hypothesis's own pairs, the refine
@@ -531,6 +559,72 @@ class TestRefineReuse:
                 init, cfg.intrinsics)
         assert len(matches) == 2 and len(matches[0]) > 2
         assert len(solves) == 1
+
+
+class TestValidationExits:
+    """Each rejection in the validation loop moves on to the next
+    hypothesis; NoValidAssociation is raised when none is left. The frame's
+    base admits five hypotheses."""
+
+    @staticmethod
+    def traced(monkeypatch, singular_calls=()):
+        """A localize call on the frame, with ``solve`` raising
+        SingularNormalEquations on the given call numbers (from 1), and the
+        lists of hypotheses tried and solve start poses it fills."""
+        cfg = paper_scale_world(0)
+        _, truth, rendered, selected = frame_at(cfg, 30)
+        init = perturbed(truth, np.random.default_rng(3), 0.5,
+                         math.radians(1.0))
+        tried, starts = [], []
+        hypotheses = association._iter_hypotheses
+        real_solve = association.solve
+
+        def counted(base):
+            for hypothesis in hypotheses(base):
+                tried.append(hypothesis)
+                yield hypothesis
+
+        def flaky_solve(objective, start):
+            starts.append(start)
+            if len(starts) in singular_calls:
+                raise SingularNormalEquations("forced")
+            return real_solve(objective, start)
+
+        monkeypatch.setattr(association, "_iter_hypotheses", counted)
+        monkeypatch.setattr(association, "solve", flaky_solve)
+
+        def localize():
+            return associate_and_localize(
+                selected, rendered.frame.det_lines, rendered.frame.det_points,
+                init, cfg.intrinsics)
+        return localize, init, tried, starts
+
+    def test_singular_hypothesis_solve_tries_next(self, monkeypatch):
+        localize, init, tried, starts = self.traced(monkeypatch, {1})
+        localize()
+        assert len(tried) == 2
+        assert len(starts) == 3 and starts[1] is init
+
+    def test_singular_refine_solve_tries_next(self, monkeypatch):
+        localize, init, tried, starts = self.traced(monkeypatch, {2})
+        localize()
+        assert len(tried) == 2
+        assert len(starts) == 4 and starts[1] is not init and \
+            starts[2] is init
+
+    def test_every_solve_singular_raises(self, monkeypatch):
+        localize, _, tried, starts = self.traced(monkeypatch, range(1, 100))
+        with pytest.raises(NoValidAssociation):
+            localize()
+        assert len(tried) == len(starts) == 5
+
+    def test_final_cost_gate_tries_next(self, monkeypatch):
+        monkeypatch.setattr(AssociationConfig, "max_final_rms_per_pair", 0.0)
+        localize, _, tried, starts = self.traced(monkeypatch)
+        with pytest.raises(NoValidAssociation):
+            localize()
+        # Every hypothesis reached the refine solve and the final gate.
+        assert len(tried) == 5 and len(starts) == 10
 
 
 class TestGates:

@@ -468,19 +468,6 @@ class TestLocalize:
         assert capsys.readouterr().err.startswith("error: intrinsics line 2: ")
         assert not (tmp_path / "result.csv").exists()
 
-    def test_unknown_config_key_fails(self, synth_dir, tmp_path, capsys):
-        manifest = tmp_path / "run.json"
-        manifest.write_text(json.dumps({
-            "map": str(synth_dir / "map.txt"),
-            "detections": str(synth_dir / "detections.txt"),
-            "intrinsics": str(synth_dir / "intrinsics.txt"),
-            "bootstrap": str(synth_dir / "groundtruth.txt"),
-            "association": {"bogus_knob": 1},
-        }))
-        assert run_cli("localize", "--manifest", manifest) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: unknown manifest settings: ['association']")
-
 
 class TestManifest:
     def write(self, tmp_path, synth_dir, **blocks):
@@ -516,6 +503,10 @@ class TestManifest:
         ({"association": {"hypothesis_points": 1}}, "association"),
         ({"association": {"max_hypotheses": 500}}, "association"),
         ({"association": {"rng_seed": 0}}, "association"),
+        # Refused as unknown whatever the value, a mistyped one included.
+        ({"association": {"max_pose_shift": "30"}}, "association"),
+        ({"seed": "3"}, "seed"),
+        ({"association": 5}, "association"),
     ])
     def test_rejected_key_fails(self, synth_dir, tmp_path, capsys, block, key):
         manifest = self.write(tmp_path, synth_dir, **block)
@@ -528,22 +519,25 @@ class TestManifest:
             assert line.startswith(f"error: unknown {what} settings")
             assert key in line
 
+    # Explicit ids keep each case's name stable when cases are added or
+    # removed.
     @pytest.mark.parametrize("block, key", [
-        # "association" and "seed", here and below, are no longer manifest
-        # keys: each is refused as an unknown setting, whatever its value.
-        ({"association": {"max_pose_shift": "30"}}, "association"),
-        ({"residual": {"camera_height_m": "1.6"}}, "camera_height_m"),
-        ({"residual": {"camera_height_m": True}}, "camera_height_m"),
-        ({"residual": {"camera_height_m": None}}, "camera_height_m"),
-        ({"road_index": 0.7}, "road_index"),
-        ({"seed": "3"}, "seed"),
-        ({"map": 5}, "map"),
-        ({"out": 7}, "out"),
-        ({"association": 5}, "association"),
-        ({"residual": [1.6]}, "residual"),
+        pytest.param({"residual": {"camera_height_m": "1.6"}},
+                     "camera_height_m", id="block1-camera_height_m"),
+        pytest.param({"residual": {"camera_height_m": True}},
+                     "camera_height_m", id="block2-camera_height_m"),
+        pytest.param({"residual": {"camera_height_m": None}},
+                     "camera_height_m", id="block3-camera_height_m"),
+        pytest.param({"road_index": 0.7}, "road_index",
+                     id="block4-road_index"),
+        pytest.param({"map": 5}, "map", id="block6-map"),
+        pytest.param({"out": 7}, "out", id="block7-out"),
+        pytest.param({"residual": [1.6]}, "residual", id="block9-residual"),
         # Well-typed but out of range.
-        ({"residual": {"camera_height_m": 0.0}}, "camera_height_m"),
-        ({"residual": {"camera_height_m": -1.6}}, "camera_height_m"),
+        pytest.param({"residual": {"camera_height_m": 0.0}},
+                     "camera_height_m", id="block10-camera_height_m"),
+        pytest.param({"residual": {"camera_height_m": -1.6}},
+                     "camera_height_m", id="block11-camera_height_m"),
     ])
     def test_mistyped_value_fails(self, synth_dir, tmp_path, capsys, block,
                                   key):

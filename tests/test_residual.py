@@ -148,6 +148,20 @@ class TestPointDistance:
             assert point_distance(a, DetectedPoint(b, SIGN)) == \
                 pytest.approx(point_distance(b, DetectedPoint(a, SIGN)))
 
+    def test_float_form_equals_array_form(self):
+        # point_distance runs on Python floats in the gate rows' order,
+        # sqrt(ex^2 + ey^2) over (projection - detection), so the results
+        # are equal to the objective's array form.
+        rng = np.random.default_rng(30)
+        scale = 10.0 ** rng.uniform(-3, 4, size=(5000, 1))
+        proj, det = rng.normal(size=(2, 5000, 2)) * scale
+        err = proj - det
+        sq = err * err
+        want = np.sqrt(sq[:, 0] + sq[:, 1])
+        got = [point_distance(tuple(uv.tolist()), DetectedPoint(m, SIGN))
+               for uv, m in zip(proj, det)]
+        assert got == want.tolist()
+
 
 class TestSoftConstraint:
     def test_zero_at_flat_pose(self):
