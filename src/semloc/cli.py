@@ -21,16 +21,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .association import AssociationConfig, closest_correspond
 from .camera import parse_intrinsics, serialize_intrinsics
 from .features import (extract_features, mask_file_name, read_mask_files,
                        write_mask_files)
-from .mapmodel import (DegenerateCluster, RoughPose, SemanticClass,
-                       SemanticMap, fit_line_landmark, fit_point_landmark,
-                       parse_map, preselect, save_map, text_records)
+from .mapmodel import (RoughPose, SemanticClass, SemanticMap,
+                       fit_line_landmark, fit_point_landmark, parse_map,
+                       preselect, save_map, text_records)
 from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
                        parse_detections, parse_ground_truth, parse_result,
                        run_sequence, serialize_detections,
@@ -45,11 +43,13 @@ class CliError(Exception):
     pass
 
 
-# Top-level manifest keys: input paths (resolved against the manifest's
-# directory), the result path, the masks' road index and the residual block.
+# The manifest's settings and the type of each: the input paths (resolved
+# against the manifest's directory), the result path, the masks' road index
+# and the residual block, whose settings are ``ResidualConfig``'s.
 _INPUT_KEYS = ("map", "detections", "masks", "intrinsics", "bootstrap",
                "ground-truth")
-_MANIFEST_KEYS = (*_INPUT_KEYS, "out", "road_index", "residual")
+_MANIFEST = {**dict.fromkeys((*_INPUT_KEYS, "out"), str), "road_index": int,
+             "residual": {"camera_height_m": float}}
 
 
 def _read(path, what):
@@ -59,34 +59,24 @@ def _read(path, what):
     return path.read_text()
 
 
-def _check_keys(block: dict, allowed, what: str) -> None:
-    unknown = set(block) - set(allowed)
+def _check_settings(block: dict, schema: dict, what: str) -> None:
+    """Every key of ``block`` must be in ``schema`` and its value of the
+    type given there; an int may stand in for a float, a bool for nothing
+    else. A nested table is a block of its own."""
+    unknown = set(block) - set(schema)
     if unknown:
         raise CliError(f"unknown {what} settings: {sorted(unknown)}")
-
-
-def _check_type(value, default, what: str, key: str) -> None:
-    """A setting must have the type of its default; an int may stand in
-    for a float, a bool for nothing else."""
-    expected = type(default)
-    if not (type(value) is expected or
-            (expected is float and type(value) is int)):
-        raise CliError(f"{what} setting {key!r} must be {expected.__name__}, "
-                       f"got {value!r}")
-
-
-def _config_from(manifest: dict, name: str, cls):
-    """``cls`` built from the manifest's config block ``name``; the
-    defaults when the block is absent."""
-    block = manifest.get(name, {})
-    if not isinstance(block, dict):
-        raise CliError(f"manifest setting {name!r} must be a JSON object, "
-                       f"got {block!r}")
-    fields = {f.name: f.default for f in dataclasses.fields(cls)}
-    _check_keys(block, fields, name)
     for key, value in block.items():
-        _check_type(value, fields[key], name, key)
-    return cls(**block)
+        expected = schema[key]
+        if isinstance(expected, dict):
+            if not isinstance(value, dict):
+                raise CliError(f"{what} setting {key!r} must be a JSON "
+                               f"object, got {value!r}")
+            _check_settings(value, expected, key)
+        elif not (type(value) is expected or
+                  (expected is float and type(value) is int)):
+            raise CliError(f"{what} setting {key!r} must be "
+                           f"{expected.__name__}, got {value!r}")
 
 
 def _non_finite(name: str):
@@ -107,11 +97,7 @@ def _load_manifest(args) -> dict:
             raise CliError(f"manifest is not valid JSON: {exc}") from None
         if not isinstance(manifest, dict):
             raise CliError("manifest must be a JSON object")
-        _check_keys(manifest, _MANIFEST_KEYS, "manifest")
-        for key in (*_INPUT_KEYS, "out"):
-            if key in manifest:
-                _check_type(manifest[key], "", "manifest", key)
-        _check_type(manifest.get("road_index", 0), 0, "manifest", "road_index")
+        _check_settings(manifest, _MANIFEST, "manifest")
         base = Path(args.manifest).parent
         for key in _INPUT_KEYS:
             if key in manifest:
@@ -185,47 +171,26 @@ def _mask_frame_id(name: str) -> int:
 #   ...
 
 
-def _parse_clusters(text: str, path: str):
+def _parse_clusters(text: str, path: str) -> list:
+    """Each cluster's header (kind, class, road index, line number) and
+    its rows of coordinates, in file order."""
     clusters = []
-    header = None
-    points: list = []
-
-    def flush(line_no):
-        if header is None:
-            return
-        if not points:
-            raise CliError(f"{path}:{line_no}: cluster without points")
-        clusters.append((header, np.array(points)))
-
     for line_no, fields in text_records(text):
-        if fields[0] == "CLUSTER":
-            flush(line_no)
-            points = []
-            if len(fields) != 4 or fields[1] not in ("LINE", "POINT"):
-                raise CliError(
-                    f"{path}:{line_no}: expected CLUSTER <LINE|POINT> "
-                    f"<class> <road_index>")
-            try:
-                semantic = SemanticClass(fields[2])
-            except ValueError:
-                raise CliError(f"{path}:{line_no}: unknown class {fields[2]!r}") \
-                    from None
-            try:
-                road_index = int(fields[3])
-            except ValueError:
-                raise CliError(f"{path}:{line_no}: malformed road index "
-                               f"{fields[3]!r}") from None
-            header = (fields[1], semantic, road_index, line_no)
-        else:
-            if header is None:
-                raise CliError(f"{path}:{line_no}: point before any CLUSTER header")
-            if len(fields) != 3:
-                raise CliError(f"{path}:{line_no}: expected 3 coordinates")
-            try:
-                points.append([float(f) for f in fields])
-            except ValueError:
-                raise CliError(f"{path}:{line_no}: malformed coordinate") from None
-    flush(len(text.splitlines()) + 1)
+        try:
+            if fields[0] == "CLUSTER":
+                if len(fields) != 4 or fields[1] not in ("LINE", "POINT"):
+                    raise ValueError("expected CLUSTER <LINE|POINT> <class> "
+                                     "<road_index>")
+                clusters.append(((fields[1], SemanticClass(fields[2]),
+                                  int(fields[3]), line_no), []))
+            elif not clusters:
+                raise ValueError("point before any CLUSTER header")
+            elif len(fields) != 3:
+                raise ValueError("expected 3 coordinates")
+            else:
+                clusters[-1][1].append([float(f) for f in fields])
+        except ValueError as exc:
+            raise CliError(f"{path}:{line_no}: {exc}") from None
     return clusters
 
 
@@ -242,7 +207,7 @@ def cmd_compile_map(args) -> int:
                 else:
                     points.append(fit_point_landmark(pts, semantic, road,
                                                      landmark_id=next_id))
-            except (DegenerateCluster, ValueError) as exc:
+            except ValueError as exc:
                 raise CliError(f"{path}:{line_no}: {exc}") from None
             next_id += 1
     save_map(SemanticMap(lines, points, []), args.out)
@@ -311,6 +276,7 @@ def _load_bootstrap(text: str, frames) -> list:
 
 def cmd_localize(args) -> int:
     manifest = _load_manifest(args)
+    residual = ResidualConfig(**manifest.get("residual", {}))
     if ("detections" in manifest) == ("masks" in manifest):
         raise CliError("give exactly one of 'detections' or 'masks' "
                        "(flag or manifest)")
@@ -322,7 +288,6 @@ def cmd_localize(args) -> int:
         frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     bootstrap = _load_bootstrap(_read_input(manifest, "bootstrap"), frames)
-    residual = _config_from(manifest, "residual", ResidualConfig)
 
     result = run_sequence(semantic_map, frames, bootstrap, intrinsics,
                           residual)
@@ -370,13 +335,13 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     manifest = _load_manifest(args)
+    residual = ResidualConfig(**manifest.get("residual", {}))
     _refuse_road_index(manifest)
     out = _required(manifest, "out")
     semantic_map = parse_map(_read_input(manifest, "map"))
     frames = parse_detections(_read_input(manifest, "detections"))
     intrinsics = parse_intrinsics(_read_input(manifest, "intrinsics"))
     truth = parse_ground_truth(_read_input(manifest, "ground-truth"))
-    residual = _config_from(manifest, "residual", ResidualConfig)
 
     frame = next((f for f in frames if f.frame_id == args.frame), None)
     if frame is None:

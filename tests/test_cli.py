@@ -68,7 +68,7 @@ def test_comments_and_blank_lines_are_skipped(synth_dir, tmp_path, name):
     assert parsed(_commented(plain)) == parsed(plain)
 
 
-def _modules_after(tmp_path, script, package="scipy"):
+def _modules_after(tmp_path, script, package):
     """Names of the modules of ``package`` loaded after a fresh interpreter
     has run ``script`` in ``tmp_path``."""
     src = str(Path(semloc.__file__).resolve().parent.parent)
@@ -84,12 +84,6 @@ def _modules_after(tmp_path, script, package="scipy"):
     return out.stdout.strip().splitlines()[-1]
 
 
-def test_cli_import_leaves_out_scipy(tmp_path):
-    # With scipy.ndimage loaded at import, semloc.features took about 0.39 s
-    # of a 0.53-0.55 s cold CLI start, and only mask extraction needs it.
-    assert _modules_after(tmp_path, "import semloc, semloc.cli") == "[]"
-
-
 def test_cli_import_leaves_out_numpy_random(tmp_path):
     # Importing numpy.random costs about 11 ms of a cold start, and RANSAC
     # draws its pairs from a fixed table. numpy 1.x loads it with numpy.
@@ -97,28 +91,6 @@ def test_cli_import_leaves_out_numpy_random(tmp_path):
         pytest.skip("import numpy loads numpy.random")
     assert _modules_after(tmp_path, "import semloc, semloc.cli",
                           "numpy.random") == "[]"
-
-
-def test_detection_commands_leave_out_scipy(tmp_path):
-    # Every command but ``localize --masks``, in one interpreter: a scipy
-    # import that a detections code path reaches only at run time fails here.
-    (tmp_path / "clusters.txt").write_text(CLUSTERS)
-    world = ("--map", "w/map.txt", "--detections", "w/detections.txt",
-             "--intrinsics", "w/intrinsics.txt")
-    commands = [
-        ("synth", "--out", "w", "--length", "50", "--no-masks"),
-        ("localize", *world, "--bootstrap", "w/groundtruth.txt",
-         "--out", "result.csv"),
-        ("eval", "--result", "result.csv",
-         "--ground-truth", "w/groundtruth.txt"),
-        ("landscape", *world, "--ground-truth", "w/groundtruth.txt",
-         "--frame", "4", "--grid", "3", "--out", "landscape.csv"),
-        ("compile-map", "clusters.txt", "--out", "compiled.txt"),
-    ]
-    script = ("from semloc.cli import main\n"
-              f"assert [main(list(c)) for c in {commands!r}] == "
-              f"{[0] * len(commands)!r}")
-    assert _modules_after(tmp_path, script) == "[]"
 
 
 def test_no_command_imports_scipy(tmp_path):
@@ -188,12 +160,33 @@ class TestCompileMap:
         m = parse_map(out.read_text())
         assert not (m.lines or m.points or m.lanes)
 
-    def test_malformed_cluster_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, line_no", [
+        pytest.param("CLUSTER LINE POLE 0\n1.0 2.0\n", 2, id="short-row"),
+        pytest.param("CLUSTER LINE POLE\n1 2 3\n4 5 6\n", 1,
+                     id="short-header"),
+        pytest.param("CLUSTER CURVE POLE 0\n1 2 3\n4 5 6\n", 1,
+                     id="unknown-kind"),
+        pytest.param("CLUSTER LINE TREE 0\n1 2 3\n4 5 6\n", 1,
+                     id="unknown-class"),
+        pytest.param("# points first\n1 2 3\nCLUSTER LINE POLE 0\n", 2,
+                     id="row-before-header"),
+        pytest.param("CLUSTER LINE POLE 0\n1 2 3\n4 y 6\n", 3,
+                     id="non-numeric-coordinate"),
+        # An empty cluster is named at its own header, not at the next one
+        # or past the end of the file.
+        pytest.param("CLUSTER LINE POLE 0\nCLUSTER POINT SIGN 0\n1 2 3\n", 1,
+                     id="empty-line-cluster"),
+        pytest.param("CLUSTER LINE POLE 0\n1 2 3\n4 5 6\n"
+                     "CLUSTER POINT SIGN 0\n", 4, id="empty-point-cluster"),
+    ])
+    def test_malformed_cluster_fails(self, tmp_path, capsys, text, line_no):
         cluster = tmp_path / "bad.txt"
-        cluster.write_text("CLUSTER LINE POLE 0\n1.0 2.0\n")
+        cluster.write_text(text)
         out = tmp_path / "map.txt"
         assert run_cli("compile-map", cluster, "--out", out) == 1
-        assert "bad.txt" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"error: {cluster}:{line_no}: ")
+        assert not out.exists()
 
     def test_degenerate_cluster_fails(self, tmp_path):
         cluster = tmp_path / "bad.txt"
@@ -394,6 +387,26 @@ class TestLocalize:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "frame 1" in err
 
+    @pytest.mark.parametrize("create, message", [
+        (False, "error: mask directory not found: "),
+        (True, "error: no .pgm masks in "),
+    ])
+    def test_mask_directory_without_masks_fails(self, synth_dir, tmp_path,
+                                                capsys, create, message):
+        masks = tmp_path / "masks"
+        if create:
+            masks.mkdir()
+            (masks / "notes.txt").write_text("000003_POLE.pgm\n")
+        code = run_cli("localize",
+                       "--map", synth_dir / "map.txt",
+                       "--masks", masks,
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--bootstrap", synth_dir / "groundtruth.txt",
+                       "--out", tmp_path / "result.csv")
+        assert code == 1
+        assert capsys.readouterr().err == f"{message}{masks}\n"
+        assert not (tmp_path / "result.csv").exists()
+
     @pytest.mark.parametrize("name", ["notes.pgm", "000003_FOO.pgm"])
     def test_foreign_mask_names_fail(self, synth_dir, tmp_path, capsys, name):
         masks = tmp_path / "masks"
@@ -547,6 +560,19 @@ class TestManifest:
         assert len(lines) == 2
         for line in lines:
             assert line.startswith("error:") and repr(key) in line
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"map": "map.txt",', "error: manifest is not valid JSON: "),
+        ('["map.txt"]', "error: manifest must be a JSON object"),
+    ])
+    def test_unreadable_manifest_fails(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "run.json"
+        manifest.write_text(text)
+        assert self.run_both(manifest, tmp_path) == [1, 1]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            assert line.startswith(message)
 
     @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
     def test_non_finite_number_fails(self, synth_dir, tmp_path, capsys, value):
@@ -737,6 +763,28 @@ class TestLandscape:
                        "--intrinsics", synth_dir / "intrinsics.txt",
                        "--ground-truth", synth_dir / "groundtruth.txt",
                        "--frame", "9999", "--out", tmp_path / "x.csv") == 1
+
+    @pytest.mark.parametrize("dropped, args, message", [
+        # Frame 4 is in the detections but not in the ground truth.
+        ([4], (), "error: frame 4 not present in ground truth\n"),
+        ([], ("--dims", "x"), "error: --dims and --half-ranges take two "
+                              "comma-separated values\n"),
+    ])
+    def test_unusable_request_fails(self, synth_dir, tmp_path, capsys,
+                                    dropped, args, message):
+        truth = parse_ground_truth((synth_dir / "groundtruth.txt").read_text())
+        ground_truth = tmp_path / "groundtruth.txt"
+        ground_truth.write_text(serialize_ground_truth(
+            {k: pose for k, pose in truth.items() if k not in dropped}))
+        out = tmp_path / "x.csv"
+        assert run_cli("landscape",
+                       "--map", synth_dir / "map.txt",
+                       "--detections", synth_dir / "detections.txt",
+                       "--intrinsics", synth_dir / "intrinsics.txt",
+                       "--ground-truth", ground_truth,
+                       "--frame", "4", *args, "--out", out) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestLocalizeFromMasks:
