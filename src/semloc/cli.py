@@ -35,8 +35,6 @@ from .pipeline import (FrameInput, FrameStatus, evaluate, heading_from_pose,
                        serialize_ground_truth, serialize_result)
 from .residual import ReprojectionObjective, ResidualConfig, nearest_lane_height
 from .solver import cost_landscape
-from .synthworld import (WorldConfig, generate_world, render_frames,
-                         render_masks)
 
 
 class CliError(Exception):
@@ -220,6 +218,10 @@ def cmd_compile_map(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    # Only synth needs the world generator; every other command starts
+    # without it.
+    from .synthworld import (WorldConfig, generate_world, render_frames,
+                             render_masks)
     config = WorldConfig(
         corridor_length_m=args.length,
         pole_spacing_m=args.pole_spacing,
@@ -228,7 +230,7 @@ def cmd_synth(args) -> int:
         pixel_noise_sigma=args.noise_sigma,
         outlier_rate=args.outlier_rate,
         dropout_rate=args.dropout_rate,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=args.seed,
     )
     semantic_map, trajectory = generate_world(config)
     if len(trajectory) < 2:
@@ -334,6 +336,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_landscape(args) -> int:
+    try:
+        dim_a, dim_b = (d.strip() for d in args.dims.split(","))
+        half_a, half_b = (float(v) for v in args.half_ranges.split(","))
+    except ValueError:
+        raise CliError("--dims and --half-ranges take two comma-separated "
+                       "values") from None
     manifest = _load_manifest(args)
     residual = ResidualConfig(**manifest.get("residual", {}))
     _refuse_road_index(manifest)
@@ -363,22 +371,15 @@ def cmd_landscape(args) -> int:
     objective = ReprojectionObjective(selected, frame.det_lines,
                                       frame.det_points, corr, intrinsics,
                                       residual, y_lane)
-    try:
-        dim_a, dim_b = args.dims.split(",")
-        half_a, half_b = (float(v) for v in args.half_ranges.split(","))
-    except ValueError:
-        raise CliError("--dims and --half-ranges take two comma-separated "
-                       "values") from None
-    a_vals, b_vals, grid = cost_landscape(objective, center, dim_a.strip(),
-                                          dim_b.strip(), half_a, half_b,
-                                          args.grid)
+    a_vals, b_vals, grid = cost_landscape(objective, center, dim_a, dim_b,
+                                          half_a, half_b, args.grid)
     rows = ["a_value,b_value,sqrtR"]
     for i, a in enumerate(a_vals):
         for j, b in enumerate(b_vals):
             rows.append(f"{a:.9f},{b:.9f},{grid[i, j]:.9f}")
     Path(out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.grid}x{args.grid} landscape over "
-          f"({dim_a.strip()}, {dim_b.strip()}) to {out}")
+          f"({dim_a}, {dim_b}) to {out}")
     return 0
 
 
@@ -408,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pixel noise sigma")
     p.add_argument("--outlier-rate", type=float, default=0.0)
     p.add_argument("--dropout-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-masks", action="store_true",
                    help="skip writing per-frame mask images")
     p.set_defaults(func=cmd_synth)

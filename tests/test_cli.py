@@ -93,25 +93,28 @@ def test_cli_import_leaves_out_numpy_random(tmp_path):
                           "numpy.random") == "[]"
 
 
+# Every command, masks included, run in a directory holding CLUSTERS as
+# clusters.txt: synth writes the world w/ that the others read.
+_WORLD = ("--map", "w/map.txt", "--intrinsics", "w/intrinsics.txt")
+_COMMANDS = [
+    ("synth", "--out", "w", "--length", "50"),
+    ("localize", *_WORLD, "--detections", "w/detections.txt",
+     "--bootstrap", "w/groundtruth.txt", "--out", "result.csv"),
+    ("localize", *_WORLD, "--masks", "w/masks",
+     "--bootstrap", "w/groundtruth.txt", "--out", "masks_result.csv"),
+    ("eval", "--result", "result.csv", "--ground-truth", "w/groundtruth.txt"),
+    ("landscape", *_WORLD, "--detections", "w/detections.txt",
+     "--ground-truth", "w/groundtruth.txt", "--frame", "4", "--grid", "3",
+     "--out", "landscape.csv"),
+    ("compile-map", "clusters.txt", "--out", "compiled.txt"),
+]
+
+
 def test_no_command_imports_scipy(tmp_path):
-    # Every command, masks included, in one fresh interpreter: the scipy
-    # modules loaded after the CLI import and after each command must be
-    # none, so a run-time import on any code path fails here.
+    # Every command in one fresh interpreter: the scipy modules loaded after
+    # the CLI import and after each command must be none, so a run-time
+    # import on any code path fails here.
     (tmp_path / "clusters.txt").write_text(CLUSTERS)
-    world = ("--map", "w/map.txt", "--intrinsics", "w/intrinsics.txt")
-    commands = [
-        ("synth", "--out", "w", "--length", "50"),
-        ("localize", *world, "--detections", "w/detections.txt",
-         "--bootstrap", "w/groundtruth.txt", "--out", "result.csv"),
-        ("localize", *world, "--masks", "w/masks",
-         "--bootstrap", "w/groundtruth.txt", "--out", "masks_result.csv"),
-        ("eval", "--result", "result.csv",
-         "--ground-truth", "w/groundtruth.txt"),
-        ("landscape", *world, "--detections", "w/detections.txt",
-         "--ground-truth", "w/groundtruth.txt", "--frame", "4", "--grid", "3",
-         "--out", "landscape.csv"),
-        ("compile-map", "clusters.txt", "--out", "compiled.txt"),
-    ]
     script = (
         "import sys\n"
         "def scipy_modules():\n"
@@ -119,7 +122,7 @@ def test_no_command_imports_scipy(tmp_path):
         "                  if m.split('.')[0] == 'scipy')\n"
         "import semloc, semloc.cli\n"
         "seen = [('import', 0, scipy_modules())]\n"
-        f"for command in {commands!r}:\n"
+        f"for command in {_COMMANDS!r}:\n"
         "    code = semloc.cli.main(list(command))\n"
         "    seen.append((command[0], code, scipy_modules()))\n"
         "print(repr(seen))")
@@ -131,9 +134,42 @@ def test_no_command_imports_scipy(tmp_path):
                          cwd=tmp_path)
     seen = ast.literal_eval(out.stdout.strip().splitlines()[-1])
     assert [name for name, _, _ in seen] == \
-        ["import"] + [command[0] for command in commands]
+        ["import"] + [command[0] for command in _COMMANDS]
     assert seen == [(name, 0, []) for name, _, _ in seen]
     assert (tmp_path / "masks_result.csv").read_text().count("\n") > 2
+
+
+def test_only_synth_loads_the_world_generator(tmp_path, monkeypatch):
+    # The package root imports no submodule, and the CLI loads synthworld
+    # for synth only. A module stays loaded once imported, so none after
+    # the last command means none after the CLI import and each command.
+    assert _modules_after(tmp_path, "import semloc", "semloc") == "['semloc']"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clusters.txt").write_text(CLUSTERS)
+    synth, *others = _COMMANDS
+    assert run_cli(*synth) == 0
+    run = ("import semloc.cli\n"
+           "for command in {!r}:\n"
+           "    assert semloc.cli.main(list(command)) == 0, command\n")
+    assert _modules_after(tmp_path, run.format(others),
+                          "semloc.synthworld") == "[]"
+    assert _modules_after(tmp_path, run.format([synth]),
+                          "semloc.synthworld") == "['semloc.synthworld']"
+
+
+def test_version_matches_pyproject(capsys):
+    # The version is written twice: in pyproject.toml and in the package
+    # root, which `semloc --version` prints. tomllib needs Python 3.11.
+    pyproject = (Path(__file__).resolve().parents[1] /
+                 "pyproject.toml").read_text()
+    project = pyproject.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    declared = re.search(r'^version = "([^"]+)"$', project,
+                         re.MULTILINE).group(1)
+    assert semloc.__version__ == declared
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("--version")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == f"{declared}\n"
 
 
 class TestCompileMap:
@@ -214,12 +250,17 @@ class TestSynth:
         assert masks  # all four artifact kinds present by default
 
     def test_byte_identical_rerun(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert run_cli("synth", "--out", out, "--length", "50",
-                           "--seed", "9", "--no-masks") == 0
+        # Two runs at one seed write the same world, and 0 is the default.
+        runs = {"a": ("--seed", "9"), "b": ("--seed", "9"),
+                "c": (), "d": ("--seed", "0")}
+        for out, seed in runs.items():
+            assert run_cli("synth", "--out", tmp_path / out, "--length", "50",
+                           *seed, "--no-masks") == 0
         for name in ("map.txt", "detections.txt", "groundtruth.txt"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+            assert (tmp_path / "c" / name).read_bytes() == \
+                (tmp_path / "d" / name).read_bytes()
 
     def test_summary_counts_each_class(self, tmp_path, capsys):
         out = tmp_path / "world"
@@ -769,9 +810,13 @@ class TestLandscape:
         ([4], (), "error: frame 4 not present in ground truth\n"),
         ([], ("--dims", "x"), "error: --dims and --half-ranges take two "
                               "comma-separated values\n"),
+        # The flags are read before any input: a missing map comes second.
+        ([], ("--map", "missing-map.txt", "--dims", "x"),
+         "error: --dims and --half-ranges take two comma-separated values\n"),
     ])
     def test_unusable_request_fails(self, synth_dir, tmp_path, capsys,
-                                    dropped, args, message):
+                                    monkeypatch, dropped, args, message):
+        monkeypatch.chdir(tmp_path)
         truth = parse_ground_truth((synth_dir / "groundtruth.txt").read_text())
         ground_truth = tmp_path / "groundtruth.txt"
         ground_truth.write_text(serialize_ground_truth(
