@@ -69,15 +69,18 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     Each preselected landmark is projected (cheirality failures are
     skipped) and paired with the closest detection of the same class when
     that distance is within the gate. Ties go to the lowest detection
-    index, and a detection may be claimed by more than one landmark; the
-    hypothesis validation stage is the defense against such conflicts.
+    index, and a detection may be claimed by more than one landmark.
+    Nothing downstream resolves such conflicts yet: hypothesis validation
+    can accept a pose metres off with two landmarks on one detection (see
+    ``tests/test_pipeline.py::TestNoFarOffAccept`` and ROADMAP item 1).
     """
     corr = CorrespondenceSet()
     view = PoseTransform.of(pose)
     # One projection per landmark through the module globals, so a wrapper
     # installed on this module sees every call. Each detection's geometry
-    # is taken once; a line distance is then a few float operations per
-    # (landmark, detection) pair.
+    # (a line's frame, a point's (x, y)) is taken once as Python floats; a
+    # distance is then a few float operations per (landmark, detection)
+    # pair.
     for pairs, landmarks, projections, detections, distance, gate in (
             (corr.line_pairs, preselected.lines,
              [project_line(lm, view, intrinsics) for lm in preselected.lines],
@@ -86,7 +89,7 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
             (corr.point_pairs, preselected.points,
              [project_point(lm.p, view, intrinsics)
               for lm in preselected.points],
-             [(det.semantic, det) for det in det_points],
+             [(det.semantic, det.m.tolist()) for det in det_points],
              point_distance, gate_point_px)):
         for lm_idx, (lm, proj) in enumerate(zip(landmarks, projections)):
             if proj is None:

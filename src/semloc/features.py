@@ -34,8 +34,11 @@ from .mapmodel import SemanticClass, principal_axis
 # extract_features took about 28 % less time at 1 << 13 or 1 << 14 than
 # at 1 << 16. Blocks smaller than 1 << 13 pay more per-block overhead.
 _SCORE_BLOCK_ELEMENTS = 1 << 13
-# Probability cutoff of the mask channels; see threshold_level.
+# Probability cutoff of the mask channels, and the smallest 8-bit level
+# whose probability (level / 255) strictly exceeds it, so
+# ``raster >= _THRESHOLD_LEVEL`` decides the cutoff exactly.
 THRESHOLD = 0.1
+_THRESHOLD_LEVEL = int(np.count_nonzero(np.arange(256) / 255.0 <= THRESHOLD))
 # RANSAC line fit: models tried per region, the inlier distance in pixels,
 # and the least inlier share of a region that makes it a line, not a blob.
 RANSAC_ITERATIONS = 100
@@ -115,18 +118,6 @@ class DetectedPoint:
             raise ValueError(f"{self.semantic} is not a point-shaped class")
         if not np.all(np.isfinite(self.m)):
             raise ValueError("detected point must be finite")
-
-
-def threshold_level(threshold: float) -> int:
-    """Smallest 8-bit level whose probability (level / 255) strictly
-    exceeds ``threshold``, so ``raster >= level`` decides the cutoff
-    exactly."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
-    return int(np.count_nonzero(np.arange(256) / 255.0 <= threshold))
-
-
-_THRESHOLD_LEVEL = threshold_level(THRESHOLD)
 
 
 def region_grow(rasters, min_region_px: int = 30, level: int = 1) -> list:

@@ -10,12 +10,14 @@ same rows, and only that form has a Jacobian.
 Which operations fix the output bits: every BLAS or LAPACK call (the
 camera coordinates ``rel @ rot.T``, the stacked products in
 ``rotation_derivatives``, ``rel @ d_rot``, and the solver's ``J^T J``,
-``J^T r`` and ``np.linalg.solve``), the two einsums of the Jacobian, and
-the order of each elementwise product, quotient and sum (``pinhole``'s
-order for the pixels, ``x * (1/z)`` and ``x * (1/z)^2`` for their
-derivatives). Everything else, such as how rows are gathered, which
-masks are built and how many numpy calls a step takes, may be
-restructured freely as long as the results stay bit-identical.
+``J^T r`` and ``np.linalg.solve``), the two einsums of the Jacobian, the
+order of each elementwise product, quotient and sum (``pinhole``'s order
+for the pixels, ``x * (1/z)`` and ``x * (1/z)^2`` for their derivatives),
+and the float operations of ``line_distance`` and ``point_distance``,
+which are the gate rows: the matcher and the gates share them. Everything
+else, such as how rows are gathered, which masks are built and how many
+numpy calls a step takes, may be restructured freely as long as the
+results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -70,8 +72,11 @@ class CorrespondenceSet:
 
     def validate(self, preselected: PreselectedSet, det_lines, det_points) -> None:
         """Check index ranges, class agreement, and that each landmark is
-        paired at most once. A detection may serve several landmarks; the
-        hypothesis validation downstream resolves such conflicts."""
+        paired at most once. A detection may serve several landmarks, and
+        nothing downstream resolves that yet: hypothesis validation can
+        accept a pose metres off with two landmarks on one detection (see
+        ``tests/test_pipeline.py::TestNoFarOffAccept`` and ROADMAP item
+        1)."""
         for pairs, landmarks, dets, kind in (
                 (self.line_pairs, preselected.lines, det_lines, "line"),
                 (self.point_pairs, preselected.points, det_points, "point")):
@@ -93,9 +98,8 @@ def line_distance(endpoints, frame) -> float:
     """Mean perpendicular distance (pixels) of a landmark's projected
     endpoints, ``project_line``'s four floats, to the infinite line
     through a detection, given as its ``DetectedLine.geometry`` frame.
-    Python floats round each operation as numpy's elementwise ones do, so
-    in this order the result is bit-identical to the residual kernel's
-    cross products."""
+    The matcher scores line pairs with it, and each line row of the
+    objective's gate form is this function of the kernel's pixels."""
     u1x, u1y, u2x, u2y = endpoints
     ax, ay, dx, dy, twice_length = frame
     c1 = dx * (u1y - ay) - dy * (u1x - ax)
@@ -103,10 +107,12 @@ def line_distance(endpoints, frame) -> float:
     return (abs(c1) + abs(c2)) / twice_length
 
 
-def point_distance(proj, det) -> float:
-    """Euclidean pixel distance between projection and detected point, on
-    Python floats in the kernel's gate-row order: bit-identical to it."""
-    (u, v), (mx, my) = proj, det.m.tolist()
+def point_distance(proj, det_xy) -> float:
+    """Euclidean pixel distance between a projection and a detected point,
+    given as its (x, y) floats. The matcher scores point pairs with it, and
+    each point row of the objective's gate form is this function of the
+    kernel's pixels."""
+    (u, v), (mx, my) = proj, det_xy
     ex, ey = u - mx, v - my
     return math.sqrt(ex * ex + ey * ey)
 
@@ -173,20 +179,23 @@ class ReprojectionObjective:
         self.n_points = len(corr.point_pairs)
         self.n_soft = 2 if y_lane is None else 3
 
-        pts, frames = [], []
+        # Each detection is kept once as floats, which the gate rows read
+        # (line_distance, point_distance); the split form reads the numpy
+        # arrays built from those same floats below.
+        pts, self._frames = [], []
         for lm_idx, det_idx in corr.line_pairs:
             lm = preselected.lines[lm_idx]
             pts.extend((lm.p1, lm.p2))
-            frames.append(det_lines[det_idx].geometry)
-        det_pts = []
+            self._frames.append(det_lines[det_idx].geometry)
+        self._det_xy = []
         for lm_idx, det_idx in corr.point_pairs:
             pts.append(preselected.points[lm_idx].p)
-            det_pts.append(np.asarray(det_points[det_idx].m, dtype=float))
+            self._det_xy.append(det_points[det_idx].m.tolist())
 
         self._world = np.array(pts, dtype=float).reshape(-1, 3)
         # Each frame is (anchor x, y, direction x, y, twice the length);
         # halving is exact.
-        frames = np.array(frames, dtype=float).reshape(-1, 5)
+        frames = np.array(self._frames, dtype=float).reshape(-1, 5)
         self._line_anchor = frames[:, np.newaxis, 0:2]
         line_dir = frames[:, 2:4]
         # The direction swapped to (y, x): times an endpoint's offset from
@@ -194,8 +203,7 @@ class ReprojectionObjective:
         self._line_dir_yx = frames[:, np.newaxis, 3:1:-1]
         line_len = frames[:, 4] / 2.0
         self._line_len_col = line_len[:, np.newaxis]
-        self._twice_len = 2.0 * line_len
-        self._det_pts = np.array(det_pts, dtype=float).reshape(-1, 2)
+        self._det_pts = np.array(self._det_xy, dtype=float).reshape(-1, 2)
         k = intrinsics
         self._focal = np.array([k.fx, k.fy])
         self._principal = np.array([k.cx, k.cy])
@@ -204,10 +212,10 @@ class ReprojectionObjective:
         self._pixel_rows = np.array([[k.fx, k.skew], [0.0, k.fy]])
 
         # The latest residual_and_jacobian evaluation: its pose object, the
-        # kernel outputs, r and J, and the gate residual once asked for.
+        # pixels and guard, r and J, and the gate residual once asked for.
         # Both methods reuse it for that same pose object, which is most
         # often the pose a solve returns.
-        self._pose = self._kernel_out = self._r = self._jac = self._gate = None
+        self._pose = self._pixels = self._r = self._jac = self._gate = None
         # d(half_sqrt2 * cross / length)/d(pixel) for either endpoint.
         self._line_grad = np.stack([-line_dir[:, 1], line_dir[:, 0]],
                                    axis=1) * (HALF_SQRT2 / line_len)[:, None]
@@ -221,20 +229,16 @@ class ReprojectionObjective:
         if y_lane is not None:
             self._jac_template[n_data_rows + 2, 1] = LAMBDA_N * CM_PER_M
 
-    @property
-    def n_rows(self) -> int:
-        return self.n_lines + self.n_points + self.n_soft
-
     def _kernel(self, pose: CameraPose):
         """Project every control point once.
 
-        Returns the signed cross products of the detected line direction
-        with both projected endpoints (n_lines, 2), the point pixel errors
-        (n_points, 2), the cheirality guard, and the camera-frame geometry
-        the pixel Jacobian reuses: the rotation, the control points
-        relative to the camera centre, their guarded depths, (fx x, fy y)
-        and skew y. The guard is None when every control point is in front
-        of the camera, else the line and point masks of the pairs that are.
+        Returns the pixels (n, 2), both endpoints of each line pair and
+        then the points, the cheirality guard, and the camera-frame
+        geometry the pixel Jacobian reuses: the rotation, the control
+        points relative to the camera centre, their guarded depths,
+        (fx x, fy y) and skew y. The guard is None when every control point
+        is in front of the camera, else the line and point masks of the
+        pairs that are.
         """
         rot = pose.rotation()
         rel = self._world - pose.position
@@ -252,12 +256,7 @@ class ReprojectionObjective:
         uv = xy / z[:, np.newaxis]
         uv[:, 0] += sy / z
         uv += self._principal
-
-        prod = (uv[:nl2].reshape(self.n_lines, 2, 2) - self._line_anchor) \
-            * self._line_dir_yx
-        cross = prod[:, :, 1] - prod[:, :, 0]
-        err = uv[nl2:] - self._det_pts
-        return cross, err, guard, (rot, rel, z, xy, sy)
+        return uv, guard, (rot, rel, z, xy, sy)
 
     def _soft_rows(self, pose: CameraPose) -> list:
         """The weighted flat-ground rows that end both residual vectors."""
@@ -265,33 +264,31 @@ class ReprojectionObjective:
                 for term in soft_constraint(pose, self.y_lane, self.config)]
 
     def residual(self, pose: CameraPose) -> np.ndarray:
-        """The gate-form residual, shape (n_rows,). For the pose object that
+        """The gate-form residual: one row per line pair, one per point
+        pair, then the flat-ground rows. For the pose object that
         ``residual_and_jacobian`` evaluated last it is reduced from that
-        evaluation's kernel outputs and kept, so asking again returns the
-        same array. Any other pose is projected afresh and nothing is kept,
-        so a landscape grid stores no evaluation and builds no Jacobian."""
+        evaluation's pixels and kept, so asking again returns the same
+        array. Any other pose is projected afresh and nothing is kept, so a
+        landscape grid stores no evaluation and builds no Jacobian."""
         if pose is not self._pose:
-            return self._gate_rows(pose, *self._kernel(pose)[:3])
+            return self._gate_rows(pose, *self._kernel(pose)[:2])
         if self._gate is None:
-            self._gate = self._gate_rows(pose, *self._kernel_out)
+            self._gate = self._gate_rows(pose, *self._pixels)
         return self._gate
 
-    def _gate_rows(self, pose: CameraPose, cross, err, guard) -> np.ndarray:
-        """The gate-form residual from the kernel outputs at ``pose``."""
-        nl, npt = self.n_lines, self.n_points
-        res = np.empty(self.n_rows)
-        abs_cross = np.abs(cross)
-        dl = (abs_cross[:, 0] + abs_cross[:, 1]) / self._twice_len
-        # norm(err, axis=1) in its own order: sqrt(ex^2 + ey^2).
-        sq = err * err
-        dp = np.sqrt(sq[:, 0] + sq[:, 1])
+    def _gate_rows(self, pose: CameraPose, uv, guard) -> np.ndarray:
+        """The gate-form residual from the kernel's pixels at ``pose``: the
+        matcher's own line and point distances."""
+        px = uv.tolist()
+        nl2 = self._n_line_rows
+        rows = [line_distance((*a, *b), frame) for a, b, frame in
+                zip(px[0:nl2:2], px[1:nl2:2], self._frames)]
+        rows += map(point_distance, px[nl2:], self._det_xy)
         if guard is not None:
-            dl = np.where(guard[0], dl, BEHIND_CAMERA_PENALTY_PX)
-            dp = np.where(guard[1], dp, BEHIND_CAMERA_PENALTY_PX)
-        res[:nl] = dl
-        res[nl:nl + npt] = dp
-        res[nl + npt:] = self._soft_rows(pose)
-        return res
+            ok = guard[0].tolist() + guard[1].tolist()
+            rows = [row if front else BEHIND_CAMERA_PENALTY_PX
+                    for row, front in zip(rows, ok)]
+        return np.array(rows + self._soft_rows(pose))
 
     def _pixel_jacobian(self, pose: CameraPose, rot, rel, z, xy,
                         sy) -> np.ndarray:
@@ -322,11 +319,14 @@ class ReprojectionObjective:
         same two arrays back, so callers must not write to them."""
         if pose is self._pose:
             return self._r, self._jac
-        cross, err, guard, geometry = self._kernel(pose)
+        uv, guard, geometry = self._kernel(pose)
         nl2, nd = self._n_line_rows, self._n_data_rows
         res = np.empty(nd + self.n_soft)
+        prod = (uv[:nl2].reshape(self.n_lines, 2, 2) - self._line_anchor) \
+            * self._line_dir_yx
+        cross = prod[:, :, 1] - prod[:, :, 0]
         line_res = HALF_SQRT2 * (cross / self._line_len_col)
-        point_res = err
+        point_res = uv[nl2:] - self._det_pts
         duv = self._pixel_jacobian(pose, *geometry)
         # Per line endpoint: line_grad . d(pixel)/d(pose), shape (nl, 2, 6).
         rows = np.einsum("ni,nkij->nkj", self._line_grad,
@@ -336,7 +336,7 @@ class ReprojectionObjective:
             line_ok, point_ok = guard
             line_res = np.where(line_ok[:, None], line_res,
                                 BEHIND_CAMERA_PENALTY_PX)
-            point_res = np.where(point_ok[:, None], err,
+            point_res = np.where(point_ok[:, None], point_res,
                                  BEHIND_CAMERA_PENALTY_PX * HALF_SQRT2)
             rows = np.where(line_ok[:, None, None], rows, 0.0)
             point_rows = np.where(point_ok[:, None, None], point_rows, 0.0)
@@ -346,8 +346,8 @@ class ReprojectionObjective:
         jac = self._jac_template.copy()
         jac[:nl2] = rows.reshape(-1, 6)
         jac[nl2:nd] = point_rows.reshape(-1, 6)
-        self._pose, self._kernel_out, self._r, self._jac = \
-            pose, (cross, err, guard), res, jac
+        self._pose, self._pixels, self._r, self._jac = \
+            pose, (uv, guard), res, jac
         self._gate = None
         return res, jac
 

@@ -149,7 +149,8 @@ def test_criterion_3_distance_oracles():
             got, abs=1e-9 * max(1.0, got))
 
         a, b = rng.uniform(0, 1200, 2), rng.uniform(0, 1200, 2)
-        got_p = point_distance(a, DetectedPoint(b, SemanticClass.TRAFFIC_SIGN))
+        got_p = point_distance(
+            a, DetectedPoint(b, SemanticClass.TRAFFIC_SIGN).m.tolist())
         want_p = math.sqrt(float((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2))
         worst = max(worst, abs(got_p - want_p))
     assert worst < 1e-9

@@ -122,7 +122,8 @@ class TestClosestCorrespond:
                 proj, rendered.frame.det_lines[di].geometry) <= gate_l
         for li, di in corr.point_pairs:
             uv = project_point(selected.points[li].p, view, cfg.intrinsics)
-            assert point_distance(uv, rendered.frame.det_points[di]) <= gate_p
+            assert point_distance(
+                uv, rendered.frame.det_points[di].m.tolist()) <= gate_p
 
     def test_shrinking_gate_never_adds_pairs(self):
         cfg = paper_scale_world(2)
@@ -165,7 +166,8 @@ def nested_loop_matches(selected, det_lines, det_points, pose, intrinsics,
              lambda lm: project_line(lm, view, intrinsics),
              lambda proj, det: line_distance(proj, det.geometry), gate_line),
             (selected.points, det_points,
-             lambda lm: project_point(lm.p, view, intrinsics), point_distance,
+             lambda lm: project_point(lm.p, view, intrinsics),
+             lambda proj, det: point_distance(proj, det.m.tolist()),
              gate_point)):
         pairs = []
         for lm_idx, lm in enumerate(landmarks):

@@ -11,9 +11,9 @@ from scipy import ndimage
 from semloc import features
 from semloc.features import (THRESHOLD, DetectedLine, DetectedPoint,
                              SemanticMask, _read_pgm, _sample_pairs,
-                             extract_features, fit_region_line,
-                             read_mask_files, region_centroid, region_grow,
-                             threshold_level, write_mask_files)
+                             _THRESHOLD_LEVEL, extract_features,
+                             fit_region_line, read_mask_files,
+                             region_centroid, region_grow, write_mask_files)
 from semloc.mapmodel import SemanticClass
 
 POLE = SemanticClass.POLE_LIKE
@@ -132,35 +132,21 @@ def mask_of(raster, semantic=POLE):
 class TestThresholdLevel:
     def test_all_below_threshold(self):
         raster = np.full((20, 30), 13, dtype=np.uint8)  # probability 0.051
-        assert (raster >= threshold_level(0.1)).sum() == 0
+        assert (raster >= _THRESHOLD_LEVEL).sum() == 0
 
     def test_all_above_threshold(self):
         raster = np.full((20, 30), 128, dtype=np.uint8)  # probability 0.502
-        assert (raster >= threshold_level(0.1)).sum() == 20 * 30
-
-    def test_strictly_greater(self):
-        raster = np.full((5, 5), 51, dtype=np.uint8)  # exactly 0.2
-        assert (raster >= threshold_level(0.2)).sum() == 0
+        assert (raster >= _THRESHOLD_LEVEL).sum() == 20 * 30
 
     def test_matches_probability_comparison(self):
         levels = np.arange(256, dtype=np.uint8)
         probability = np.arange(256) / 255.0
-        exact = probability[1:-1]
-        thresholds = np.concatenate([
-            np.random.default_rng(0).uniform(0.0, 1.0, 2000), exact,
-            np.nextafter(exact, 0.0), np.nextafter(exact, 1.0)])
-        for t in thresholds[(thresholds > 0.0) & (thresholds < 1.0)]:
-            level = threshold_level(t)
-            assert type(level) is int and 1 <= level <= 255
-            assert np.array_equal(levels >= level, probability > t), t
+        assert type(_THRESHOLD_LEVEL) is int
+        assert np.array_equal(levels >= _THRESHOLD_LEVEL,
+                              probability > THRESHOLD)
 
     def test_default_threshold_setting(self):
         assert THRESHOLD == 0.1
-
-    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 2.0])
-    def test_rejects_threshold_outside_unit_interval(self, threshold):
-        with pytest.raises(ValueError):
-            threshold_level(threshold)
 
 
 class TestRegionGrow:
@@ -679,7 +665,7 @@ class TestExtractFeatures:
         sign = np.zeros((120, 160), dtype=np.uint8)
         sign[60:70, 60:72] = 200
         sign[100, 5:8] = 255
-        lane = np.full((120, 160), threshold_level(THRESHOLD) - 1,
+        lane = np.full((120, 160), _THRESHOLD_LEVEL - 1,
                        dtype=np.uint8)
         milestone = np.zeros((120, 160), dtype=np.uint8)
         noisy_strip(milestone, rng, 10, 30, 90, 0.3)
@@ -691,7 +677,7 @@ class TestExtractFeatures:
         for semantic in SemanticClass:
             if semantic not in mask.channels:
                 continue
-            channel = mask.channels[semantic] >= threshold_level(THRESHOLD)
+            channel = mask.channels[semantic] >= _THRESHOLD_LEVEL
             for region in reference_region_grow(channel):
                 if semantic.is_line_shaped:
                     want_lines.append(

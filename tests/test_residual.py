@@ -136,29 +136,34 @@ class TestLineDistance:
 
 class TestPointDistance:
     def test_identical(self):
-        assert point_distance([3, 4], DetectedPoint([3, 4], SIGN)) == 0.0
+        assert point_distance([3, 4], DetectedPoint([3, 4], SIGN).m.tolist()) \
+            == 0.0
 
     def test_345(self):
-        assert point_distance([0, 0], DetectedPoint([3, 4], SIGN)) == pytest.approx(5.0)
+        assert point_distance([0, 0], DetectedPoint([3, 4], SIGN).m.tolist()) \
+            == pytest.approx(5.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             a, b = rng.uniform(0, 1000, 2), rng.uniform(0, 1000, 2)
-            assert point_distance(a, DetectedPoint(b, SIGN)) == \
-                pytest.approx(point_distance(b, DetectedPoint(a, SIGN)))
+            assert point_distance(a, DetectedPoint(b, SIGN).m.tolist()) == \
+                pytest.approx(
+                    point_distance(b, DetectedPoint(a, SIGN).m.tolist()))
 
     def test_float_form_equals_array_form(self):
-        # point_distance runs on Python floats in the gate rows' order,
-        # sqrt(ex^2 + ey^2) over (projection - detection), so the results
-        # are equal to the objective's array form.
+        # point_distance runs on Python floats; each operation rounds as its
+        # numpy elementwise counterpart does, so in the order
+        # sqrt(ex^2 + ey^2) over (projection - detection) the results are
+        # equal.
         rng = np.random.default_rng(30)
         scale = 10.0 ** rng.uniform(-3, 4, size=(5000, 1))
         proj, det = rng.normal(size=(2, 5000, 2)) * scale
         err = proj - det
         sq = err * err
         want = np.sqrt(sq[:, 0] + sq[:, 1])
-        got = [point_distance(tuple(uv.tolist()), DetectedPoint(m, SIGN))
+        got = [point_distance(tuple(uv.tolist()),
+                              DetectedPoint(m, SIGN).m.tolist())
                for uv, m in zip(proj, det)]
         assert got == want.tolist()
 
@@ -297,7 +302,7 @@ class TestTotalResidual:
             want += line_distance(proj, det_lines[d_idx].geometry) ** 2
         for lm_idx, d_idx in corr.point_pairs:
             uv = project_point(sel.points[lm_idx].p, view, intrinsics)
-            want += point_distance(uv, det_points[d_idx]) ** 2
+            want += point_distance(uv, det_points[d_idx].m.tolist()) ** 2
         soft = np.array(soft_constraint(pose, 0.0, config))
         want += LAMBDA_N ** 2 * float(soft @ soft)
         assert cost == pytest.approx(want, rel=1e-12)
@@ -492,8 +497,9 @@ class TestGateForm:
         obj.residual_and_jacobian(pose)
         calls.update(kernel=0, rotation_derivatives=0)
         moved = CameraPose.from_vector(pose.as_vector() + 0.01)
-        assert obj.residual(moved).shape == (obj.n_rows,)
-        assert obj.residual(moved).shape == (obj.n_rows,)
+        n_rows = obj.n_lines + obj.n_points + obj.n_soft
+        assert obj.residual(moved).shape == (n_rows,)
+        assert obj.residual(moved).shape == (n_rows,)
         assert calls == {"kernel": 2, "rotation_derivatives": 0}
         # The slot still holds the evaluated pose.
         obj.residual_and_jacobian(pose)
