@@ -34,6 +34,13 @@ from .mapmodel import SemanticClass, principal_axis
 # extract_features took about 28 % less time at 1 << 13 or 1 << 14 than
 # at 1 << 16. Blocks smaller than 1 << 13 pay more per-block overhead.
 _SCORE_BLOCK_ELEMENTS = 1 << 13
+# Models in a fit's first block; later blocks fill the budget above. A
+# clean stroke has a model that keeps every pixel of its region, and the
+# fit stops at the block that holds the first one: in the 242 line regions
+# of the 60 frames the masks benchmark renders at seed 0, every region had
+# one, the first at table index 0-13 (median 1), 237 of them within the
+# first 8.
+_FIRST_BLOCK_MODELS = 8
 # Probability cutoff of the mask channels, and the smallest 8-bit level
 # whose probability (level / 255) strictly exceeds it, so
 # ``raster >= _THRESHOLD_LEVEL`` decides the cutoff exactly.
@@ -239,8 +246,15 @@ def fit_region_line(region: np.ndarray,
     region is a blob, not a line).
 
     Models are scored a block at a time as a (models, pixels) distance
-    array, in two buffers reused from block to block; the first model with
-    the most inliers wins.
+    array, in two buffers reused from block to block: first
+    ``_FIRST_BLOCK_MODELS`` models, then as many as ``_SCORE_BLOCK_ELEMENTS``
+    distances hold. The first model with the most inliers wins. No model
+    keeps more than every pixel, so scoring stops after the block that
+    holds the first model keeping all of them; a region with no such model
+    scores every model. When the winner keeps every pixel, the region's
+    pixels are its inliers and its distances are not scored again; when
+    the re-gate against the refit line keeps every pixel too, that refit
+    is the final line, since a second refit would see the same pixels.
     """
     pts = np.asarray(region)[:, ::-1].astype(float)  # (x, y) per pixel
     n = pts.shape[0]
@@ -259,27 +273,37 @@ def fit_region_line(region: np.ndarray,
     xs, ys = np.ascontiguousarray(pts.T)
     out = np.empty((min(block, first.size), n))
     spare = np.empty_like(out)
-    counts = np.concatenate([
-        np.count_nonzero(
-            _line_distances(xs, ys, pts[first[k:k + block]],
-                            direction[k:k + block], out, spare) <= INLIER_TOL,
+    best, most = 0, -1
+    start, stop = 0, min(_FIRST_BLOCK_MODELS, block)
+    while most < n and start < first.size:
+        counts = np.count_nonzero(
+            _line_distances(xs, ys, pts[first[start:stop]],
+                            direction[start:stop], out, spare) <= INLIER_TOL,
             axis=1)
-        for k in range(0, first.size, block)])
-    best = int(np.argmax(counts))
-    best_mask = _line_distances(
-        xs, ys, pts[first[best:best + 1]], direction[best:best + 1],
-        out, spare)[0] <= INLIER_TOL
+        top = int(np.argmax(counts))
+        if counts[top] > most:
+            best, most = start + top, int(counts[top])
+        start, stop = stop, stop + block
+    if most == n:
+        winners = pts
+    else:
+        winners = pts[_line_distances(
+            xs, ys, pts[first[best:best + 1]], direction[best:best + 1],
+            out, spare)[0] <= INLIER_TOL]
 
     # Least-squares refit on the winning inliers, then one re-gating pass
     # against the refit line so the inlier count and endpoints agree.
-    centroid, direction = principal_axis(pts[best_mask])
-    dist = _line_distances(xs, ys, centroid[None], direction[None],
-                           out, spare)[0]
-    inliers = pts[dist <= INLIER_TOL]
-    count = inliers.shape[0]
+    centroid, direction = principal_axis(winners)
+    keep = _line_distances(xs, ys, centroid[None], direction[None],
+                           out, spare)[0] <= INLIER_TOL
+    count = int(np.count_nonzero(keep))
     if count < 2 or count / n < MIN_INLIER_RATIO:
         return None
-    centroid, direction = principal_axis(inliers)
+    if count == most == n:
+        inliers = pts
+    else:
+        inliers = pts[keep]
+        centroid, direction = principal_axis(inliers)
     t = (inliers - centroid) @ direction
     m1 = centroid + t.min() * direction
     m2 = centroid + t.max() * direction

@@ -14,7 +14,8 @@ from semloc.features import (THRESHOLD, DetectedLine, DetectedPoint,
                              _THRESHOLD_LEVEL, extract_features,
                              fit_region_line, read_mask_files,
                              region_centroid, region_grow, write_mask_files)
-from semloc.mapmodel import SemanticClass
+from semloc.mapmodel import SemanticClass, principal_axis
+from semloc.synthworld import WorldConfig, generate_world, render_masks
 
 POLE = SemanticClass.POLE_LIKE
 SIGN = SemanticClass.TRAFFIC_SIGN
@@ -66,6 +67,32 @@ def reference_pairs(n):
     return pairs
 
 
+def reference_inlier_masks(pts, inlier_tol=2.0):
+    """Per pair of the table, the inlier mask of its model over the (x, y)
+    ``pts``; None where the pair's pixels coincide."""
+    masks = []
+    for i, j in reference_pairs(pts.shape[0]):
+        direction = pts[j] - pts[i]
+        norm = float(np.hypot(direction[0], direction[1]))
+        if norm < 1e-9:
+            masks.append(None)
+            continue
+        direction = direction / norm
+        offsets = pts - pts[i]
+        dist = np.abs(offsets[:, 0] * direction[1]
+                      - offsets[:, 1] * direction[0])
+        masks.append(dist <= inlier_tol)
+    return masks
+
+
+def reference_model_counts(region):
+    """Inlier count of each table model over a (row, col) region, -1 where
+    its pair coincides."""
+    pts = np.asarray(region)[:, ::-1].astype(float)
+    return [-1 if mask is None else int(mask.sum())
+            for mask in reference_inlier_masks(pts)]
+
+
 def reference_fit_region_line(region, semantic, inlier_tol=2.0,
                               min_inlier_ratio=0.5):
     """RANSAC line fit scoring one table pair at a time."""
@@ -73,22 +100,11 @@ def reference_fit_region_line(region, semantic, inlier_tol=2.0,
     n = pts.shape[0]
     if n < 2:
         return None
-    pairs = reference_pairs(n)
     best_count = -1
     best_mask = None
-    for i, j in pairs:
-        direction = pts[j] - pts[i]
-        norm = float(np.hypot(direction[0], direction[1]))
-        if norm < 1e-9:
-            continue
-        direction = direction / norm
-        offsets = pts - pts[i]
-        dist = np.abs(offsets[:, 0] * direction[1]
-                      - offsets[:, 1] * direction[0])
-        mask = dist <= inlier_tol
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
+    for mask in reference_inlier_masks(pts, inlier_tol):
+        if mask is not None and int(mask.sum()) > best_count:
+            best_count = int(mask.sum())
             best_mask = mask
     if best_mask is None:
         return None
@@ -474,6 +490,22 @@ class TestFitRegionLineOracle:
         assert_same_line(line, reference_fit_region_line(region, POLE))
         assert line.m1[1] == pytest.approx(10) and line.m2[1] == pytest.approx(10)
 
+    def test_tie_across_blocks_goes_to_first_model(self):
+        # Two equal vertical strips, pixels alternating between them in
+        # raster order: the first block's best model lies in the left
+        # strip, and the next block has a model as good in the right one.
+        region = np.array([(r, c) for r in range(20) for c in (10, 60)])
+        counts = reference_model_counts(region)
+        pairs = reference_pairs(len(region))
+        most = max(counts)
+        assert counts.index(most) < features._FIRST_BLOCK_MODELS
+        assert region[pairs[counts.index(most)][0], 1] == 10
+        assert any(counts[k] == most and region[pairs[k][0], 1] == 60
+                   for k in range(features._FIRST_BLOCK_MODELS, len(counts)))
+        line = fit_region_line(region, POLE)
+        assert_same_line(line, reference_fit_region_line(region, POLE))
+        assert line.m1[0] == pytest.approx(10) and line.m2[0] == pytest.approx(10)
+
     def test_coincident_pixels_give_no_model(self):
         region = np.array([(4, 9)] * 5)
         with warnings.catch_warnings():
@@ -503,6 +535,113 @@ class TestFitRegionLineOracle:
         region = np.argwhere(np.ones((5, features._SCORE_BLOCK_ELEMENTS // 5 + 7)))
         assert_same_line(fit_region_line(region, POLE),
                          reference_fit_region_line(region, POLE))
+
+    def stroke_region(self, length, slope):
+        raster = np.zeros((length + 10, int(slope * length) + 20),
+                          dtype=np.uint8)
+        stroke(raster, 5, 10, length, slope)
+        (region,) = grow_one(raster)
+        return region
+
+    def first_all_inlier_model(self, region):
+        counts = reference_model_counts(region)
+        return counts.index(len(region)) if len(region) in counts else None
+
+    def counted_refits(self, monkeypatch):
+        """The sizes of the point sets ``fit_region_line`` refits, in call
+        order."""
+        refits = []
+        monkeypatch.setattr(features, "principal_axis",
+                            lambda pts: refits.append(len(pts))
+                            or principal_axis(pts))
+        return refits
+
+    def test_clean_stroke_stops_in_first_block(self, monkeypatch):
+        # Its winner and the refit line keep every pixel: one refit.
+        region = self.stroke_region(60, 0.5)
+        assert self.first_all_inlier_model(region) < features._FIRST_BLOCK_MODELS
+        refits = self.counted_refits(monkeypatch)
+        assert_same_line(fit_region_line(region, POLE),
+                         reference_fit_region_line(region, POLE))
+        assert refits == [len(region)]
+
+    def test_all_inlier_model_past_first_block(self):
+        # 270 pixels: blocks of 8, then 30 models; model 56 is the first
+        # that keeps every pixel, in the third block.
+        region = self.stroke_region(90, 0.2)
+        assert len(region) == 270
+        assert features._SCORE_BLOCK_ELEMENTS // len(region) == 30
+        assert self.first_all_inlier_model(region) == 56
+        assert_same_line(fit_region_line(region, POLE),
+                         reference_fit_region_line(region, POLE))
+
+    def test_refit_that_drops_pixels_is_refit_again(self, monkeypatch):
+        # A 3-row band and a short row two pixels above it: the model along
+        # the band's top row keeps every pixel, but the refit line runs
+        # through the band's middle, more than 2 px from the short row.
+        region = np.array(sorted([(r, c) for r in (10, 11, 12)
+                                  for c in range(60)]
+                                 + [(8, c) for c in range(27, 33)]))
+        n = len(region)
+        assert max(reference_model_counts(region)) == n
+        pts = region[:, ::-1].astype(float)
+        centroid, direction = reference_pca_line(pts)
+        offsets = pts - centroid
+        dist = np.abs(offsets[:, 0] * direction[1]
+                      - offsets[:, 1] * direction[0])
+        assert np.count_nonzero(dist <= features.INLIER_TOL) == n - 6
+        refits = self.counted_refits(monkeypatch)
+        assert_same_line(fit_region_line(region, POLE),
+                         reference_fit_region_line(region, POLE))
+        assert refits == [n, n - 6]
+
+    def test_noisy_strip_without_all_inlier_model(self):
+        region = self.noisy_strip(np.random.default_rng(10), 200, 40)
+        assert max(reference_model_counts(region)) < len(region)
+        assert_same_line(fit_region_line(region, POLE),
+                         reference_fit_region_line(region, POLE))
+
+
+class TestFitRegionLineStops:
+    """Scoring stops at the block holding the first model that keeps every
+    pixel; a region without one scores every model."""
+
+    def scored_models(self, monkeypatch, region):
+        scored = []
+        line_distances = features._line_distances
+
+        def counting(xs, ys, anchors, *args):
+            scored.append(anchors.shape[0])
+            return line_distances(xs, ys, anchors, *args)
+
+        monkeypatch.setattr(features, "_line_distances", counting)
+        assert fit_region_line(region, POLE) is not None
+        return sum(scored)
+
+    def test_clean_stroke_scores_few_models(self, monkeypatch):
+        region = TestFitRegionLineOracle().stroke_region(60, 0.5)
+        # The first block, then the re-gate against the refit line.
+        assert self.scored_models(monkeypatch, region) == \
+            features._FIRST_BLOCK_MODELS + 1
+        assert features._FIRST_BLOCK_MODELS + 1 < features.RANSAC_ITERATIONS // 10
+
+    def test_stops_after_block_of_first_all_inlier_model(self, monkeypatch):
+        # Model 56 of this 270-pixel stroke is the first to keep every
+        # pixel, and an earlier block holds one that misses a single pixel:
+        # the blocks of 8, 30 and 30 models, then the re-gate.
+        region = TestFitRegionLineOracle().stroke_region(90, 0.2)
+        counts = reference_model_counts(region)
+        assert counts.index(len(region)) == 56
+        assert max(counts[:38]) == len(region) - 1
+        assert self.scored_models(monkeypatch, region) == 8 + 30 + 30 + 1
+
+    def test_scatter_region_scores_every_model(self, monkeypatch):
+        region = TestFitRegionLineOracle().noisy_strip(
+            np.random.default_rng(10), 200, 40)
+        assert max(reference_model_counts(region)) < len(region)
+        # Every model, the winner's inliers again, then the re-gate.
+        assert self.scored_models(monkeypatch, region) == \
+            features.RANSAC_ITERATIONS + 2
 
 
 class TestSamplePairs:
@@ -607,12 +746,20 @@ class TestRegionCentroid:
         assert pt.m[1] == pytest.approx(pixels[:, 0].mean())
 
 
+def stroke(raster, row, col, length, slope):
+    """A 3 px wide strip at level 255 going down ``length`` rows from (row,
+    col), the stroke ``render_masks`` draws for a line."""
+    for k in range(length):
+        c = int(round(col + slope * k))
+        raster[row + k, c - 1:c + 2] = 255
+
+
 def noisy_strip(raster, rng, row, col, length, slope):
-    """A 3 px wide strip going down ``length`` rows from (row, col), with
-    two speckles of random level per row up to 5 px either side."""
+    """A ``stroke`` with two speckles of random level per row up to 5 px
+    either side."""
+    stroke(raster, row, col, length, slope)
     for k in range(length):
         r, c = row + k, int(round(col + slope * k))
-        raster[r, c - 1:c + 2] = 255
         for _ in range(2):
             dc = int(rng.integers(-5, 6))
             raster[r, c + dc] = max(raster[r, c + dc],
@@ -719,6 +866,37 @@ class TestExtractFeatures:
         assert len(milestones) == 2
         for line in got[1:]:
             assert_same_line(line, got[0])
+
+    def test_rendered_frames_match_reference(self):
+        # The strokes and discs the masks benchmark extracts: the first
+        # frames of a default world, each fitted as region_grow, the
+        # one-model-at-a-time RANSAC and region_centroid would, bit for bit.
+        config = WorldConfig()
+        semantic_map, trajectory = generate_world(config)
+        n_lines = 0
+        for pose in trajectory[:8]:
+            mask, _, _ = render_masks(semantic_map, pose, config)
+            lines, points = extract_features(mask)
+            classes = [semantic for semantic in SemanticClass
+                       if semantic in mask.channels]
+            want_lines, want_points = [], []
+            for owner, region in region_grow(
+                    [mask.channels[semantic] for semantic in classes],
+                    level=_THRESHOLD_LEVEL):
+                semantic = classes[owner]
+                if semantic.is_line_shaped:
+                    line = reference_fit_region_line(region, semantic)
+                    if line is not None:
+                        want_lines.append(line)
+                else:
+                    want_points.append(region_centroid(region, semantic))
+            assert len(lines) == len(want_lines)
+            for got, want in zip(lines, want_lines):
+                assert_same_line(got, want)
+            assert [(p.m.tobytes(), p.semantic) for p in points] == [
+                (p.m.tobytes(), p.semantic) for p in want_points]
+            n_lines += len(lines)
+        assert n_lines >= 20
 
 
 class TestMaskFiles:
