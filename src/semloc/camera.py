@@ -110,12 +110,11 @@ class Intrinsics:
     fy: float
     cx: float
     cy: float
-    skew: float = 0.0
     width: int = 1226
     height: int = 370
 
     def __post_init__(self):
-        values = (self.fx, self.fy, self.cx, self.cy, self.skew)
+        values = (self.fx, self.fy, self.cx, self.cy)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite intrinsics: {values}")
         if self.fx <= 0 or self.fy <= 0:
@@ -195,7 +194,7 @@ def pinhole(x, y, z, intrinsics: Intrinsics):
     """Pixel (u, v) of camera-frame coordinates; elementwise, so scalars
     and arrays alike. The caller owns the cheirality check."""
     k = intrinsics
-    return k.fx * x / z + k.skew * y / z + k.cx, k.fy * y / z + k.cy
+    return k.fx * x / z + k.cx, k.fy * y / z + k.cy
 
 
 def project_line(landmark, view: PoseTransform,
@@ -213,21 +212,27 @@ def project_line(landmark, view: PoseTransform,
 
 
 def serialize_intrinsics(intrinsics: Intrinsics) -> str:
+    """The K record; its fifth field, the skew, is always 0."""
     return (
         f"K {intrinsics.fx:.6f} {intrinsics.fy:.6f} {intrinsics.cx:.6f} "
-        f"{intrinsics.cy:.6f} {intrinsics.skew:.6f} {intrinsics.width} {intrinsics.height}\n"
+        f"{intrinsics.cy:.6f} 0.000000 {intrinsics.width} {intrinsics.height}\n"
     )
 
 
 def parse_intrinsics(text: str) -> Intrinsics:
-    """The intrinsics file's one K record."""
+    """The intrinsics file's one K record. The pinhole has no skew term, so
+    a skew field other than 0 is refused rather than dropped."""
     found = []
 
     def handle(fields):
         if found:
             raise ValueError("a file holds one K record only")
         fx, fy, cx, cy, skew = (float(f) for f in fields[1:6])
-        found.append(Intrinsics(fx, fy, cx, cy, skew,
+        if not math.isfinite(skew):
+            raise ValueError(f"non-finite intrinsics: skew {skew}")
+        if skew != 0.0:
+            raise ValueError(f"skew must be 0, got {skew}")
+        found.append(Intrinsics(fx, fy, cx, cy,
                                 int(fields[6]), int(fields[7])))
 
     read_records(text_records(text), "intrinsics", {"K": 8}, handle)

@@ -11,13 +11,13 @@ Which operations fix the output bits: every BLAS or LAPACK call (the
 camera coordinates ``rel @ rot.T``, the stacked products in
 ``rotation_derivatives``, ``rel @ d_rot``, and the solver's ``J^T J``,
 ``J^T r`` and ``np.linalg.solve``), the two einsums of the Jacobian, the
-order of each elementwise product, quotient and sum (``pinhole``'s order
-for the pixels, ``x * (1/z)`` and ``x * (1/z)^2`` for their derivatives),
-and the float operations of ``line_distance`` and ``point_distance``,
-which are the gate rows: the matcher and the gates share them. Everything
-else, such as how rows are gathered, which masks are built and how many
-numpy calls a step takes, may be restructured freely as long as the
-results stay bit-identical.
+order of each elementwise product, quotient and sum (``pinhole``'s
+``fx * x / z + cx`` and ``fy * y / z + cy`` for the pixels, ``x * (1/z)``
+and ``x * (1/z)^2`` for their derivatives), and the float operations of
+``line_distance`` and ``point_distance``, which are the gate rows: the
+matcher and the gates share them. Everything else, such as how rows are
+gathered, which masks are built and how many numpy calls a step takes,
+may be restructured freely as long as the results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ class ReprojectionObjective:
         corr.validate(preselected, det_lines, det_points)
         if len(corr) == 0:
             raise EmptyCorrespondence("correspondence set has no pairs")
-        self.intrinsics = intrinsics
         self.config = config
         self.y_lane = y_lane
         self.n_lines = len(corr.line_pairs)
@@ -209,7 +208,7 @@ class ReprojectionObjective:
         self._principal = np.array([k.cx, k.cy])
         # d(u, v)/d(camera x, y) times the depth; the depth column comes
         # from the projection.
-        self._pixel_rows = np.array([[k.fx, k.skew], [0.0, k.fy]])
+        self._pixel_rows = np.array([[k.fx, 0.0], [0.0, k.fy]])
 
         # The latest residual_and_jacobian evaluation: its pose object, the
         # pixels and guard, r and J, and the gate residual once asked for.
@@ -235,10 +234,10 @@ class ReprojectionObjective:
         Returns the pixels (n, 2), both endpoints of each line pair and
         then the points, the cheirality guard, and the camera-frame
         geometry the pixel Jacobian reuses: the rotation, the control
-        points relative to the camera centre, their guarded depths,
-        (fx x, fy y) and skew y. The guard is None when every control point
-        is in front of the camera, else the line and point masks of the
-        pairs that are.
+        points relative to the camera centre, their guarded depths and
+        (fx x, fy y). The guard is None when every control point is in
+        front of the camera, else the line and point masks of the pairs
+        that are.
         """
         rot = pose.rotation()
         rel = self._world - pose.position
@@ -250,13 +249,11 @@ class ReprojectionObjective:
             valid = z > MIN_DEPTH_M
             z = np.where(valid, z, 1.0)
             guard = (valid[0:nl2:2] & valid[1:nl2:2], valid[nl2:])
-        # pinhole's order: fx x / z + skew y / z + cx and fy y / z + cy.
+        # pinhole's order: fx x / z + cx and fy y / z + cy.
         xy = cam[:, :2] * self._focal
-        sy = self.intrinsics.skew * cam[:, 1]
         uv = xy / z[:, np.newaxis]
-        uv[:, 0] += sy / z
         uv += self._principal
-        return uv, guard, (rot, rel, z, xy, sy)
+        return uv, guard, (rot, rel, z, xy)
 
     def _soft_rows(self, pose: CameraPose) -> list:
         """The weighted flat-ground rows that end both residual vectors."""
@@ -290,8 +287,7 @@ class ReprojectionObjective:
                     for row, front in zip(rows, ok)]
         return np.array(rows + self._soft_rows(pose))
 
-    def _pixel_jacobian(self, pose: CameraPose, rot, rel, z, xy,
-                        sy) -> np.ndarray:
+    def _pixel_jacobian(self, pose: CameraPose, rot, rel, z, xy) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
         # d(camera point)/d(pose): translation block is -R, one column per
         # angle from the rotation derivative.
@@ -301,7 +297,7 @@ class ReprojectionObjective:
         d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
         dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
         # Pixel derivative rows stacked per projected point, (n, 2, 3):
-        # [[fx, skew, -(fx x + skew y)], [0, fy, -fy y]] times
+        # [[fx, 0, -fx x], [0, fy, -fy y]] times
         # (1/z, 1/z, 1/z^2). The sign rides on the factor, which is exact.
         inv_z = 1.0 / z
         scale = np.empty((n, 1, 3))
@@ -310,7 +306,6 @@ class ReprojectionObjective:
         duv_dcam = np.empty((n, 2, 3))
         duv_dcam[:, :, 0:2] = self._pixel_rows
         duv_dcam[:, :, 2] = xy
-        duv_dcam[:, 0, 2] += sy
         return np.einsum("nij,njk->nik", duv_dcam * scale, dcam)
 
     def residual_and_jacobian(self, pose: CameraPose):

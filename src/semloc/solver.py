@@ -52,11 +52,6 @@ class SolveResult:
         """sqrt of the total cost, the quantity gates compare."""
         return math.sqrt(self.final_cost)
 
-    @property
-    def converged(self) -> bool:
-        return self.termination_reason in (TerminationReason.STEP_TOLERANCE,
-                                           TerminationReason.COST_TOLERANCE)
-
 
 def solve(objective, init: CameraPose) -> SolveResult:
     """Minimize the objective's squared residual norm starting from ``init``.

@@ -23,7 +23,7 @@ from .mapmodel import (LANE_WINDOW_M, LanePolyline, LineLandmark,
 from .pipeline import FrameInput, heading_from_pose
 
 DEFAULT_INTRINSICS = Intrinsics(fx=700.0, fy=700.0, cx=613.0, cy=185.0,
-                                skew=0.0, width=1226, height=370)
+                                width=1226, height=370)
 CURVE_WAVELENGTH_M = 180.0    # period of the optional S-curve
 LANE_POINT_SPACING_M = 7.5    # between lane polyline points
 POLE_LATERAL_JITTER_M = 1.0   # half-width of the pole lateral jitter

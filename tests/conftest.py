@@ -8,7 +8,7 @@ from semloc.synthworld import WorldConfig
 @pytest.fixture
 def intrinsics():
     return Intrinsics(fx=700.0, fy=700.0, cx=600.0, cy=180.0,
-                      skew=0.0, width=1226, height=370)
+                      width=1226, height=370)
 
 
 def paper_scale_world(seed=0, **overrides):

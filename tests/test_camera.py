@@ -286,6 +286,15 @@ class TestIntrinsicsIO:
         back = parse_intrinsics(text)
         assert back == intrinsics
 
+    def test_skew_field_is_zero(self, intrinsics):
+        # The pinhole has no skew term: the K record writes its fifth field
+        # as 0, and reads 0 of either sign as the same camera.
+        assert serialize_intrinsics(intrinsics).split()[5] == "0.000000"
+        want = Intrinsics(700.0, 700.0, 613.0, 185.0, 1226, 370)
+        for skew in ("0", "-0", "0.000000", "-0.0"):
+            text = f"K 700 700 613 185 {skew} 1226 370\n"
+            assert parse_intrinsics(text) == want
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_intrinsics("K 1 2 3\n")
@@ -304,6 +313,7 @@ class TestIntrinsicsIO:
         ("K 700 abc 613 185 0 1226 370\n", "could not convert"),
         ("K 700 700 613 185 0 1226.0 370\n", "invalid literal for int"),
         ("K -700 700 613 185 0 1226 370\n", "focal lengths must be positive"),
+        ("K 700 700 613 185 1.5 1226 370\n", "skew must be 0"),
     ])
     def test_bad_record_names_its_line(self, text, reason):
         with pytest.raises(ValueError, match=f"^intrinsics line 1: {reason}"):
