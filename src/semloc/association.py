@@ -1,9 +1,10 @@
 """Simultaneous data association and localization.
 
 Two stages: a gated nearest-neighbor matcher pairs each preselected
-landmark with its closest same-class detection, and a hypothesize-validate
-loop samples small pair subsets, solves the pose on each, and keeps the
-first hypothesis whose refined pose survives the residual and pose-shift
+landmark with its closest same-class detection at the predicted pose, and
+a hypothesize-validate loop solves the pose on the whole match from each
+start pose it is given, re-matches at the solved pose with tight gates, and
+keeps the first result that survives the residual, pose-shift and pair-count
 gates. The accepted result is the pose optimized over the re-matched,
 tightly gated correspondence set.
 """
@@ -11,8 +12,6 @@ tightly gated correspondence set.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
                      project_point, wrap_angle)
@@ -25,13 +24,6 @@ from .solver import SingularNormalEquations, solve
 
 class NoValidAssociation(RuntimeError):
     """No hypothesis survived validation; coast on the motion model."""
-
-
-# Hypothesis sampling: each hypothesis solves the pose on this many line
-# and point pairs, and a frame tries at most MAX_HYPOTHESES of them.
-HYPOTHESIS_LINES = 4
-HYPOTHESIS_POINTS = 1
-MAX_HYPOTHESES = 500
 
 
 class AssociationConfig:
@@ -70,7 +62,7 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     skipped) and paired with the closest detection of the same class when
     that distance is within the gate. Ties go to the lowest detection
     index, and a detection may be claimed by more than one landmark.
-    Nothing downstream resolves such conflicts yet: hypothesis validation
+    Nothing downstream resolves such conflicts yet: the validation loop
     can accept a pose metres off with two landmarks on one detection (see
     ``tests/test_pipeline.py::TestNoFarOffAccept`` and ROADMAP item 1).
     """
@@ -106,54 +98,10 @@ def closest_correspond(preselected: PreselectedSet, det_lines, det_points,
     return corr
 
 
-def _hypothesis_sizes(n_lines: int, n_points: int):
-    """How many line/point pairs a hypothesis draws, degrading gracefully
-    when one kind is scarce: use all of the scarce kind and top up with the
-    other toward the usual total."""
-    total = HYPOTHESIS_LINES + HYPOTHESIS_POINTS
-    if n_points < HYPOTHESIS_POINTS:
-        k_lines = min(n_lines, total)
-        k_points = n_points
-    else:
-        k_lines = min(n_lines, HYPOTHESIS_LINES)
-        k_points = min(n_points, total - k_lines)
-    return k_lines, k_points
-
-
-def _combination(items, k: int, rank: int) -> list:
-    """The ``rank``-th ``k``-subset of ``items`` in combinations order."""
-    chosen, first = [], 0
-    for slots in range(k, 0, -1):
-        # Skip each whole block of subsets that take items[first] next.
-        while rank >= (below := math.comb(len(items) - first - 1, slots - 1)):
-            rank -= below
-            first += 1
-        chosen.append(items[first])
-        first += 1
-    return chosen
-
-
-def _iter_hypotheses(base: CorrespondenceSet):
-    """Yield at most ``MAX_HYPOTHESES`` distinct subsets of the base's line
-    and point pairs, each decoded when tried from a rank drawn in a fixed
-    order; a one-subset base is yielded as is and draws nothing."""
-    n_lines, n_points = len(base.line_pairs), len(base.point_pairs)
-    k_lines, k_points = _hypothesis_sizes(n_lines, n_points)
-    n_point_subsets = math.comb(n_points, k_points)
-    n_combos = math.comb(n_lines, k_lines) * n_point_subsets
-    if n_combos == 1:
-        yield base
-        return
-    rng = np.random.default_rng(0)
-    if n_combos <= MAX_HYPOTHESES:
-        ranks = rng.permutation(n_combos)
-    else:
-        ranks = rng.choice(n_combos, MAX_HYPOTHESES, replace=False)
-    for rank in ranks.tolist():
-        line_rank, point_rank = divmod(rank, n_point_subsets)
-        yield CorrespondenceSet(
-            _combination(base.line_pairs, k_lines, line_rank),
-            _combination(base.point_pairs, k_points, point_rank))
+def _iter_hypotheses(init: CameraPose):
+    """Yield the poses the validation loop solves the whole base match from:
+    today only the frame's prediction."""
+    yield init
 
 
 def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
@@ -162,8 +110,8 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
     """Robust pose estimation with unknown correspondences.
 
     Returns (SolveResult, refined CorrespondenceSet) or raises
-    NoValidAssociation. Deterministic: the hypotheses come in one fixed
-    order.
+    NoValidAssociation. Deterministic: every start pose is solved on the
+    same base match, in one fixed order.
     """
     base = closest_correspond(preselected, det_lines, det_points, init,
                               intrinsics, AssociationConfig.gate_line_init_px,
@@ -188,10 +136,10 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
         fit.final_cost = float(gate @ gate)
         return fit
 
-    for hypothesis in _iter_hypotheses(base):
-        objective = _objective(hypothesis)
+    base_objective = _objective(base)
+    for start in _iter_hypotheses(init):
         try:
-            fit = _solve(objective, init)
+            fit = _solve(base_objective, start)
         except SingularNormalEquations:
             continue
         if fit.residual_rms > AssociationConfig.max_hypothesis_rms:
@@ -205,12 +153,13 @@ def associate_and_localize(preselected: PreselectedSet, det_lines, det_points,
             AssociationConfig.gate_point_refine_px)
         if len(refined) < 0.5 * len(base):
             continue
-        # Re-matching often returns the hypothesis's own pairs. Its
-        # objective then still holds (r, J) at fit.pose, where the refine
-        # solve starts, whenever the solve returned the pose it evaluated
-        # last; that first evaluation then projects nothing.
+        # Re-matching often returns the base's own pairs. Its objective
+        # then still holds (r, J) at fit.pose, where the refine solve
+        # starts, whenever the solve returned the pose it evaluated last;
+        # that first evaluation then projects nothing.
+        objective = base_objective
         if (refined.line_pairs, refined.point_pairs) != \
-                (hypothesis.line_pairs, hypothesis.point_pairs):
+                (base.line_pairs, base.point_pairs):
             objective = _objective(refined)
         try:
             final = _solve(objective, fit.pose)

@@ -19,8 +19,8 @@ def paper_scale_world(seed=0, **overrides):
 
 def noise_world(seed=0, sigma=1.0):
     """Near-field world used for the noise-robustness studies: frames carry
-    few enough pole-like objects that every 4-line hypothesis includes a
-    lane, keeping the vertical pose directions observable."""
+    few enough pole-like objects that the lanes make up a good share of each
+    frame's line pairs, keeping the vertical pose directions observable."""
     return WorldConfig(rng_seed=seed, pixel_noise_sigma=sigma, pole_sides=1,
                        corridor_length_m=110.0, trajectory_margin_m=32.0,
                        pole_spacing_m=9.0, pole_height_m=0.5,

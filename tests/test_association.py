@@ -1,6 +1,4 @@
 import math
-import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -383,77 +381,53 @@ class TestAssociateAndLocalize:
             associate_and_localize(selected, [], [], truth, cfg.intrinsics)
 
 
-def pair_base(n_lines, n_points):
-    """A correspondence set with distinct, recognizable pairs."""
-    return CorrespondenceSet([(i, 10 + i) for i in range(n_lines)],
-                             [(i, 20 + i) for i in range(n_points)])
+def six_pair_frame():
+    """Frame 30 of the paper-scale seed-0 world, predicted up to 0.5 m and
+    1 degree off: its base match holds 5 line pairs and 1 point pair."""
+    cfg = paper_scale_world(0)
+    _, truth, rendered, selected = frame_at(cfg, 30)
+    init = perturbed(truth, np.random.default_rng(3), 0.5, math.radians(1.0))
+    return cfg, selected, rendered.frame, init
 
 
-class TestIterHypotheses:
-    @pytest.mark.parametrize("n_lines, n_points", [
-        (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1), (4, 1),
-        (5, 0), (3, 2), (2, 3), (0, 5)])
-    def test_single_hypothesis_draws_nothing(self, monkeypatch, n_lines,
-                                             n_points):
-        def no_rng(*args, **kwargs):
-            raise AssertionError("a one-hypothesis base built a generator")
+class TestWholeBase:
+    def test_first_solve_sees_every_base_pair(self, monkeypatch):
+        cfg, selected, frame, init = six_pair_frame()
+        base = closest_correspond(
+            selected, frame.det_lines, frame.det_points, init, cfg.intrinsics,
+            AssociationConfig.gate_line_init_px,
+            AssociationConfig.gate_point_init_px)
+        assert len(base) > 5
+        starts = list(association._iter_hypotheses(init))
+        assert len(starts) == 1 and starts[0] is init
 
-        monkeypatch.setattr(np.random, "default_rng", no_rng)
-        base = pair_base(n_lines, n_points)
-        got = list(association._iter_hypotheses(base))
-        assert len(got) == 1
-        assert got[0].line_pairs == base.line_pairs
-        assert got[0].point_pairs == base.point_pairs
+        built, solved = [], []
+        objective, real_solve = association.ReprojectionObjective, \
+            association.solve
 
-    @pytest.mark.parametrize("n_lines, n_points", [
-        (5, 1), (4, 2), (6, 0), (0, 6), (8, 3), (10, 2)])
-    def test_pool_order(self, n_lines, n_points):
-        base = pair_base(n_lines, n_points)
-        k_lines, k_points = association._hypothesis_sizes(n_lines, n_points)
-        pool = [(lc, pc)
-                for lc in combinations(range(n_lines), k_lines)
-                for pc in combinations(range(n_points), k_points)]
-        assert 1 < len(pool) <= association.MAX_HYPOTHESES
-        order = np.random.default_rng(0).permutation(len(pool))
-        expected = [([base.line_pairs[i] for i in pool[j][0]],
-                     [base.point_pairs[i] for i in pool[j][1]])
-                    for j in order]
-        got = [(h.line_pairs, h.point_pairs)
-               for h in association._iter_hypotheses(base)]
-        assert got == expected
+        def build(*args):
+            built.append((objective(*args), args[3]))
+            return built[-1][0]
 
-    @pytest.mark.parametrize("n_lines, n_points", [(13, 1), (11, 2), (60, 3)])
-    def test_large_pool_draws_without_building_it(self, n_lines, n_points):
-        base = pair_base(n_lines, n_points)
-        k_lines, k_points = association._hypothesis_sizes(n_lines, n_points)
-        n_combos = math.comb(n_lines, k_lines) * math.comb(n_points, k_points)
-        assert n_combos > association.MAX_HYPOTHESES
-        tracemalloc.start()
-        try:
-            got = [(tuple(h.line_pairs), tuple(h.point_pairs))
-                   for h in association._iter_hypotheses(base)]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(got) == association.MAX_HYPOTHESES == len(set(got))
-        for lines, points in got:
-            assert (len(lines), len(points)) == (k_lines, k_points)
-            # Each subset keeps the base's order, as combinations gives it.
-            assert list(lines) == [p for p in base.line_pairs if p in lines]
-            assert list(points) == [p for p in base.point_pairs
-                                    if p in points]
-        again = [(tuple(h.line_pairs), tuple(h.point_pairs))
-                 for h in association._iter_hypotheses(base)]
-        assert again == got
-        # The 60-line pool holds 487,635 line subsets; drawing 500 of them
-        # allocates nothing of that size.
-        assert peak < 1 << 20
+        def recorded_solve(obj, start):
+            solved.append((obj, start))
+            return real_solve(obj, start)
+
+        monkeypatch.setattr(association, "ReprojectionObjective", build)
+        monkeypatch.setattr(association, "solve", recorded_solve)
+        associate_and_localize(selected, frame.det_lines, frame.det_points,
+                               init, cfg.intrinsics)
+        first, start = solved[0]
+        assert start is init
+        corr = next(corr for obj, corr in built if obj is first)
+        assert (corr.line_pairs, corr.point_pairs) == \
+            (base.line_pairs, base.point_pairs)
 
 
 class TestRefineReuse:
-    """When re-matching returns the hypothesis's own pairs, the refine
-    solve runs on the hypothesis's objective, which already holds (r, J)
-    at the pose where that solve starts."""
+    """When re-matching returns the base's own pairs, the refine solve runs
+    on the base's objective, which already holds (r, J) at the pose where
+    that solve starts."""
 
     @staticmethod
     def hypothesis_frame():
@@ -473,22 +447,22 @@ class TestRefineReuse:
         base = closest_correspond(selected, det_lines, det_points, init,
                                   cfg.intrinsics, assoc.gate_line_init_px,
                                   assoc.gate_point_init_px)
-        hypotheses = list(association._iter_hypotheses(base))
-        assert len(hypotheses) == 1
-        return cfg, selected, rendered, init, objective, hypotheses[0]
+        starts = list(association._iter_hypotheses(init))
+        assert len(starts) == 1 and starts[0] is init
+        return cfg, selected, rendered, init, objective, base
 
     def test_reused_objective_solves_as_fresh(self, monkeypatch):
-        cfg, selected, rendered, init, objective, hypothesis = \
+        cfg, selected, rendered, init, objective, base = \
             self.hypothesis_frame()
         assoc = AssociationConfig()
-        reused = objective(hypothesis)
+        reused = objective(base)
         fit = solve(reused, init)
         refined = closest_correspond(
             selected, rendered.frame.det_lines, rendered.frame.det_points,
             fit.pose, cfg.intrinsics, assoc.gate_line_refine_px,
             assoc.gate_point_refine_px)
         assert (refined.line_pairs, refined.point_pairs) == \
-            (hypothesis.line_pairs, hypothesis.point_pairs)
+            (base.line_pairs, base.point_pairs)
         fresh = objective(refined)
         expected = solve(fresh, fit.pose)
 
@@ -538,7 +512,7 @@ class TestRefineReuse:
 
     def test_refined_count_rejects_before_refine_solve(self, monkeypatch):
         # Re-matching keeps one pair, fewer than half of the base: the
-        # hypothesis is rejected on that count, before a second solve.
+        # solved pose is rejected on that count, before a second solve.
         cfg, selected, rendered, init, _, _ = self.hypothesis_frame()
         matches = []
         match = association.closest_correspond
@@ -564,69 +538,58 @@ class TestRefineReuse:
 
 
 class TestValidationExits:
-    """Each rejection in the validation loop moves on to the next
-    hypothesis; NoValidAssociation is raised when none is left. The frame's
-    base admits five hypotheses."""
+    """Each rejection in the validation loop moves on to the next start
+    pose. The prediction is the only one, so each exit raises
+    NoValidAssociation, after the solves it lets run."""
 
     @staticmethod
-    def traced(monkeypatch, singular_calls=()):
-        """A localize call on the frame, with ``solve`` raising
-        SingularNormalEquations on the given call numbers (from 1), and the
-        lists of hypotheses tried and solve start poses it fills."""
-        cfg = paper_scale_world(0)
-        _, truth, rendered, selected = frame_at(cfg, 30)
-        init = perturbed(truth, np.random.default_rng(3), 0.5,
-                         math.radians(1.0))
-        tried, starts = [], []
-        hypotheses = association._iter_hypotheses
+    def traced(monkeypatch, singular_call=None):
+        """A localize call on the six-pair frame, with ``solve`` raising
+        SingularNormalEquations on the given call (from 1), the list of
+        solve start poses it fills, and the prediction."""
+        cfg, selected, frame, init = six_pair_frame()
+        starts = []
         real_solve = association.solve
-
-        def counted(base):
-            for hypothesis in hypotheses(base):
-                tried.append(hypothesis)
-                yield hypothesis
 
         def flaky_solve(objective, start):
             starts.append(start)
-            if len(starts) in singular_calls:
+            if len(starts) == singular_call:
                 raise SingularNormalEquations("forced")
             return real_solve(objective, start)
 
-        monkeypatch.setattr(association, "_iter_hypotheses", counted)
         monkeypatch.setattr(association, "solve", flaky_solve)
 
         def localize():
             return associate_and_localize(
-                selected, rendered.frame.det_lines, rendered.frame.det_points,
-                init, cfg.intrinsics)
-        return localize, init, tried, starts
+                selected, frame.det_lines, frame.det_points, init,
+                cfg.intrinsics)
+        return localize, starts, init
 
-    def test_singular_hypothesis_solve_tries_next(self, monkeypatch):
-        localize, init, tried, starts = self.traced(monkeypatch, {1})
+    def test_frame_is_accepted_without_a_forced_exit(self, monkeypatch):
+        localize, starts, init = self.traced(monkeypatch)
         localize()
-        assert len(tried) == 2
-        assert len(starts) == 3 and starts[1] is init
+        assert len(starts) == 2 and starts[0] is init
 
-    def test_singular_refine_solve_tries_next(self, monkeypatch):
-        localize, init, tried, starts = self.traced(monkeypatch, {2})
-        localize()
-        assert len(tried) == 2
-        assert len(starts) == 4 and starts[1] is not init and \
-            starts[2] is init
-
-    def test_every_solve_singular_raises(self, monkeypatch):
-        localize, _, tried, starts = self.traced(monkeypatch, range(1, 100))
+    @pytest.mark.parametrize("gates, singular_call, solves", [
+        ((), 1, 1),
+        (("max_hypothesis_rms",), None, 1),
+        (("max_pose_shift",), None, 1),
+        (("gate_line_refine_px", "gate_point_refine_px"), None, 1),
+        ((), 2, 2),
+        (("max_final_rms_per_pair",), None, 2),
+    ], ids=["singular hypothesis solve", "max_hypothesis_rms",
+            "max_pose_shift", "refined set below half the base",
+            "singular refine solve", "max_final_rms_per_pair"])
+    def test_exit_raises_after_its_solves(self, monkeypatch, gates,
+                                          singular_call, solves):
+        # A negative gate fails every check it enters: rms values, pose
+        # shifts and match distances are never negative.
+        for gate in gates:
+            monkeypatch.setattr(AssociationConfig, gate, -1.0)
+        localize, starts, _ = self.traced(monkeypatch, singular_call)
         with pytest.raises(NoValidAssociation):
             localize()
-        assert len(tried) == len(starts) == 5
-
-    def test_final_cost_gate_tries_next(self, monkeypatch):
-        monkeypatch.setattr(AssociationConfig, "max_final_rms_per_pair", 0.0)
-        localize, _, tried, starts = self.traced(monkeypatch)
-        with pytest.raises(NoValidAssociation):
-            localize()
-        # Every hypothesis reached the refine solve and the final gate.
-        assert len(tried) == 5 and len(starts) == 10
+        assert len(starts) == solves
 
 
 class TestGates:

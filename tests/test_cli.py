@@ -93,6 +93,32 @@ def test_cli_import_leaves_out_numpy_random(tmp_path):
                           "numpy.random") == "[]"
 
 
+def test_localize_leaves_out_numpy_random(tmp_path):
+    # The validation loop solves the whole base match and draws nothing,
+    # so localizing detections and masks of a two-sided world, whose
+    # frames match more than 5 pairs, loads no numpy.random either.
+    if _modules_after(tmp_path, "import numpy", "numpy.random") != "[]":
+        pytest.skip("import numpy loads numpy.random")
+    assert run_cli("synth", "--out", tmp_path / "w", "--length", "60",
+                   "--pole-sides", "2", "--seed", "3") == 0
+    world = ("--map", "w/map.txt", "--intrinsics", "w/intrinsics.txt",
+             "--bootstrap", "w/groundtruth.txt")
+    script = (
+        "import semloc.association as association, semloc.cli\n"
+        "matched, match = [], association.closest_correspond\n"
+        "def counted(*args):\n"
+        "    matched.append(len(corr := match(*args)))\n"
+        "    return corr\n"
+        "association.closest_correspond = counted\n"
+        "for source in (['--detections', 'w/detections.txt'],\n"
+        "               ['--masks', 'w/masks']):\n"
+        f"    assert semloc.cli.main(['localize', *{list(world)!r}, *source,\n"
+        "                            '--out', 'result.csv']) == 0\n"
+        "    assert max(matched) > 5, matched\n"
+        "    matched.clear()")
+    assert _modules_after(tmp_path, script, "numpy.random") == "[]"
+
+
 # Every command, masks included, run in a directory holding CLUSTERS as
 # clusters.txt: synth writes the world w/ that the others read.
 _WORLD = ("--map", "w/map.txt", "--intrinsics", "w/intrinsics.txt")
@@ -544,8 +570,8 @@ class TestManifest:
                         "--grid", "3", "--out", tmp_path / "landscape.csv")]
 
     @pytest.mark.parametrize("block, key", [
-        # The association gates and hypothesis order are fixed, so the
-        # manifest has no association block.
+        # The association gates are fixed and the validation loop samples
+        # nothing, so the manifest has no association block.
         ({"association": {"rematch_around": "initial_pose"}}, "association"),
         ({"residual": {"camera_heigth_m": 1.6}}, "camera_heigth_m"),
         ({"ground_truth": "world/groundtruth.txt"}, "ground_truth"),
@@ -628,8 +654,9 @@ class TestManifest:
 
     def test_association_settings_rejected(self, synth_dir, tmp_path,
                                            capsys):
-        # The gates and the hypothesis order are fixed, so the settings that
-        # chose them are refused, even at the values they always had.
+        # The gates are fixed and the validation loop samples nothing, so the
+        # settings that once chose them are refused, even at the values they
+        # always had.
         for key, value in (("seed", 0),
                            ("association", {"max_hypothesis_rms": 200.0})):
             manifest = self.write(tmp_path, synth_dir, **{key: value})
