@@ -543,21 +543,24 @@ class TestValidationExits:
     NoValidAssociation, after the solves it lets run."""
 
     @staticmethod
-    def traced(monkeypatch, singular_call=None):
+    def traced(monkeypatch, singular_calls=(), hypotheses=1):
         """A localize call on the six-pair frame, with ``solve`` raising
-        SingularNormalEquations on the given call (from 1), the list of
-        solve start poses it fills, and the prediction."""
+        SingularNormalEquations on the given calls (from 1) and the loop
+        given the prediction ``hypotheses`` times as its start poses, the
+        list of solve start poses it fills, and the prediction."""
         cfg, selected, frame, init = six_pair_frame()
         starts = []
         real_solve = association.solve
 
         def flaky_solve(objective, start):
             starts.append(start)
-            if len(starts) == singular_call:
+            if len(starts) in singular_calls:
                 raise SingularNormalEquations("forced")
             return real_solve(objective, start)
 
         monkeypatch.setattr(association, "solve", flaky_solve)
+        monkeypatch.setattr(association, "_iter_hypotheses",
+                            lambda pose: iter([pose] * hypotheses))
 
         def localize():
             return associate_and_localize(
@@ -570,23 +573,38 @@ class TestValidationExits:
         localize()
         assert len(starts) == 2 and starts[0] is init
 
-    @pytest.mark.parametrize("gates, singular_call, solves", [
-        ((), 1, 1),
-        (("max_hypothesis_rms",), None, 1),
-        (("max_pose_shift",), None, 1),
-        (("gate_line_refine_px", "gate_point_refine_px"), None, 1),
-        ((), 2, 2),
-        (("max_final_rms_per_pair",), None, 2),
+    def test_singular_hypothesis_solve_tries_next(self, monkeypatch):
+        # Given a second start pose, the loop solves from it after the
+        # first one's base solve fails, and the frame is accepted.
+        localize, starts, init = self.traced(monkeypatch, {1}, hypotheses=2)
+        localize()
+        assert len(starts) == 3 and starts[1] is init
+
+    def test_every_solve_singular_raises(self, monkeypatch):
+        localize, starts, _ = self.traced(monkeypatch, range(1, 100),
+                                          hypotheses=3)
+        with pytest.raises(NoValidAssociation):
+            localize()
+        # One base solve per start pose; none reaches its refine solve.
+        assert len(starts) == 3
+
+    @pytest.mark.parametrize("gates, singular_calls, solves", [
+        ((), {1}, 1),
+        (("max_hypothesis_rms",), (), 1),
+        (("max_pose_shift",), (), 1),
+        (("gate_line_refine_px", "gate_point_refine_px"), (), 1),
+        ((), {2}, 2),
+        (("max_final_rms_per_pair",), (), 2),
     ], ids=["singular hypothesis solve", "max_hypothesis_rms",
             "max_pose_shift", "refined set below half the base",
             "singular refine solve", "max_final_rms_per_pair"])
     def test_exit_raises_after_its_solves(self, monkeypatch, gates,
-                                          singular_call, solves):
+                                          singular_calls, solves):
         # A negative gate fails every check it enters: rms values, pose
         # shifts and match distances are never negative.
         for gate in gates:
             monkeypatch.setattr(AssociationConfig, gate, -1.0)
-        localize, starts, _ = self.traced(monkeypatch, singular_call)
+        localize, starts, _ = self.traced(monkeypatch, singular_calls)
         with pytest.raises(NoValidAssociation):
             localize()
         assert len(starts) == solves
