@@ -18,9 +18,11 @@ import numpy as np
 # (0.017 rad is about 12 px at f = 700 px, a plausible resolvability floor
 # for a segmentation net); synthworld renders by the same rule.
 MIN_SIZE_RATIO = 0.017
-# Lane polyline points this far ahead of the rough position (meters, along
-# the rough heading) are fitted into a synthetic lane landmark.
-LANE_WINDOW_M = (5.0, 20.0)
+# A lane enters localization as its chord between the polyline points this
+# far ahead of the camera (meters, along its heading). On the default rig a
+# lane on flat ground enters the 370-row image 6.0-6.2 m ahead, so from 7 m
+# on the whole chord is in view and a rendered lane is the projected chord.
+LANE_WINDOW_M = (7.0, 20.0)
 
 _COINCIDENT_EPS = 1e-9
 _MIN_SEGMENT_M = 1e-6
@@ -121,8 +123,6 @@ class LanePolyline:
         if np.any(np.linalg.norm(np.diff(pts, axis=0), axis=1) <= 0):
             raise ValueError("consecutive polyline points must be distinct")
         object.__setattr__(self, "points", pts)
-        # preselect's last (vertex indices, lane landmark); see _lane_landmark.
-        object.__setattr__(self, "_window_fit", ((), None))
 
 
 @dataclass(eq=False)
@@ -157,8 +157,8 @@ class RoughPose:
 
 @dataclass(eq=False)
 class PreselectedSet:
-    """Landmarks surviving preselection, in map order; synthetic lane
-    segments (fitted from polyline windows, id = polyline id) come last."""
+    """Landmarks surviving preselection, in map order; lane chords (see
+    ``lane_chord``; id = polyline id) come last."""
 
     lines: list = field(default_factory=list)
     points: list = field(default_factory=list)
@@ -252,34 +252,30 @@ def resolvable(sizes, anchors, position) -> np.ndarray:
     return positive & (ratio > MIN_SIZE_RATIO)
 
 
-def _lane_landmark(lane: LanePolyline, vertices: tuple) -> LineLandmark | None:
-    """The lane landmark fitted to the given vertices of a polyline, or None
-    when they are degenerate.
-
-    Frames are about 1.4 m apart and lane vertices 7.5 m, so a lane's window
-    keeps its vertices for several frames: each polyline remembers its last
-    fit. The pair is read and replaced as one tuple, so concurrent callers
-    never see one window's fit under another's indices.
-    """
-    last_vertices, landmark = lane._window_fit
-    if last_vertices != vertices:
-        try:
-            landmark = fit_line_landmark(lane.points[list(vertices)],
-                                         SemanticClass.LANE_LINE,
-                                         lane.road_index, landmark_id=lane.id)
-        except DegenerateCluster:
-            landmark = None
-        object.__setattr__(lane, "_window_fit", (vertices, landmark))
-    return landmark
+def lane_chord(lane: LanePolyline, position, heading):
+    """The chord of a lane ``LANE_WINDOW_M`` ahead, a (2, 3) array: the
+    points, near end first, where the polyline crosses those distances
+    from ``position`` along the unit ground ``heading`` (x, z). None when
+    the polyline does not reach both ends. Its points may run with or
+    against the heading, but must advance along it monotonically."""
+    pts = lane.points
+    along = (pts[:, ::2] - position[::2]) @ heading
+    if along[0] > along[-1]:
+        along, pts = along[::-1], pts[::-1]
+    near, far = LANE_WINDOW_M
+    if along[0] > near or along[-1] < far:
+        return None
+    return np.column_stack([np.interp((near, far), along, c) for c in pts.T])
 
 
 def preselect(semantic_map: SemanticMap, rough: RoughPose) -> PreselectedSet:
     """Select landmarks likely visible from a rough pose.
 
     Keeps landmarks on the same road that are ``resolvable`` from the rough
-    position (distance to the first control point). Lane polylines on the
-    road contribute a synthetic straight lane landmark fitted to their
-    points ``LANE_WINDOW_M`` ahead along the rough heading.
+    position (distance to the first control point). Each lane polyline on
+    the road whose ``lane_chord`` exists from the rough pose contributes
+    that chord as a lane landmark. The result depends on its arguments
+    alone.
     """
     road = rough.road_index
     pos = rough.position
@@ -291,17 +287,14 @@ def preselect(semantic_map: SemanticMap, rough: RoughPose) -> PreselectedSet:
     out = PreselectedSet(
         [lm for lm, kept in zip(lines, keep) if kept],
         [lm for lm, kept in zip(points, keep[len(lines):]) if kept])
-    near, far = LANE_WINDOW_M
     for lane in semantic_map.lanes:
         if lane.road_index != road:
             continue
-        ground_delta = lane.points[:, ::2] - pos[::2]  # (x, z)
-        along = ground_delta @ rough.heading
-        window = np.flatnonzero((along >= near) & (along <= far))
-        if window.shape[0] >= 2:
-            landmark = _lane_landmark(lane, tuple(window.tolist()))
-            if landmark is not None:
-                out.lines.append(landmark)
+        chord = lane_chord(lane, pos, rough.heading)
+        if chord is not None:
+            out.lines.append(LineLandmark(
+                *chord, SemanticClass.LANE_LINE,
+                float(np.linalg.norm(chord[1] - chord[0])), road, lane.id))
     return out
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .camera import (CameraPose, Intrinsics, PoseTransform, project_line,
                      project_point)
 from .features import DetectedLine, DetectedPoint, SemanticMask
-from .mapmodel import (LANE_WINDOW_M, LanePolyline, LineLandmark,
-                       PointLandmark, SemanticClass, SemanticMap, resolvable)
+from .mapmodel import (LanePolyline, LineLandmark, PointLandmark,
+                       SemanticClass, SemanticMap, lane_chord, resolvable)
 from .pipeline import FrameInput, heading_from_pose
 
 DEFAULT_INTRINSICS = Intrinsics(fx=700.0, fy=700.0, cx=613.0, cy=185.0,
@@ -33,8 +33,8 @@ POLE_LATERAL_JITTER_M = 1.0   # half-width of the pole lateral jitter
 class WorldConfig:
     corridor_length_m: float = 270.0
     # Optional gentle S-curve of the road centerline; zero gives a straight
-    # corridor. Note a curved lane breaks the exactness of the straight
-    # lane-window model, so noiseless round-trip worlds keep this at zero.
+    # corridor. The map and the renderer share one lane chord, so a curved
+    # lane is as exact as a straight one at the true pose.
     curve_amplitude_m: float = 0.0
     lane_count: int = 2
     lane_spacing_m: float = 3.5
@@ -210,31 +210,22 @@ def _in_image(uv, intrinsics: Intrinsics) -> bool:
 
 def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
                          view: PoseTransform, intrinsics: Intrinsics):
-    """Projected endpoints of the lane stretch ``LANE_WINDOW_M`` ahead
+    """Projected ends of the part of the lane's ``lane_chord`` from the pose
     (sampled every 0.5 m) that lands inside the image, seen through
     ``view``, the pose's transform. Returns (m1, m2) or None."""
-    heading = heading_from_pose(pose)
-    near, far = LANE_WINDOW_M
-    pieces = []
-    for a, b in zip(lane.points[:-1], lane.points[1:]):
-        n = max(2, int(float(np.linalg.norm(b - a)) / 0.5) + 1)
-        t = np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
-        pieces.append(a + t * (b - a))
-    pieces.append(lane.points[-1:])
-    samples = np.concatenate(pieces)
-    along = (samples[:, 0] - view.center[0]) * heading[0] + \
-        (samples[:, 2] - view.center[2]) * heading[1]
-    inside = (near <= along) & (along <= far)
+    chord = lane_chord(lane, view.center, heading_from_pose(pose))
+    if chord is None:
+        return None
+    a, b = chord
+    n = max(2, int(float(np.linalg.norm(b - a)) / 0.5) + 1)
     kept = []
-    for q, dist in zip(samples[inside], along[inside]):
-        uv = project_point(q, view, intrinsics)
-        if uv is None or not _in_image(uv, intrinsics):
-            continue
-        kept.append((dist, uv))
+    for t in np.linspace(0.0, 1.0, n):
+        uv = project_point(a + t * (b - a), view, intrinsics)
+        if uv is not None and _in_image(uv, intrinsics):
+            kept.append(uv)
     if len(kept) < 2:
         return None
-    kept.sort(key=lambda item: item[0])
-    m1, m2 = np.array(kept[0][1]), np.array(kept[-1][1])
+    m1, m2 = np.array(kept[0]), np.array(kept[-1])
     if float(np.linalg.norm(m2 - m1)) < 2.0:
         return None
     return m1, m2
@@ -242,10 +233,10 @@ def _visible_lane_window(lane: LanePolyline, pose: CameraPose,
 
 def _true_line_projections(semantic_map: SemanticMap, pose: CameraPose,
                            view: PoseTransform, config: WorldConfig):
-    """(landmark id, class, m1, m2) for every line landmark and lane window
-    fully visible from the pose, whose transform is ``view``. A landmark
-    must also pass preselection's size/distance rule from the pose, so
-    every preselectable landmark has its own rendering and no
+    """(landmark id, class, m1, m2) for every line landmark fully visible
+    from the pose, whose transform is ``view``, and for every lane chord in
+    view. A landmark must also pass preselection's size/distance rule from
+    the pose, so every preselectable landmark has its own rendering and no
     un-preselectable bait detections exist."""
     intr = config.intrinsics
     position = view.center

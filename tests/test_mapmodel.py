@@ -5,14 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from semloc import mapmodel
 from semloc.mapmodel import (LANE_WINDOW_M, MIN_SIZE_RATIO, DegenerateCluster,
                              LanePolyline, LineLandmark, ParseError,
                              PointLandmark, RoughPose, SemanticClass,
                              SemanticMap, fit_line_landmark,
-                             fit_point_landmark, parse_map, preselect,
-                             resolvable, serialize_map)
-from semloc.pipeline import heading_from_pose
+                             fit_point_landmark, lane_chord, parse_map,
+                             preselect, resolvable, serialize_map)
 from semloc.synthworld import WorldConfig, generate_world
 
 
@@ -179,15 +177,51 @@ class TestPreselect:
         lm = out.lines[0]
         assert lm.semantic is SemanticClass.LANE_LINE
         assert lm.id == 7
-        assert lm.p1[0] == pytest.approx(5.0)
-        assert lm.p2[0] == pytest.approx(20.0)
+        near, far = LANE_WINDOW_M
+        assert lm.p1[0] == pytest.approx(near)
+        assert lm.p2[0] == pytest.approx(far)
 
     def test_lane_window_too_short(self):
-        pts = np.array([[0.0, 0, 0], [8.0, 0, 0], [40.0, 0, 0]])
-        m = SemanticMap([], [], [LanePolyline(pts, 0, 1)])
+        near, far = LANE_WINDOW_M
         rough = RoughPose([0, 0, 0], [1, 0], 0)
-        # only one polyline point falls in the 5..20 m window
-        assert len(preselect(m, rough).lines) == 0
+        # No vertex but the middle one falls in the window, yet the
+        # polyline crosses both ends: the chord is interpolated on it.
+        pts = np.array([[0.0, 0, 0], [10.0, 1.0, 2.0], [30.0, 3.0, -2.0]])
+        (lm,) = preselect(SemanticMap([], [], [LanePolyline(pts, 0, 1)]),
+                          rough).lines
+        assert np.allclose(lm.p1, [near, near / 10.0, near / 5.0])
+        assert np.allclose(lm.p2, [far, 1.0 + (far - 10.0) / 10.0,
+                                   2.0 - (far - 10.0) / 5.0])
+        assert lm.size_m == pytest.approx(np.linalg.norm(lm.p2 - lm.p1))
+        # A polyline that ends before the far end gives no chord.
+        short = np.array([[0.0, 0, 0], [8.0, 0, 0], [far - 0.5, 0, 0]])
+        lane = LanePolyline(short, 0, 1)
+        assert lane_chord(lane, rough.position, rough.heading) is None
+        assert preselect(SemanticMap([], [], [lane]), rough).lines == []
+
+    def test_reversed_polyline_same_chord(self):
+        rng = np.random.default_rng(5)
+        xs = np.cumsum(rng.uniform(0.5, 9.0, 12)) - 6.0
+        pts = np.column_stack([xs, rng.normal(0.0, 0.1, 12),
+                               rng.normal(0.0, 0.3, 12)])
+        position = np.array([0.3, 1.6, 0.2])
+        heading = np.array([math.cos(0.1), math.sin(0.1)])
+        ahead = lane_chord(LanePolyline(pts, 0, 1), position, heading)
+        behind = lane_chord(LanePolyline(pts[::-1], 0, 1), position, heading)
+        assert ahead is not None and ahead.shape == (2, 3)
+        np.testing.assert_allclose(behind, ahead, rtol=0.0, atol=1e-12)
+        along = (ahead[:, ::2] - position[::2]) @ heading
+        assert np.allclose(along, LANE_WINDOW_M)
+
+    def test_same_lane_id_different_points(self):
+        xs = np.arange(0.0, 31.0, 1.0)
+        flat = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
+        raised = flat + [0.0, 0.5, 0.0]
+        rough = RoughPose([0, 0, 0], [1, 0], 0)
+        a = preselect(SemanticMap([], [], [LanePolyline(flat, 0, 4)]), rough)
+        b = preselect(SemanticMap([], [], [LanePolyline(raised, 0, 4)]), rough)
+        assert a.lines[0].id == b.lines[0].id == 4
+        assert a.lines[0].p1[1] == 0.0 and b.lines[0].p1[1] == 0.5
 
 
 def scalar_resolvable(size_m, anchor, position):
@@ -227,57 +261,6 @@ class TestResolvable:
 
     def test_empty(self):
         assert resolvable([], [], np.zeros(3)).shape == (0,)
-
-
-def lane_window_fit(lane, rough):
-    """The lane landmark preselect should give, fitted afresh."""
-    along = (lane.points[:, [0, 2]] - rough.position[[0, 2]]) @ rough.heading
-    near, far = LANE_WINDOW_M
-    window = lane.points[(along >= near) & (along <= far)]
-    if window.shape[0] < 2:
-        return None
-    return fit_line_landmark(window, SemanticClass.LANE_LINE, lane.road_index,
-                             landmark_id=lane.id)
-
-
-class TestLaneMemo:
-    def test_same_lane_id_different_points(self):
-        xs = np.arange(0.0, 31.0, 1.0)
-        flat = np.column_stack([xs, np.zeros_like(xs), np.zeros_like(xs)])
-        raised = flat + [0.0, 0.5, 0.0]
-        rough = RoughPose([0, 0, 0], [1, 0], 0)
-        a = preselect(SemanticMap([], [], [LanePolyline(flat, 0, 4)]), rough)
-        b = preselect(SemanticMap([], [], [LanePolyline(raised, 0, 4)]), rough)
-        assert a.lines[0].id == b.lines[0].id == 4
-        assert a.lines[0].p1[1] == 0.0 and b.lines[0].p1[1] == 0.5
-
-    def test_bounded_and_exact_over_a_run(self, monkeypatch):
-        # Four 270 m worlds at 1.4 m frame spacing: 660 frames, as in the
-        # det-nominal benchmark.
-        fits = []
-        fit = mapmodel.fit_line_landmark
-        monkeypatch.setattr(mapmodel, "fit_line_landmark",
-                            lambda *a, **kw: fits.append(a) or fit(*a, **kw))
-        frames = 0
-        for seed in range(4):
-            semantic_map, trajectory = generate_world(
-                WorldConfig(rng_seed=seed, corridor_length_m=270.0))
-            for pose in trajectory:
-                frames += 1
-                rough = RoughPose(pose.position, heading_from_pose(pose), 0)
-                lanes = [lm for lm in preselect(semantic_map, rough).lines
-                         if lm.semantic is SemanticClass.LANE_LINE]
-                fresh = [lane_window_fit(lane, rough)
-                         for lane in semantic_map.lanes]
-                fresh = [lm for lm in fresh if lm is not None]
-                assert len(lanes) == len(fresh)
-                for got, want in zip(lanes, fresh):
-                    assert np.array_equal(got.p1, want.p1)
-                    assert np.array_equal(got.p2, want.p2)
-                    assert (got.size_m, got.id) == (want.size_m, want.id)
-        assert frames == 660
-        # Windows repeat across frames, so most lookups need no fit.
-        assert 0 < len(fits) < frames / 2
 
 
 class TestSerialization:

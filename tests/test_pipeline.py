@@ -62,6 +62,16 @@ class TestRunSequence:
                 for k, rec in enumerate(result.records)]
         assert math.sqrt(np.mean(np.square(errs))) < 1e-3
 
+    def test_noiseless_curved_corridor(self):
+        # Map and renderer share one lane chord, so a curved road
+        # localizes as exactly as a straight one.
+        trajectory, result = run_noiseless(
+            seed=0, n_frames=None, cfg_overrides={"curve_amplitude_m": 3.0})
+        assert result.count(FrameStatus.LOCALIZED) == len(trajectory) - 2
+        errs = [np.linalg.norm(rec.pose.position - trajectory[k].position)
+                for k, rec in enumerate(result.records)]
+        assert math.sqrt(np.mean(np.square(errs))) < 1e-3
+
     def test_dropout_frames_coast_and_recover(self):
         trajectory, result = run_noiseless(seed=1, n_frames=14, blank={8, 9})
         statuses = [r.status for r in result.records]

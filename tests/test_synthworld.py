@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from semloc.association import associate_and_localize, closest_correspond
-from semloc.camera import CameraPose
-from semloc.mapmodel import RoughPose, SemanticClass, preselect
+from semloc.camera import CameraPose, PoseTransform, project_line, project_point
+from semloc.mapmodel import RoughPose, SemanticClass, lane_chord, preselect
 from semloc.pipeline import heading_from_pose
 from semloc.features import extract_features
+from semloc.residual import line_distance
 from semloc.synthworld import (WorldConfig, _stroke, generate_world,
                                render_detections, render_frames, render_masks)
 
@@ -227,7 +228,7 @@ class TestRenderMasks:
 
     def test_one_rotation_per_frame(self, monkeypatch):
         # Both renderers build the pose's rotation once per frame, however
-        # many landmarks and lane samples they project.
+        # many landmarks and lane chord samples they project.
         cfg = paper_scale_world(0)
         semantic_map, trajectory = generate_world(cfg)
         builds = []
@@ -327,6 +328,50 @@ class TestRoundTrip:
         semantic_map, trajectory = generate_world(cfg)
         rendered = render_frames(semantic_map, trajectory[:5], cfg)
         assert [r.frame.frame_id for r in rendered] == list(range(5))
+
+
+class TestLaneChord:
+    @pytest.mark.parametrize("curve", [0.0, 3.0])
+    def test_chord_in_view_at_truth(self, curve):
+        # The near end of LANE_WINDOW_M lies past where flat ground enters
+        # the default rig's image, so every chord from the true pose
+        # projects whole into the image, both ends and all between.
+        for seed in range(3):
+            cfg = paper_scale_world(seed, curve_amplitude_m=curve)
+            semantic_map, trajectory = generate_world(cfg)
+            intr = cfg.intrinsics
+            for pose in trajectory:
+                view = PoseTransform.of(pose)
+                for lane in semantic_map.lanes:
+                    chord = lane_chord(lane, view.center,
+                                       heading_from_pose(pose))
+                    assert chord is not None
+                    for end in chord:
+                        u, v = project_point(end, view, intr)
+                        assert 0.0 <= u <= intr.width - 1
+                        assert 0.0 <= v <= intr.height - 1
+
+    def test_rendered_lane_on_preselected_lane(self):
+        # At the true pose a rendered lane lies on the projection of the
+        # lane landmark preselect gives, curved road or not.
+        cfg = paper_scale_world(0, curve_amplitude_m=3.0)
+        semantic_map, trajectory = generate_world(cfg)
+        lane_ids = {lane.id for lane in semantic_map.lanes}
+        checked = 0
+        for k, pose in enumerate(trajectory):
+            rendered = render_detections(semantic_map, pose, cfg, frame_id=k)
+            rough = RoughPose(pose.position, heading_from_pose(pose), 0)
+            lanes = {lm.id: lm for lm in preselect(semantic_map, rough).lines
+                     if lm.id in lane_ids}
+            view = PoseTransform.of(pose)
+            for det, label in zip(rendered.frame.det_lines,
+                                  rendered.line_labels):
+                if label in lane_ids:
+                    endpoints = project_line(lanes[label], view,
+                                             cfg.intrinsics)
+                    assert line_distance(endpoints, det.geometry) < 1e-6
+                    checked += 1
+        assert checked == 2 * len(trajectory)
 
 
 class TestConfigValidation:
