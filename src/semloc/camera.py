@@ -139,29 +139,6 @@ def rotation_from_angles(yaw: float, pitch: float, roll: float) -> np.ndarray:
     ])
 
 
-def rotation_derivatives(yaw: float, pitch: float, roll: float) -> np.ndarray:
-    """Partial derivatives of the rotation matrix w.r.t. each angle, stacked
-    as shape (3, 3, 3) in (yaw, pitch, roll) order.
-
-    Each is the chain roll_z @ pitch_x @ AXIS_SWAP @ yaw_y with one factor
-    replaced by its derivative, evaluated as three stacked products.
-    """
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cr, sr = math.cos(roll), math.sin(roll)
-    r_yaw = [cy, 0.0, sy, 0.0, 1.0, 0.0, -sy, 0.0, cy]
-    d_yaw = [-sy, 0.0, cy, 0.0, 0.0, 0.0, -cy, 0.0, -sy]
-    r_pitch = [1.0, 0.0, 0.0, 0.0, cp, -sp, 0.0, sp, cp]
-    d_pitch = [0.0, 0.0, 0.0, 0.0, -sp, -cp, 0.0, cp, -sp]
-    r_roll = [cr, -sr, 0.0, sr, cr, 0.0, 0.0, 0.0, 1.0]
-    d_roll = [-sr, -cr, 0.0, cr, -sr, 0.0, 0.0, 0.0, 0.0]
-    roll_f, pitch_f, yaw_f = np.array(
-        r_roll + r_roll + d_roll +
-        r_pitch + d_pitch + r_pitch +
-        d_yaw + r_yaw + r_yaw).reshape(3, 3, 3, 3)
-    return roll_f @ pitch_f @ AXIS_SWAP @ yaw_f
-
-
 def angles_from_rotation(rot: np.ndarray) -> tuple[float, float, float]:
     """Recover (yaw, pitch, roll) from a map-to-camera rotation matrix.
 

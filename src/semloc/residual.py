@@ -8,16 +8,18 @@ squared norm of this vector. The solver minimizes a smooth split of the
 same rows, and only that form has a Jacobian.
 
 Which operations fix the output bits: every BLAS or LAPACK call (the
-camera coordinates ``rel @ rot.T``, the stacked products in
-``rotation_derivatives``, ``rel @ d_rot``, and the solver's ``J^T J``,
-``J^T r`` and ``np.linalg.solve``), the two einsums of the Jacobian, the
-order of each elementwise product, quotient and sum (``pinhole``'s
-``fx * x / z + cx`` and ``fy * y / z + cy`` for the pixels, ``x * (1/z)``
-and ``x * (1/z)^2`` for their derivatives), and the float operations of
-``line_distance`` and ``point_distance``, which are the gate rows: the
-matcher and the gates share them. Everything else, such as how rows are
-gathered, which masks are built and how many numpy calls a step takes,
-may be restructured freely as long as the results stay bit-identical.
+camera coordinates, ``project_point``'s ``rot @ (p - c)`` stacked over the
+control points, the product of those coordinates with the angles'
+cross-product matrices, and the solver's ``J^T J``, ``J^T r`` and
+``np.linalg.solve``), the two einsums of the Jacobian, the order of each
+elementwise product, quotient and sum (``pinhole``'s ``fx * x / z + cx``
+and ``fy * y / z + cy`` for the pixels, ``x * (1/z)`` and ``x * (1/z)^2``
+for their derivatives), and the float operations of ``line_distance`` and
+``point_distance``, which are the gate rows. The matcher projects and
+scores with the same operations, so its pixels and distances are the
+objective's bit for bit. Everything else, such as how rows are gathered,
+which masks are built and how many numpy calls a step takes, may be
+restructured freely as long as the results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import MIN_DEPTH_M, CameraPose, Intrinsics, rotation_derivatives
+from .camera import MIN_DEPTH_M, CameraPose, Intrinsics
 from .mapmodel import PreselectedSet, SemanticClass, distances
 
 DEG_PER_RAD = 180.0 / math.pi
@@ -233,15 +235,16 @@ class ReprojectionObjective:
 
         Returns the pixels (n, 2), both endpoints of each line pair and
         then the points, the cheirality guard, and the camera-frame
-        geometry the pixel Jacobian reuses: the rotation, the control
-        points relative to the camera centre, their guarded depths and
+        geometry the pixel Jacobian reuses: the rotation, the camera
+        coordinates of the control points, their guarded depths and
         (fx x, fy y). The guard is None when every control point is in
         front of the camera, else the line and point masks of the pairs
         that are.
         """
         rot = pose.rotation()
         rel = self._world - pose.position
-        cam = rel @ rot.T
+        # project_point's rot @ (p - c), stacked: the matcher's own pixels.
+        cam = np.matmul(rot, rel[:, :, np.newaxis])[:, :, 0]
         nl2 = self._n_line_rows
         z = cam[:, 2]
         guard = None
@@ -253,7 +256,7 @@ class ReprojectionObjective:
         xy = cam[:, :2] * self._focal
         uv = xy / z[:, np.newaxis]
         uv += self._principal
-        return uv, guard, (rot, rel, z, xy)
+        return uv, guard, (rot, cam, z, xy)
 
     def _soft_rows(self, pose: CameraPose) -> list:
         """The weighted flat-ground rows that end both residual vectors."""
@@ -287,15 +290,23 @@ class ReprojectionObjective:
                     for row, front in zip(rows, ok)]
         return np.array(rows + self._soft_rows(pose))
 
-    def _pixel_jacobian(self, pose: CameraPose, rot, rel, z, xy) -> np.ndarray:
+    def _pixel_jacobian(self, pose: CameraPose, rot, cam, z, xy) -> np.ndarray:
         """d(pixel)/d(pose) per projected control point, shape (n, 2, 6)."""
-        # d(camera point)/d(pose): translation block is -R, one column per
-        # angle from the rotation derivative.
+        # d(camera point)/d(pose): translation block is -R, and each angle's
+        # column is its turning axis, in the camera frame, crossed with the
+        # camera point. Yaw turns about the map's up axis (R's middle
+        # column), pitch about (cos roll, sin roll, 0), roll about (0, 0, 1).
+        # Entry (j, 3 i + k) of ``cross`` is entry (i, j) of angle k's
+        # cross-product matrix, so one product gives all three columns.
         n = z.shape[0]
         dcam = np.empty((n, 3, 6))
         dcam[:, :, 0:3] = -rot
-        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
-        dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
+        ux, uy, uz = rot[:, 1].tolist()
+        cr, sr = math.cos(pose.roll), math.sin(pose.roll)
+        cross = np.array([[0.0, 0.0, 0.0, uz, 0.0, 1.0, -uy, -sr, 0.0],
+                          [-uz, 0.0, -1.0, 0.0, 0.0, 0.0, ux, cr, 0.0],
+                          [uy, sr, 0.0, -ux, -cr, 0.0, 0.0, 0.0, 0.0]])
+        dcam[:, :, 3:6] = (cam @ cross).reshape(n, 3, 3)
         # Pixel derivative rows stacked per projected point, (n, 2, 3):
         # [[fx, 0, -fx x], [0, fy, -fy y]] times
         # (1/z, 1/z, 1/z^2). The sign rides on the factor, which is exact.

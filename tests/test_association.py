@@ -9,12 +9,12 @@ from semloc.association import (AssociationConfig, NoValidAssociation,
                                 pose_distance)
 from semloc.camera import CameraPose, PoseTransform, project_line, project_point
 from semloc.mapmodel import RoughPose, SemanticClass, preselect
-from semloc.pipeline import heading_from_pose
+from semloc.pipeline import FrameStatus, heading_from_pose, run_sequence
 from semloc.residual import (CorrespondenceSet, ReprojectionObjective,
                              ResidualConfig, line_distance,
                              nearest_lane_height, point_distance)
 from semloc.solver import SingularNormalEquations, solve
-from semloc.synthworld import generate_world, render_detections
+from semloc.synthworld import generate_world, render_detections, render_frames
 
 from conftest import clutter_world, paper_scale_world, perturbed
 
@@ -150,6 +150,64 @@ class TestClosestCorrespond:
         corr = closest_correspond(PreselectedSet([behind], []), [det], [],
                                   pose, intrinsics, 300.0, 300.0)
         assert len(corr) == 0
+
+
+class TestOneProjection:
+    """The objective projects with the matcher's own product. At the
+    estimated and the true pose of every frame of localized worlds, each
+    pixel of the objective's kernel is ``project_point``'s and each gate row
+    is ``line_distance`` or ``point_distance`` of the matcher's projections,
+    bit for bit."""
+
+    # (pixel noise sigma, curve amplitude m, pole sides)
+    WORLDS = [(0.0, 0.0, 1), (1.0, 3.0, 2), (2.0, 0.0, 2), (1.0, 3.0, 1)]
+
+    @pytest.mark.parametrize("sigma, curve, sides", WORLDS)
+    def test_kernel_pixels_and_gate_rows_are_the_matcher_s(self, sigma, curve,
+                                                           sides):
+        cfg = paper_scale_world(0, corridor_length_m=120.0,
+                                pixel_noise_sigma=sigma,
+                                curve_amplitude_m=curve, pole_sides=sides)
+        semantic_map, trajectory = generate_world(cfg)
+        frames = [r.frame for r in render_frames(semantic_map, trajectory,
+                                                 cfg)]
+        result = run_sequence(semantic_map, frames, trajectory[:2],
+                              cfg.intrinsics)
+        assert result.count(FrameStatus.LOCALIZED) == len(frames) - 2
+        n_pixels = n_rows = 0
+        for record, truth, frame in zip(result.records, trajectory, frames):
+            for pose in (record.pose, truth):
+                selected = preselect(semantic_map, RoughPose(
+                    pose.position, heading_from_pose(pose), frame.road_index))
+                # Ungated, so every landmark in front of the camera pairs.
+                corr = closest_correspond(
+                    selected, frame.det_lines, frame.det_points, pose,
+                    cfg.intrinsics, math.inf, math.inf)
+                objective = ReprojectionObjective(
+                    selected, frame.det_lines, frame.det_points, corr,
+                    cfg.intrinsics)
+                view = PoseTransform.of(pose)
+                pixels, rows = [], []
+                for lm_idx, det_idx in corr.line_pairs:
+                    proj = project_line(selected.lines[lm_idx], view,
+                                        cfg.intrinsics)
+                    pixels.extend(proj)
+                    rows.append(line_distance(
+                        proj, frame.det_lines[det_idx].geometry))
+                for lm_idx, det_idx in corr.point_pairs:
+                    proj = project_point(selected.points[lm_idx].p, view,
+                                         cfg.intrinsics)
+                    pixels.extend(proj)
+                    rows.append(point_distance(
+                        proj, frame.det_points[det_idx].m.tolist()))
+                uv, guard, _ = objective._kernel(pose)
+                assert guard is None
+                assert uv.tobytes() == np.array(pixels).tobytes()
+                gate = objective.residual(pose)[:len(corr)]
+                assert gate.tobytes() == np.array(rows).tobytes()
+                n_pixels += len(pixels) // 2
+                n_rows += len(rows)
+        assert n_pixels > 1000 and n_rows > 500
 
 
 def nested_loop_matches(selected, det_lines, det_points, pose, intrinsics,

@@ -5,9 +5,8 @@ import pytest
 
 from semloc.camera import (AXIS_SWAP, CameraPose, Intrinsics, PoseTransform,
                            angles_from_rotation, parse_intrinsics,
-                           project_line, project_point, rotation_derivatives,
-                           rotation_from_angles, serialize_intrinsics,
-                           wrap_angle)
+                           project_line, project_point, rotation_from_angles,
+                           serialize_intrinsics, wrap_angle)
 from semloc.mapmodel import LineLandmark, SemanticClass
 
 
@@ -58,42 +57,6 @@ class TestRotation:
             assert got[0] == pytest.approx(yaw, abs=1e-12)
             assert got[1] == pytest.approx(pitch, abs=1e-12)
             assert got[2] == pytest.approx(roll, abs=1e-12)
-
-
-class TestRotationDerivatives:
-    def test_matches_elementary_chains(self):
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            yaw, pitch, roll = rng.uniform(-math.pi, math.pi, 3)
-            cy, sy = math.cos(yaw), math.sin(yaw)
-            cp, sp = math.cos(pitch), math.sin(pitch)
-            cr, sr = math.cos(roll), math.sin(roll)
-            r_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-            r_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
-            r_roll = np.array([[cr, -sr, 0.0], [sr, cr, 0.0], [0.0, 0.0, 1.0]])
-            d_yaw = np.array([[-sy, 0.0, cy], [0.0, 0.0, 0.0], [-cy, 0.0, -sy]])
-            d_pitch = np.array([[0.0, 0.0, 0.0], [0.0, -sp, -cp], [0.0, cp, -sp]])
-            d_roll = np.array([[-sr, -cr, 0.0], [cr, -sr, 0.0], [0.0, 0.0, 0.0]])
-            want = (r_roll @ r_pitch @ AXIS_SWAP @ d_yaw,
-                    r_roll @ d_pitch @ AXIS_SWAP @ r_yaw,
-                    d_roll @ r_pitch @ AXIS_SWAP @ r_yaw)
-            got = rotation_derivatives(yaw, pitch, roll)
-            assert got.shape == (3, 3, 3)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-
-    def test_central_differences(self):
-        rng = np.random.default_rng(23)
-        h = 1e-6
-        for _ in range(200):
-            angles = rng.uniform(-math.pi, math.pi, 3)
-            got = rotation_derivatives(*angles)
-            for k in range(3):
-                step = np.zeros(3)
-                step[k] = h
-                fd = (rotation_from_angles(*(angles + step)) -
-                      rotation_from_angles(*(angles - step))) / (2 * h)
-                assert np.max(np.abs(got[k] - fd)) < 1e-8
 
 
 class TestPose:

@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed
-from semloc import residual
-from semloc.camera import (MIN_DEPTH_M, CameraPose, Intrinsics, PoseTransform,
-                           rotation_derivatives)
+from semloc.camera import MIN_DEPTH_M, CameraPose, Intrinsics, PoseTransform
 from semloc.features import DetectedLine, DetectedPoint
 from semloc.mapmodel import (LineLandmark, PointLandmark, PreselectedSet,
                              SemanticClass)
@@ -468,7 +466,7 @@ class TestGateForm:
         sel, det_lines, det_points, corr, pose = toy_scene(intrinsics, seed=3)
         obj = ReprojectionObjective(sel, det_lines, det_points, corr,
                                     intrinsics, ResidualConfig(), 0.0)
-        calls = {"kernel": 0, "rotation_derivatives": 0}
+        calls = {"kernel": 0, "jacobian": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -477,8 +475,8 @@ class TestGateForm:
             return wrapper
 
         monkeypatch.setattr(obj, "_kernel", counting("kernel", obj._kernel))
-        monkeypatch.setattr(residual, "rotation_derivatives", counting(
-            "rotation_derivatives", residual.rotation_derivatives))
+        monkeypatch.setattr(obj, "_pixel_jacobian",
+                            counting("jacobian", obj._pixel_jacobian))
         return obj, pose, calls
 
     def test_evaluated_pose_projects_nothing(self, intrinsics, monkeypatch):
@@ -495,15 +493,15 @@ class TestGateForm:
                                                          monkeypatch):
         obj, pose, calls = self.counted(intrinsics, monkeypatch)
         obj.residual_and_jacobian(pose)
-        calls.update(kernel=0, rotation_derivatives=0)
+        calls.update(kernel=0, jacobian=0)
         moved = CameraPose.from_vector(pose.as_vector() + 0.01)
         n_rows = obj.n_lines + obj.n_points + obj.n_soft
         assert obj.residual(moved).shape == (n_rows,)
         assert obj.residual(moved).shape == (n_rows,)
-        assert calls == {"kernel": 2, "rotation_derivatives": 0}
+        assert calls == {"kernel": 2, "jacobian": 0}
         # The slot still holds the evaluated pose.
         obj.residual_and_jacobian(pose)
-        assert calls == {"kernel": 2, "rotation_derivatives": 0}
+        assert calls == {"kernel": 2, "jacobian": 0}
 
     def test_slot_holds_the_latest_evaluation_only(self, intrinsics,
                                                    monkeypatch):
@@ -562,7 +560,10 @@ class TestCorrespondenceSet:
 class ReferenceKernel:
     """The objective's projection and reductions as they stood before
     they were restructured for fewer numpy calls: one pass per call, no
-    stored evaluations. The objective must reproduce every bit.
+    stored evaluations. The objective must reproduce every bit. The camera
+    coordinates are ``project_point``'s product, stacked, and each angle's
+    column of d(camera point)/d(pose) is its axis crossed with the camera
+    point, all three in one product as in the objective.
 
     The pinhole's skew term, which the objective no longer has, is kept
     here with its products as ``skew``: a zero skew of either sign must
@@ -606,7 +607,7 @@ class ReferenceKernel:
     def _kernel(self, pose):
         rot = pose.rotation()
         rel = self._world - pose.position
-        cam = rel @ rot.T
+        cam = np.matmul(rot, rel[:, :, np.newaxis])[:, :, 0]
         valid = cam[:, 2] > MIN_DEPTH_M
         zs = np.where(valid, cam[:, 2], 1.0)
         k = self.intrinsics
@@ -621,7 +622,7 @@ class ReferenceKernel:
         err = uv[2 * nl:] - self._det_pts
         line_ok = valid[0:2 * nl:2] & valid[1:2 * nl:2]
         point_ok = valid[2 * nl:]
-        return cross, err, line_ok, point_ok, (rot, rel, cam, zs)
+        return cross, err, line_ok, point_ok, (rot, cam, zs)
 
     def _soft_rows(self, pose):
         terms = [pose.pitch * DEG_PER_RAD, pose.roll * DEG_PER_RAD]
@@ -641,12 +642,20 @@ class ReferenceKernel:
         res[nl + npt:] = self._soft_rows(pose)
         return res
 
-    def _pixel_jacobian(self, pose, rot, rel, cam, zs):
+    def _pixel_jacobian(self, pose, rot, cam, zs):
         n = cam.shape[0]
         dcam = np.empty((n, 3, 6))
         dcam[:, :, 0:3] = -rot[np.newaxis, :, :]
-        d_rot = rotation_derivatives(pose.yaw, pose.pitch, pose.roll)
-        dcam[:, :, 3:6] = (rel @ d_rot.transpose(0, 2, 1)).transpose(1, 2, 0)
+        # Turning axes of yaw, pitch and roll in the camera frame.
+        cr, sr = math.cos(pose.roll), math.sin(pose.roll)
+        axes = [rot[:, 1].tolist(), [cr, sr, 0.0], [0.0, 0.0, 1.0]]
+        # a x c is a's cross-product matrix times c; stacked [angle k, i, j]
+        cross_matrices = np.array([[[0.0, -a[2], a[1]],
+                                    [a[2], 0.0, -a[0]],
+                                    [-a[1], a[0], 0.0]] for a in axes])
+        # column k of dcam[n, i, 3:6] = sum_j cam[n, j] cross_matrices[k, i, j]
+        by_row = cross_matrices.transpose(2, 1, 0).reshape(3, 9)
+        dcam[:, :, 3:6] = (cam @ by_row).reshape(n, 3, 3)
         k = self.intrinsics
         inv_z = 1.0 / zs
         duv_dcam = np.zeros((n, 2, 3))
@@ -737,7 +746,7 @@ class TestBitIdenticalToReference:
             poses = [perturbed(truth, rng, 1.0, 0.1) for _ in range(10)]
             poses.append(self.BEHIND)
             for pose in poses:
-                depths = reference._kernel(pose)[4][2][:, 2]
+                depths = reference._kernel(pose)[4][1][:, 2]
                 assert np.sum(depths <= MIN_DEPTH_M) == (pose is self.BEHIND)
                 r, jac = objective.residual_and_jacobian(pose)
                 want_r, want_jac = reference.residual_and_jacobian(pose)
